@@ -21,6 +21,7 @@ from .calibration import (
     ece_arrays,
 )
 from .core import (
+    ClientSplit,
     DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
@@ -32,7 +33,12 @@ from .core import (
     ScoreDistribution,
     Spike,
 )
-from .datagen import gen_well_behaved, split_to_clients
+from .datagen import (
+    gen_well_behaved,
+    sample_population,
+    split_population,
+    split_to_clients,
+)
 from .hierarchy import (
     HierarchicalCounts,
     ScoreHistogram,
@@ -41,7 +47,13 @@ from .hierarchy import (
     find_quantile,
     prefix_count,
 )
-from .io import DataFileError, read_data_file, write_data_file
+from .io import (
+    DataFileError,
+    read_columns,
+    read_data_file,
+    write_columns,
+    write_data_file,
+)
 from .mechanisms import (
     OueParams,
     PolyaShareParams,
@@ -69,6 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AucEstimate",
     "CalibrationMap",
+    "ClientSplit",
     "DataFileError",
     "DegenerateEstimateError",
     "EceReport",
@@ -115,10 +128,14 @@ __all__ = [
     "pra_fixed",
     "pra_threshold",
     "prefix_count",
+    "read_columns",
     "read_data_file",
     "run_sweep",
     "sample_polya",
+    "sample_population",
     "secure_aggregate",
+    "split_population",
     "split_to_clients",
+    "write_columns",
     "write_data_file",
 ]

@@ -224,7 +224,9 @@ def apply_calibration_batch(
     out = np.zeros(scores.shape, dtype=np.float64)
     for weight, (boundaries, values) in zip(cal_map.weights, cal_map.binnings):
         out += weight * values[_bucket_of(boundaries, scores)]
-    return out
+    # Weights may sum to 1 + 2**-52 after rounding, which can lift a
+    # mixture of values 1.0 just above 1.
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def apply_calibration(cal_map: CalibrationMap, score: float) -> float:

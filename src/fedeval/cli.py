@@ -27,31 +27,23 @@ from .calibration import (
     calibrate_histogram,
     ece_arrays,
 )
-from .core import (
-    InsufficientPopulationError,
-    Label,
-    PrivacySpec,
-    Regime,
-    ScoreDistribution,
-    as_arrays,
-    as_generator,
-)
-from .datagen import gen_well_behaved, split_to_clients
-from .hierarchy import build_hierarchy, build_score_histogram
+from .core import PrivacySpec, Regime, ScoreDistribution
+from .datagen import sample_population
+from .hierarchy import build_score_histogram
 from .io import (
     DataFileError,
-    read_data_file,
+    read_columns,
     result_header_line,
     row_to_json,
-    write_data_file,
+    write_columns,
 )
 from .sweep import (
     SweepConfigError,
-    SweepResultRow,
-    _degenerate_records,
-    _parse_spikes,
-    histogram_metric_records,
+    evaluate_population,
+    fit_held_out,
+    parse_spikes,
     parse_sweep_config,
+    result_rows,
     run_sweep,
 )
 
@@ -157,63 +149,37 @@ def _resolve_privacy(args) -> PrivacySpec:
 
 def cmd_gen_data(args) -> int:
     dist = ScoreDistribution(
-        spikes=_parse_spikes(";".join(args.spike)),
+        spikes=parse_spikes(";".join(args.spike)),
         lipschitz=args.lipschitz,
         spike_threshold=args.spike_threshold,
         positive_slope=args.pos_slope,
         negative_slope=args.neg_slope,
     )
-    examples = gen_well_behaved(
+    scores, positive = sample_population(
         args.num_examples, dist, args.balance, np.random.SeedSequence((args.seed,))
     )
-    write_data_file(args.out, examples)
-    print(f"wrote {len(examples)} examples to {args.out}", file=sys.stderr)
+    write_columns(args.out, scores, positive)
+    print(f"wrote {scores.size} examples to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    examples = read_data_file(args.data)
+    scores, positive = read_columns(args.data)
     spec = _resolve_privacy(args)
     thresholds = tuple(args.threshold)
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise _UsageError(f"--threshold must lie in [0, 1], got {t}")
     started = time.perf_counter()
-    split_ss, pos_ss, neg_ss = np.random.SeedSequence((args.seed,)).spawn(3)
-    scores, flags = as_arrays(examples)
-    try:
-        shards = split_to_clients(examples, args.split, split_ss)
-        pos = build_hierarchy(shards, Label.POSITIVE, spec, pos_ss)
-        neg = build_hierarchy(shards, Label.NEGATIVE, spec, neg_ss)
-        hist = build_score_histogram(pos, neg, args.buckets)
-    except InsufficientPopulationError:
-        records = _degenerate_records(
-            scores, flags, thresholds, args.tie_convention, include_ece=False
-        )
-    else:
-        records = histogram_metric_records(
-            hist, scores, flags, thresholds, args.tie_convention
-        )
+    records, _ = evaluate_population(
+        scores, positive, spec, args.buckets, args.split, thresholds,
+        args.tie_convention, np.random.SeedSequence((args.seed,)).spawn(3),
+    )
     wall_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
     print(result_header_line())
-    for metric, threshold, estimate, exact, advertised, degenerate in records:
-        abs_error = None if estimate is None or exact is None else abs(estimate - exact)
-        row = SweepResultRow(
-            metric=metric,
-            regime=spec.regime,
-            num_examples=len(examples),
-            num_buckets=args.buckets,
-            height=args.height,
-            epsilon=spec.epsilon,
-            threshold=threshold,
-            estimate=estimate,
-            exact=exact,
-            abs_error=abs_error,
-            advertised_uncertainty=advertised,
-            seed=args.seed,
-            wall_ms=wall_ms,
-            degenerate=degenerate,
-        )
+    for row in result_rows(
+        records, spec, scores.size, args.buckets, args.seed, wall_ms
+    ):
         print(row_to_json(row))
     return 0
 
@@ -229,29 +195,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    examples = read_data_file(args.data)
+    scores, positive = read_columns(args.data)
     spec = _resolve_privacy(args)
-    if len(examples) < 4:
+    if scores.size < 4:
         raise _UsageError("calibrate needs at least 4 examples")
     if not args.bbq and args.buckets is None:
         raise _UsageError("--buckets is required without --bbq")
-    perm_ss, split_ss, pos_ss, neg_ss = np.random.SeedSequence((args.seed,)).spawn(4)
-    scores, flags = as_arrays(examples)
-    perm = as_generator(perm_ss).permutation(len(examples))
-    half = len(examples) // 2
-    cal_examples = [examples[i] for i in perm[:half]]
-    eval_scores = scores[perm[half:]]
-    eval_flags = flags[perm[half:]]
-    shards = split_to_clients(cal_examples, args.split, split_ss)
-    pos = build_hierarchy(shards, Label.POSITIVE, spec, pos_ss)
-    neg = build_hierarchy(shards, Label.NEGATIVE, spec, neg_ss)
+    fit = fit_held_out(
+        scores, positive, spec, args.split, np.random.SeedSequence((args.seed,))
+    )
     if args.bbq:
-        cal_map = calibrate_bbq(pos, neg, prior=args.prior)
+        cal_map = calibrate_bbq(fit.pos, fit.neg, prior=args.prior)
     else:
-        hist = build_score_histogram(pos, neg, args.buckets)
+        hist = build_score_histogram(fit.pos, fit.neg, args.buckets)
         cal_map = calibrate_histogram(hist, prior=args.prior)
-    probs = apply_calibration_batch(cal_map, eval_scores)
-    report = ece_arrays(probs, eval_flags, args.eval_bins)
+    probs = apply_calibration_batch(cal_map, fit.eval_scores)
+    report = ece_arrays(probs, fit.eval_positive, args.eval_bins)
     print(result_header_line())
     print(json.dumps({
         "calibration_map": {

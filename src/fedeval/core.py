@@ -9,16 +9,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "Label",
     "Regime",
     "LabeledScore",
     "ClientShard",
+    "ClientSplit",
     "PredictedExample",
     "NoisyCount",
     "PrivacySpec",
@@ -28,6 +32,7 @@ __all__ = [
     "InsufficientPopulationError",
     "validate",
     "as_arrays",
+    "as_examples",
     "leaf_indices",
     "as_generator",
 ]
@@ -80,6 +85,39 @@ class PredictedExample(NamedTuple):
 ClientShard = Sequence[LabeledScore]
 
 
+@dataclass(frozen=True, eq=False)
+class ClientSplit:
+    """A population split into client shards, stored as columns.
+
+    Client c holds rows offsets[c]:offsets[c+1] of scores (float64) and
+    positive (bool, True for the positive class). Clients may be empty.
+    """
+
+    scores: np.ndarray
+    positive: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_shards(cls, shards: Sequence[ClientShard]) -> "ClientSplit":
+        """Columns of per-client example lists, clients in input order."""
+        sizes = np.fromiter(map(len, shards), dtype=np.int64, count=len(shards))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        # Each LabeledScore is a (score, label) tuple: flattening the
+        # shards twice interleaves the two columns in one pass.
+        fields = np.fromiter(
+            chain.from_iterable(chain.from_iterable(shards)), object, 2 * offsets[-1]
+        )
+        scores = fields[0::2].astype(np.float64)
+        return cls(scores, fields[1::2] == Label.POSITIVE, offsets)
+
+    @property
+    def num_clients(self) -> int:
+        return len(self.offsets) - 1
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
 class DegenerateEstimateError(RuntimeError):
     """Every requested ratio had a nonpositive (noisy) denominator.
 
@@ -129,10 +167,32 @@ class PrivacySpec:
             eps = self.epsilon
             if eps is None or not math.isfinite(eps) or eps <= 0.0:
                 raise ValueError(f"epsilon must be a finite positive real, got {eps!r}")
+            self._check_mechanism(eps)
         # Leaf arrays of every level must fit comfortably in memory.
         if self.num_leaves > (1 << 26):
             raise ValueError(
                 f"fanout**height = {self.num_leaves} exceeds the supported resolution"
+            )
+
+    def _check_mechanism(self, eps: float) -> None:
+        """Reject an epsilon at which the regime's mechanism degenerates."""
+        if self.regime is Regime.DIST_DP:
+            # The per-level discrete Laplace parameter must lie in (0, 1).
+            alpha = math.exp(-eps / self.height)
+            if alpha == 1.0:
+                raise ValueError(
+                    f"epsilon {eps!r} is too small for dist_dp at height "
+                    f"{self.height}: exp(-epsilon/height) rounds to 1"
+                )
+            if alpha == 0.0:
+                raise ValueError(
+                    f"epsilon {eps!r} is too large for dist_dp at height "
+                    f"{self.height}: exp(-epsilon/height) rounds to 0"
+                )
+        elif expit(-eps) == 0.5:
+            raise ValueError(
+                f"epsilon {eps!r} is too small for local_dp: the flip "
+                f"probability 1/(exp(epsilon)+1) rounds to the keep probability 1/2"
             )
 
     @property
@@ -231,11 +291,18 @@ def validate(example: LabeledScore) -> LabeledScore:
 def as_arrays(examples: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:
     """Convert examples to (scores float64, labels bool) arrays."""
     count = len(examples)
-    scores = np.fromiter((e.score for e in examples), dtype=np.float64, count=count)
-    labels = np.fromiter(
-        (e.label is Label.POSITIVE for e in examples), dtype=bool, count=count
-    )
-    return scores, labels
+    scores = np.fromiter(map(attrgetter("score"), examples), np.float64, count)
+    labels = np.fromiter(map(attrgetter("label"), examples), object, count)
+    return scores, labels == Label.POSITIVE
+
+
+def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[LabeledScore]:
+    """The examples of (scores, positive) columns, in row order."""
+    labels = (Label.NEGATIVE, Label.POSITIVE)
+    return [
+        LabeledScore(score, labels[flag])
+        for score, flag in zip(scores.tolist(), positive.tolist())
+    ]
 
 
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:

@@ -14,9 +14,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Label, LabeledScore, ScoreDistribution, as_generator
+from .core import (
+    ClientSplit,
+    Label,
+    LabeledScore,
+    ScoreDistribution,
+    as_arrays,
+    as_examples,
+    as_generator,
+)
 
-__all__ = ["gen_well_behaved", "split_to_clients"]
+__all__ = [
+    "sample_population",
+    "gen_well_behaved",
+    "split_population",
+    "split_to_clients",
+]
 
 
 def _linear_inverse_cdf(slope: float, u: np.ndarray) -> np.ndarray:
@@ -56,13 +69,13 @@ def _class_scores(
     return out
 
 
-def gen_well_behaved(
+def sample_population(
     num_examples: int,
     dist: ScoreDistribution,
     class_balance: float = 0.5,
     seed=None,
-) -> list[LabeledScore]:
-    """Sample labeled scores from a spike-plus-linear-density mixture.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (scores, positive) columns from a spike-plus-linear mixture.
 
     Each example's class is positive with probability class_balance;
     its score then comes from the class's spike locations with their
@@ -80,77 +93,122 @@ def gen_well_behaved(
     scores[~positive] = _class_scores(
         dist, Label.NEGATIVE, num_examples - pos_count, rng
     )
-    return [
-        LabeledScore(float(s), Label.POSITIVE if flag else Label.NEGATIVE)
-        for s, flag in zip(scores, positive)
-    ]
+    return scores, positive
 
 
-def _split_skewed(
-    examples: Sequence[LabeledScore], rho: float
-) -> list[list[LabeledScore]]:
-    """Concentrate a rho fraction of positives onto the first shards.
-
-    Deterministic: with n examples there are n shards; ceil(rho * P)
-    positives go round-robin onto the first ceil(rho * n) shards and
-    everything else round-robin onto the rest.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"skew fraction must be in (0, 1], got {rho}")
-    num_shards = len(examples)
-    positives = [e for e in examples if e.label is Label.POSITIVE]
-    negatives = [e for e in examples if e.label is Label.NEGATIVE]
-    hot = min(num_shards, math.ceil(rho * num_shards))
-    hot_pos = min(len(positives), math.ceil(rho * len(positives)))
-    shards: list[list[LabeledScore]] = [[] for _ in range(num_shards)]
-    for j, example in enumerate(positives[:hot_pos]):
-        shards[j % hot].append(example)
-    rest = positives[hot_pos:] + negatives
-    cold = num_shards - hot
-    for j, example in enumerate(rest):
-        if cold > 0:
-            shards[hot + j % cold].append(example)
-        else:
-            shards[j % num_shards].append(example)
-    return shards
+def gen_well_behaved(
+    num_examples: int,
+    dist: ScoreDistribution,
+    class_balance: float = 0.5,
+    seed=None,
+) -> list[LabeledScore]:
+    """sample_population as a list of labeled scores."""
+    return as_examples(*sample_population(num_examples, dist, class_balance, seed))
 
 
-def _split_variable(
-    examples: Sequence[LabeledScore], mean_size: float, rng: np.random.Generator
-) -> list[list[LabeledScore]]:
-    """Consecutive shards with geometric sizes of the given mean."""
-    if mean_size < 1.0:
-        raise ValueError(f"mean shard size must be at least 1, got {mean_size}")
-    shards = []
-    start = 0
-    while start < len(examples):
-        size = int(rng.geometric(1.0 / mean_size))
-        size = min(size, len(examples) - start)
-        shards.append(list(examples[start : start + size]))
-        start += size
-    return shards
-
-
-def split_to_clients(
-    examples: Sequence[LabeledScore], policy: str, seed=None
-) -> list[list[LabeledScore]]:
-    """Partition examples into client shards.
-
-    Policies: "one_per_client"; "skewed:<rho>" concentrating positives
-    onto a rho fraction of shards; "variable:<mean>" with geometric
-    shard sizes. The union of shards is always exactly the input.
-    """
+def _parse_policy(policy: str, num_examples: int) -> tuple[str, float]:
     if policy == "one_per_client":
-        return [[example] for example in examples]
+        return policy, 0.0
     name, _, arg = policy.partition(":")
     if name in ("skewed", "variable"):
-        if len(examples) == 0:
+        if num_examples == 0:
             raise ValueError(f"policy {policy!r} needs at least one example")
         try:
             value = float(arg)
         except ValueError:
             raise ValueError(f"policy {policy!r} needs a numeric parameter") from None
-        if name == "skewed":
-            return _split_skewed(examples, value)
-        return _split_variable(examples, value, as_generator(seed))
+        return name, value
     raise ValueError(f"unknown split policy {policy!r}")
+
+
+def _skewed_order(positive: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Concentrate a rho fraction of positives onto the first shards.
+
+    Deterministic: with n examples there are n shards; ceil(rho * P)
+    positives go round-robin onto the first ceil(rho * n) shards and
+    everything else round-robin onto the rest. Returns the row order
+    (positives, then negatives, each in input order, stably grouped by
+    shard) and the shard offsets.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"skew fraction must be in (0, 1], got {rho}")
+    num_shards = positive.size
+    rows = np.concatenate((np.flatnonzero(positive), np.flatnonzero(~positive)))
+    num_pos = int(np.count_nonzero(positive))
+    hot = min(num_shards, math.ceil(rho * num_shards))
+    hot_pos = min(num_pos, math.ceil(rho * num_pos))
+    cold = num_shards - hot
+    shard = np.empty(num_shards, dtype=np.int64)
+    shard[:hot_pos] = np.arange(hot_pos) % hot
+    rest = np.arange(num_shards - hot_pos)
+    shard[hot_pos:] = hot + rest % cold if cold > 0 else rest % num_shards
+    order = rows[np.argsort(shard, kind="stable")]
+    sizes = np.bincount(shard, minlength=num_shards)
+    return order, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _variable_offsets(
+    num_examples: int, mean_size: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Offsets of consecutive shards with geometric sizes of the given mean."""
+    if mean_size < 1.0:
+        raise ValueError(f"mean shard size must be at least 1, got {mean_size}")
+    sizes = []
+    start = 0
+    while start < num_examples:
+        size = int(rng.geometric(1.0 / mean_size))
+        size = min(size, num_examples - start)
+        sizes.append(size)
+        start += size
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _client_order(
+    name: str, value: float, num_examples: int, positive: np.ndarray | None, seed
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Row order (None for the input order) and client offsets of a policy.
+
+    Only the skewed policy reads the label column positive.
+    """
+    if name == "skewed":
+        return _skewed_order(positive, value)
+    if name == "variable":
+        return None, _variable_offsets(num_examples, value, as_generator(seed))
+    return None, np.arange(num_examples + 1)
+
+
+def split_population(
+    scores: np.ndarray, positive: np.ndarray, policy: str, seed=None
+) -> ClientSplit:
+    """Partition (scores, positive) columns into client shards.
+
+    Policies: "one_per_client"; "skewed:<rho>" concentrating positives
+    onto a rho fraction of shards; "variable:<mean>" with geometric
+    shard sizes. The union of shards is always exactly the input.
+    """
+    name, value = _parse_policy(policy, scores.size)
+    order, offsets = _client_order(name, value, scores.size, positive, seed)
+    if order is None:
+        return ClientSplit(scores, positive, offsets)
+    return ClientSplit(scores[order], positive[order], offsets)
+
+
+def split_to_clients(
+    examples: Sequence[LabeledScore], policy: str, seed=None
+) -> list[list[LabeledScore]]:
+    """split_population over a list of labeled scores.
+
+    Returns one list of examples per client; it holds the same rows, in
+    the same order, as the ClientSplit of the examples' columns.
+    """
+    examples = list(examples)
+    name, value = _parse_policy(policy, len(examples))
+    if name == "one_per_client":
+        # The identity order with offsets 0, 1, ..., M.
+        return [[example] for example in examples]
+    positive = as_arrays(examples)[1] if name == "skewed" else None
+    order, offsets = _client_order(name, value, len(examples), positive, seed)
+    if order is not None:
+        examples = [examples[i] for i in order.tolist()]
+    bounds = offsets.tolist()
+    return [examples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

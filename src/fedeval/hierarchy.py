@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     ClientShard,
+    ClientSplit,
     InsufficientPopulationError,
     Label,
     NoisyCount,
@@ -110,11 +111,6 @@ class HierarchicalCounts:
         if not (1 <= k <= self.height):
             raise ValueError(f"level must be in [1, {self.height}], got {k}")
         return self.level_variances[k - 1]
-
-    def level_counts(self, k: int) -> tuple[NoisyCount, ...]:
-        """Level-k entries as NoisyCount pairs."""
-        var = self.level_variance(k)
-        return tuple(NoisyCount(float(v), var) for v in self.level(k))
 
     def __add__(self, other: "HierarchicalCounts") -> "HierarchicalCounts":
         if not isinstance(other, HierarchicalCounts):
@@ -217,31 +213,18 @@ class ScoreHistogram:
         """Bucket boundaries as reals in [0, 1], multiples of f**-h."""
         return self.boundary_leaves / self.spec.num_leaves
 
-    def pos_counts(self) -> tuple[NoisyCount, ...]:
-        return tuple(
-            NoisyCount(float(v), float(w))
-            for v, w in zip(self.pos_values, self.pos_variances)
-        )
 
-    def neg_counts(self) -> tuple[NoisyCount, ...]:
-        return tuple(
-            NoisyCount(float(v), float(w))
-            for v, w in zip(self.neg_values, self.neg_variances)
-        )
+def _class_rows(clients: ClientSplit, class_filter: Label) -> np.ndarray:
+    """Mask of the rows whose label is class_filter."""
+    if class_filter is Label.POSITIVE:
+        return clients.positive
+    return ~clients.positive
 
 
 def _matching_leaves(
-    shards: Sequence[ClientShard], class_filter: Label, spec: PrivacySpec
+    clients: ClientSplit, class_filter: Label, spec: PrivacySpec
 ) -> np.ndarray:
-    scores = np.fromiter(
-        (
-            example.score
-            for shard in shards
-            for example in shard
-            if example.label is class_filter
-        ),
-        dtype=np.float64,
-    )
+    scores = clients.scores[_class_rows(clients, class_filter)]
     return leaf_indices(scores, spec.height, spec.fanout)
 
 
@@ -254,20 +237,18 @@ def _levels_from_leaves(leaf_counts: np.ndarray, spec: PrivacySpec) -> list[np.n
 
 
 def _build_exact(
-    shards: Sequence[ClientShard], class_filter: Label, spec: PrivacySpec
+    clients: ClientSplit, class_filter: Label, spec: PrivacySpec
 ) -> list[np.ndarray]:
-    leaves = _matching_leaves(shards, class_filter, spec)
+    leaves = _matching_leaves(clients, class_filter, spec)
     leaf_counts = np.bincount(leaves, minlength=spec.num_leaves).astype(np.int64)
     return _levels_from_leaves(leaf_counts, spec)
 
 
 def _build_local_dp(
-    shards: Sequence[ClientShard], class_filter: Label, spec: PrivacySpec, rng
+    clients: ClientSplit, class_filter: Label, spec: PrivacySpec, rng
 ) -> tuple[list[np.ndarray], list[float]]:
-    num_clients = len(shards)
-    sizes = np.fromiter(
-        (len(shard) for shard in shards), dtype=np.int64, count=num_clients
-    )
+    num_clients = clients.num_clients
+    sizes = clients.sizes()
     if np.any(sizes > 1):
         i = int(np.argmax(sizes > 1))
         raise ValueError(
@@ -275,17 +256,13 @@ def _build_local_dp(
             f"shard {i} holds {sizes[i]}"
         )
     occupied = sizes == 1
-    scores = np.fromiter(
-        (shard[0].score for shard in shards if shard), dtype=np.float64
-    )
-    relevant = np.fromiter(
-        (shard[0].label is class_filter for shard in shards if shard),
-        dtype=bool,
-    )
+    rows = clients.offsets[:-1][occupied]
     leaf_of_client = np.full(num_clients, -1, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
-    leaf_of_client[occupied] = leaf_indices(scores, spec.height, spec.fanout)
-    matches[occupied] = relevant
+    leaf_of_client[occupied] = leaf_indices(
+        clients.scores[rows], spec.height, spec.fanout
+    )
+    matches[occupied] = _class_rows(clients, class_filter)[rows]
 
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
@@ -315,22 +292,28 @@ def _build_local_dp(
 
 
 def build_hierarchy(
-    shards: Sequence[ClientShard],
+    shards: ClientSplit | Sequence[ClientShard],
     class_filter: Label,
     spec: PrivacySpec,
     seed=None,
 ) -> HierarchicalCounts:
     """Aggregate one class's per-level segment counts under a privacy regime.
 
-    Every client participates at every level regardless of whether its
-    examples match class_filter, so participation does not leak labels.
+    shards is a ClientSplit, or one list of examples per client, which
+    is converted to a ClientSplit first. Every client participates at
+    every level regardless of whether its examples match class_filter,
+    so participation does not leak labels.
     Under local DP, clients are partitioned round-robin (over a seeded
     shuffle) into h groups and group k reports only its level-k segment;
     decoded counts are rescaled by the inverse sampling fraction.
     """
     if not isinstance(class_filter, Label):
         raise TypeError(f"class_filter must be a Label, got {class_filter!r}")
-    num_clients = len(shards)
+    if isinstance(shards, ClientSplit):
+        clients = shards
+    else:
+        clients = ClientSplit.from_shards(shards)
+    num_clients = clients.num_clients
     rng = as_generator(seed)
 
     if spec.regime is Regime.LOCAL_DP:
@@ -346,9 +329,9 @@ def build_hierarchy(
                 f"all levels, got {num_clients}"
             )
         else:
-            levels, variances = _build_local_dp(shards, class_filter, spec, rng)
+            levels, variances = _build_local_dp(clients, class_filter, spec, rng)
     else:
-        levels = _build_exact(shards, class_filter, spec)
+        levels = _build_exact(clients, class_filter, spec)
         variances = [0.0] * spec.height
         if spec.regime is Regime.DIST_DP and num_clients > 0:
             params = PolyaShareParams.from_budget(

@@ -13,14 +13,18 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Label, LabeledScore
+import numpy as np
+
+from .core import LabeledScore, as_arrays, as_examples
 
 if TYPE_CHECKING:
     from .sweep import SweepResultRow
 
 __all__ = [
     "DataFileError",
+    "read_columns",
     "read_data_file",
+    "write_columns",
     "write_data_file",
     "result_header_line",
     "row_to_json",
@@ -35,7 +39,7 @@ class DataFileError(ValueError):
     """A labeled-score CSV file failed validation."""
 
 
-def _parse_row(line: str) -> LabeledScore:
+def _parse_row(line: str) -> tuple[float, bool]:
     parts = line.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 2 fields, got {len(parts)}")
@@ -45,42 +49,57 @@ def _parse_row(line: str) -> LabeledScore:
         raise ValueError(f"label must be 0 or 1, got {label_text!r}")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must be in [0, 1], got {score}")
-    return LabeledScore(score, Label.from_int(int(label_text)))
+    return score, label_text == "1"
 
 
-def read_data_file(path: str | Path) -> list[LabeledScore]:
-    """Read a labeled-score CSV, rejecting the file on any bad row.
+def read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a labeled-score CSV into (scores, positive) arrays.
 
-    All offending line numbers (up to a cap) are reported in the raised
-    DataFileError.
+    The file is rejected on any bad row; all offending line numbers (up
+    to a cap) are reported in the raised DataFileError.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != DATA_HEADER:
         raise DataFileError(f"{path}:1: expected header {DATA_HEADER!r}")
-    examples = []
+    scores: list[float] = []
+    positive: list[bool] = []
     problems: list[str] = []
     bad_rows = 0
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            examples.append(_parse_row(line))
+            score, flag = _parse_row(line)
         except ValueError as exc:
             bad_rows += 1
             if len(problems) < _MAX_REPORTED_LINES:
                 problems.append(f"{path}:{lineno}: {exc}")
+        else:
+            scores.append(score)
+            positive.append(flag)
     if bad_rows:
         omitted = bad_rows - len(problems)
         suffix = f"\n({omitted} further bad rows omitted)" if omitted else ""
         raise DataFileError("\n".join(problems) + suffix)
-    return examples
+    return np.array(scores, dtype=np.float64), np.array(positive, dtype=bool)
+
+
+def read_data_file(path: str | Path) -> list[LabeledScore]:
+    """read_columns as a list of labeled scores."""
+    return as_examples(*read_columns(path))
+
+
+def write_columns(path: str | Path, scores: np.ndarray, positive: np.ndarray) -> None:
+    """Write a labeled-score CSV that read_columns round-trips exactly."""
+    rows = [DATA_HEADER]
+    rows.extend(
+        f"{score!r},{int(flag)}"
+        for score, flag in zip(scores.tolist(), positive.tolist())
+    )
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def write_data_file(path: str | Path, examples: Sequence[LabeledScore]) -> None:
-    """Write a labeled-score CSV that read_data_file round-trips exactly."""
-    rows = [DATA_HEADER]
-    for example in examples:
-        label = 1 if example.label is Label.POSITIVE else 0
-        rows.append(f"{example.score!r},{label}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    """write_columns for a list of labeled scores."""
+    write_columns(path, *as_arrays(examples))
 
 
 def result_header_line() -> str:

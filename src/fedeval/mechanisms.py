@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import NoisyCount, as_generator
 
@@ -89,7 +90,8 @@ class OueParams:
 
     @property
     def q_flip(self) -> float:
-        return 1.0 / (math.exp(self.epsilon) + 1.0)
+        # expit(-epsilon) is 1/(exp(epsilon) + 1) without overflowing.
+        return float(expit(-self.epsilon))
 
 
 def secure_aggregate(reports: Sequence[np.ndarray]) -> np.ndarray:

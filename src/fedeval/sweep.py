@@ -19,19 +19,18 @@ import numpy as np
 
 from .calibration import apply_calibration_batch, calibrate_histogram, ece_arrays
 from .core import (
+    ClientSplit,
     DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
-    LabeledScore,
     PrivacySpec,
     Regime,
     ScoreDistribution,
     Spike,
-    as_arrays,
     as_generator,
 )
-from .datagen import gen_well_behaved, split_to_clients
-from .hierarchy import build_hierarchy, build_score_histogram
+from .datagen import sample_population, split_population
+from .hierarchy import HierarchicalCounts, build_hierarchy, build_score_histogram
 from .metrics import auc_histogram, pra_threshold
 from .oracle import _auc_from_arrays, exact_pra_curve
 
@@ -39,9 +38,14 @@ __all__ = [
     "SweepConfig",
     "SweepConfigError",
     "SweepResultRow",
+    "HeldOutFit",
+    "parse_spikes",
     "parse_sweep_config",
     "run_sweep",
+    "evaluate_population",
+    "fit_held_out",
     "histogram_metric_records",
+    "result_rows",
 ]
 
 _REGIME_INDEX = {Regime.SECURE_AGG: 0, Regime.DIST_DP: 1, Regime.LOCAL_DP: 2}
@@ -179,12 +183,14 @@ def histogram_metric_records(
     return records
 
 
+_DEGENERATE_ECE = ("ece", None, None, None, None, True)
+
+
 def _degenerate_records(
     scores: np.ndarray,
     flags: np.ndarray,
     thresholds: Sequence[float],
     tie_convention: str,
-    include_ece: bool,
 ) -> list[tuple]:
     """Record set for a cell whose aggregation could not run at all."""
     try:
@@ -200,15 +206,103 @@ def _degenerate_records(
     for threshold, exact_triple in zip(thresholds, curve):
         for name, exact in zip(PRA_METRICS, exact_triple):
             records.append((name, threshold, None, exact, None, True))
-    if include_ece:
-        records.append(("ece", None, None, None, None, True))
     return records
 
 
-def _ece_record(
-    examples: list[LabeledScore],
+def _aggregate_classes(
+    clients: ClientSplit, spec: PrivacySpec, pos_seed, neg_seed
+) -> tuple[HierarchicalCounts, HierarchicalCounts]:
+    """The positive and the negative hierarchy of one client split."""
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_seed)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_seed)
+    return pos, neg
+
+
+def evaluate_population(
     scores: np.ndarray,
-    flags: np.ndarray,
+    positive: np.ndarray,
+    spec: PrivacySpec,
+    num_buckets: int,
+    split_policy: str,
+    thresholds: Sequence[float],
+    tie_convention: str,
+    seeds: Sequence,
+) -> tuple[list[tuple], bool]:
+    """Metric records of one population, and whether it was aggregated.
+
+    The population is split into clients, both classes are aggregated
+    under spec and the records come from their histogram; seeds are the
+    split, positive and negative seeds. When the population is too small
+    for the mechanism the flag is False and every record is degenerate.
+    """
+    split_ss, pos_ss, neg_ss = seeds
+    try:
+        clients = split_population(scores, positive, split_policy, split_ss)
+        pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
+        hist = build_score_histogram(pos, neg, num_buckets)
+    except InsufficientPopulationError:
+        records = _degenerate_records(scores, positive, thresholds, tie_convention)
+        return records, False
+    records = histogram_metric_records(
+        hist, scores, positive, thresholds, tie_convention
+    )
+    return records, True
+
+
+@dataclass(frozen=True, eq=False)
+class HeldOutFit:
+    """Hierarchies aggregated from a random half of a population.
+
+    clients is that half split into clients; pos and neg are its
+    hierarchies under the fit's spec. eval_scores and eval_positive are
+    the other half, held out for scoring a calibration map.
+    """
+
+    clients: ClientSplit
+    pos: HierarchicalCounts
+    neg: HierarchicalCounts
+    eval_scores: np.ndarray
+    eval_positive: np.ndarray
+
+
+def fit_held_out(
+    scores: np.ndarray,
+    positive: np.ndarray,
+    spec: PrivacySpec,
+    split_policy: str,
+    seed: np.random.SeedSequence,
+) -> HeldOutFit:
+    """Permute the population, halve it, split and aggregate the first half.
+
+    seed spawns the permutation, split, positive and negative seeds in
+    that order.
+    """
+    perm_ss, split_ss, pos_ss, neg_ss = seed.spawn(4)
+    perm = as_generator(perm_ss).permutation(scores.size)
+    half = scores.size // 2
+    fit_rows, eval_rows = perm[:half], perm[half:]
+    clients = split_population(
+        scores[fit_rows], positive[fit_rows], split_policy, split_ss
+    )
+    pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
+    return HeldOutFit(clients, pos, neg, scores[eval_rows], positive[eval_rows])
+
+
+def _held_out_ece(
+    fit: HeldOutFit,
+    pos: HierarchicalCounts,
+    neg: HierarchicalCounts,
+    num_buckets: int,
+    eval_bins: int,
+) -> float:
+    cal_map = calibrate_histogram(build_score_histogram(pos, neg, num_buckets))
+    probs = apply_calibration_batch(cal_map, fit.eval_scores)
+    return ece_arrays(probs, fit.eval_positive, eval_bins).ece
+
+
+def _ece_record(
+    scores: np.ndarray,
+    positive: np.ndarray,
     spec: PrivacySpec,
     num_buckets: int,
     split_policy: str,
@@ -223,36 +317,21 @@ def _ece_record(
     the same halves, so for exact regimes the error is zero by
     construction.
     """
-    if len(examples) < 4:
-        return ("ece", None, None, None, None, True)
-    perm_ss, split_ss, pos_ss, neg_ss = calib_seed.spawn(4)
-    perm = as_generator(perm_ss).permutation(len(examples))
-    half = len(examples) // 2
-    cal_idx, eval_idx = perm[:half], perm[half:]
-    cal_examples = [examples[i] for i in cal_idx]
-    eval_scores = scores[eval_idx]
-    eval_flags = flags[eval_idx]
-    shards = split_to_clients(cal_examples, split_policy, split_ss)
-
-    def held_out_ece(run_spec: PrivacySpec, pos_seed, neg_seed) -> float:
-        pos = build_hierarchy(shards, Label.POSITIVE, run_spec, pos_seed)
-        neg = build_hierarchy(shards, Label.NEGATIVE, run_spec, neg_seed)
-        hist = build_score_histogram(pos, neg, num_buckets)
-        cal_map = calibrate_histogram(hist)
-        probs = apply_calibration_batch(cal_map, eval_scores)
-        return ece_arrays(probs, eval_flags, eval_bins).ece
-
+    if scores.size < 4:
+        return _DEGENERATE_ECE
     try:
-        estimate = held_out_ece(spec, pos_ss, neg_ss)
+        fit = fit_held_out(scores, positive, spec, split_policy, calib_seed)
+        estimate = _held_out_ece(fit, fit.pos, fit.neg, num_buckets, eval_bins)
         if spec.regime is Regime.SECURE_AGG:
             exact = estimate
         else:
             exact_spec = PrivacySpec(
                 regime=Regime.SECURE_AGG, height=spec.height, fanout=spec.fanout
             )
-            exact = held_out_ece(exact_spec, None, None)
+            pos, neg = _aggregate_classes(fit.clients, exact_spec, None, None)
+            exact = _held_out_ece(fit, pos, neg, num_buckets, eval_bins)
     except (InsufficientPopulationError, DegenerateEstimateError):
-        return ("ece", None, None, None, None, True)
+        return _DEGENERATE_ECE
     return ("ece", None, estimate, exact, None, False)
 
 
@@ -260,6 +339,36 @@ def _abs_error(estimate: float | None, exact: float | None) -> float | None:
     if estimate is None or exact is None:
         return None
     return abs(estimate - exact)
+
+
+def result_rows(
+    records: Sequence[tuple],
+    spec: PrivacySpec,
+    num_examples: int,
+    num_buckets: int,
+    seed: int,
+    wall_ms: float | None,
+) -> list[SweepResultRow]:
+    """Result rows of one evaluated population, one per record."""
+    return [
+        SweepResultRow(
+            metric=metric,
+            regime=spec.regime,
+            num_examples=num_examples,
+            num_buckets=num_buckets,
+            height=spec.height,
+            epsilon=spec.epsilon,
+            threshold=threshold,
+            estimate=estimate,
+            exact=exact,
+            abs_error=_abs_error(estimate, exact),
+            advertised_uncertainty=advertised,
+            seed=seed,
+            wall_ms=wall_ms,
+            degenerate=degenerate,
+        )
+        for metric, threshold, estimate, exact, advertised, degenerate in records
+    ]
 
 
 def _run_cell(
@@ -270,7 +379,7 @@ def _run_cell(
     height: int,
     epsilon: float | None,
     rep: int,
-    file_examples: list[LabeledScore] | None,
+    file_columns: tuple[np.ndarray, np.ndarray] | None,
     timings: bool,
 ) -> list[SweepResultRow]:
     entropy = (
@@ -287,58 +396,31 @@ def _run_cell(
     data_ss, split_ss, pos_ss, neg_ss, calib_ss = root.spawn(5)
     started = time.perf_counter()
 
-    if file_examples is not None:
-        examples = file_examples
+    if file_columns is not None:
+        scores, positive = file_columns
     else:
-        examples = gen_well_behaved(
+        scores, positive = sample_population(
             num_examples, config.distribution, config.class_balance, data_ss
         )
-    scores, flags = as_arrays(examples)
     spec = PrivacySpec(
         regime=regime, epsilon=epsilon, height=height, fanout=config.fanout
     )
-    try:
-        shards = split_to_clients(examples, config.split_policy, split_ss)
-        pos = build_hierarchy(shards, Label.POSITIVE, spec, pos_ss)
-        neg = build_hierarchy(shards, Label.NEGATIVE, spec, neg_ss)
-        hist = build_score_histogram(pos, neg, num_buckets)
-    except InsufficientPopulationError:
-        records = _degenerate_records(
-            scores, flags, config.thresholds, config.tie_convention,
-            config.measure_ece,
-        )
-    else:
-        records = histogram_metric_records(
-            hist, scores, flags, config.thresholds, config.tie_convention
-        )
-        if config.measure_ece:
-            records.append(
-                _ece_record(
-                    examples, scores, flags, spec, num_buckets,
-                    config.split_policy, config.eval_bins, calib_ss,
-                )
+    records, aggregated = evaluate_population(
+        scores, positive, spec, num_buckets, config.split_policy,
+        config.thresholds, config.tie_convention, (split_ss, pos_ss, neg_ss),
+    )
+    if config.measure_ece:
+        records.append(
+            _ece_record(
+                scores, positive, spec, num_buckets, config.split_policy,
+                config.eval_bins, calib_ss,
             )
+            if aggregated
+            else _DEGENERATE_ECE
+        )
 
     wall_ms = (time.perf_counter() - started) * 1000.0 if timings else None
-    return [
-        SweepResultRow(
-            metric=metric,
-            regime=regime,
-            num_examples=num_examples,
-            num_buckets=num_buckets,
-            height=height,
-            epsilon=epsilon,
-            threshold=threshold,
-            estimate=estimate,
-            exact=exact,
-            abs_error=_abs_error(estimate, exact),
-            advertised_uncertainty=advertised,
-            seed=cell_seed,
-            wall_ms=wall_ms,
-            degenerate=degenerate,
-        )
-        for metric, threshold, estimate, exact, advertised, degenerate in records
-    ]
+    return result_rows(records, spec, num_examples, num_buckets, cell_seed, wall_ms)
 
 
 def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow]:
@@ -349,12 +431,12 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
     then repetitions. Within a cell the rows are AUC, then
     precision/recall/accuracy per threshold, then ECE.
     """
-    file_examples = None
+    file_columns = None
     if config.data_path is not None:
-        from .io import read_data_file
+        from .io import read_columns
 
-        file_examples = read_data_file(config.data_path)
-        m_grid: tuple[int, ...] = (len(file_examples),)
+        file_columns = read_columns(config.data_path)
+        m_grid: tuple[int, ...] = (file_columns[0].size,)
     else:
         m_grid = config.num_examples
 
@@ -373,7 +455,7 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
                             rows.extend(
                                 _run_cell(
                                     config, regime, num_examples, num_buckets,
-                                    height, epsilon, rep, file_examples, timings,
+                                    height, epsilon, rep, file_columns, timings,
                                 )
                             )
     return rows
@@ -396,16 +478,13 @@ _SCALAR_KEYS = {
     "split_policy": str,
     "tie_convention": str,
     "class_balance": float,
-    "lipschitz": float,
-    "pos_slope": float,
-    "neg_slope": float,
-    "spike_threshold": float,
     "data": str,
     "measure_ece": lambda v: {"true": True, "false": False}[v.lower()],
 }
 
 
-def _parse_spikes(value: str) -> tuple[Spike, ...]:
+def parse_spikes(value: str) -> tuple[Spike, ...]:
+    """Semicolon-separated location:pos_mass:neg_mass triples."""
     spikes = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
@@ -442,7 +521,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
                 items = [x.strip() for x in value.split(",")]
                 values[key] = tuple(parse(x) for x in items if x)
             elif key == "spikes":
-                dist_kwargs["spikes"] = _parse_spikes(value)
+                dist_kwargs["spikes"] = parse_spikes(value)
             elif key in ("lipschitz", "pos_slope", "neg_slope", "spike_threshold"):
                 dist_kwargs[
                     {"pos_slope": "positive_slope", "neg_slope": "negative_slope"}.get(

@@ -138,6 +138,24 @@ def test_mixture_of_binnings():
     )
 
 
+def test_mixture_stays_in_unit_interval_when_weights_overshoot():
+    # Softmax weights can sum to 1 + 2**-52; a mixture of values 1.0
+    # must still be a probability.
+    weights = np.array([0.5, 0.5 + 2.0**-52])
+    assert weights.sum() == 1.0 + 2.0**-52
+    cal_map = CalibrationMap(
+        binnings=(
+            (np.array([0.0, 1.0]), np.array([1.0])),
+            (np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0])),
+        ),
+        weights=weights,
+    )
+    scores = np.array([0.0, 0.3, 0.7, 1.0])
+    probs = apply_calibration_batch(cal_map, scores)
+    assert probs.tolist() == [1.0] * 4
+    assert ece_arrays(probs, np.ones(4, dtype=bool), 10).ece == 0.0
+
+
 def build_class_trees(num, dist, seed, height=6):
     examples = gen_well_behaved(num, dist, seed=seed)
     shards = [[e] for e in examples]

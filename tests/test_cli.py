@@ -291,3 +291,55 @@ def test_calibrate_needs_four_examples(tmp_path, capsys):
     ])
     assert code == 1
     assert "4 examples" in capsys.readouterr().err
+
+
+def test_calibrate_bbq_mixture_stays_a_probability(tmp_path, capsys):
+    # On this seed the BBQ weights sum to 1 + 2**-52 and every binning
+    # maps some held-out score to 1.0.
+    path = tmp_path / "spiky.csv"
+    assert main([
+        "gen-data", "--out", str(path), "--num-examples", "50000",
+        "--spike", "0.5:0.1:0.05", "--seed", "326899412",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "calibrate", "--data", str(path), "--regime", "dist_dp", "--bbq",
+        "--seed", "1046511682",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = json.loads(captured.out.splitlines()[1])["ece_report"]
+    assert all(0.0 <= p <= 1.0 for p in report["predicted"])
+    assert 0.0 <= report["ece"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "regime, epsilon, expected_code",
+    [
+        ("local_dp", "800", 0),
+        ("local_dp", "1e300", 0),
+        ("local_dp", "1e-17", 1),
+        ("dist_dp", "1e-17", 1),
+        ("dist_dp", "1e300", 1),
+    ],
+)
+def test_evaluate_epsilon_extremes_exit_cleanly(
+    data_csv, capsys, regime, epsilon, expected_code
+):
+    code = main([
+        "evaluate", "--data", data_csv, "--regime", regime,
+        "--epsilon", epsilon, "--height", "5", "--buckets", "4",
+        "--threshold", "0.5", "--seed", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert "Traceback" not in captured.err
+    if code == 0:
+        rows = [json.loads(line) for line in captured.out.splitlines()[1:]]
+        assert rows and all(r["epsilon"] == float(epsilon) for r in rows)
+    else:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("fedeval: error: epsilon ")
+        assert repr(float(epsilon)) in lines[0]

@@ -1,5 +1,7 @@
 """Unit tests for the shared data model."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +59,29 @@ def test_privacy_spec_epsilon_rules():
             PrivacySpec(regime=Regime.DIST_DP, epsilon=eps)
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=1.0, height=3)
     assert spec.num_leaves == 8
+
+
+@pytest.mark.parametrize(
+    "regime, epsilon, height",
+    [
+        (Regime.DIST_DP, 1e-17, 10),
+        (Regime.DIST_DP, 1e-15, 20),
+        (Regime.DIST_DP, 800.0, 1),
+        (Regime.DIST_DP, 1e300, 26),
+        (Regime.LOCAL_DP, 1e-17, 10),
+        (Regime.LOCAL_DP, 2.0**-54, 1),
+    ],
+)
+def test_privacy_spec_rejects_degenerate_mechanisms(regime, epsilon, height):
+    with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon!r} ")):
+        PrivacySpec(regime=regime, epsilon=epsilon, height=height)
+
+
+def test_privacy_spec_accepts_the_mechanisms_extremes():
+    PrivacySpec(regime=Regime.DIST_DP, epsilon=1e-15, height=1)
+    PrivacySpec(regime=Regime.DIST_DP, epsilon=700.0, height=1)
+    PrivacySpec(regime=Regime.LOCAL_DP, epsilon=1e-15)
+    PrivacySpec(regime=Regime.LOCAL_DP, epsilon=1e300)
 
 
 def test_privacy_spec_shape_rules():

@@ -14,8 +14,10 @@ from fedeval import (
     NoisyCount,
     PrivacySpec,
     Regime,
+    ScoreDistribution,
 )
 from fedeval.core import leaf_indices
+from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
     _bucket_variances,
@@ -456,3 +458,36 @@ def test_histogram_counts_partition_the_data(items, num_buckets):
     cap_level = min(6, max(0, cap_level - 1))
     stride = 64 // 2**cap_level
     assert int(np.diff(bounds).max()) <= stride
+
+
+@given(
+    epsilon=st.floats(min_value=1e-300, max_value=1e300),
+    regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),
+    height=st.integers(1, 6),
+    num_examples=st.integers(0, 30),
+    balance=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_accepted_epsilon_runs(
+    epsilon, regime, height, num_examples, balance, seed
+):
+    try:
+        spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
+    except ValueError as exc:
+        assert f"epsilon {epsilon!r} " in str(exc)
+        return
+    scores, positive = sample_population(
+        num_examples, ScoreDistribution(), balance, seed
+    )
+    clients = split_population(scores, positive, "one_per_client")
+    try:
+        pos = build_hierarchy(clients, Label.POSITIVE, spec, seed + 1)
+        neg = build_hierarchy(clients, Label.NEGATIVE, spec, seed + 2)
+    except InsufficientPopulationError:
+        assert regime is Regime.LOCAL_DP and 0 < num_examples < height
+        return
+    for counts in (pos, neg):
+        assert all(np.all(np.isfinite(level)) for level in counts.values)
+        assert all(math.isfinite(v) and v >= 0.0 for v in counts.level_variances)
+    hist = build_score_histogram(pos, neg, 4)
+    assert np.all(np.isfinite(hist.pos_values))

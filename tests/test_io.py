@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from fedeval import Label, LabeledScore, Regime
+from fedeval.core import as_arrays
 from fedeval.io import (
     DataFileError,
+    read_columns,
     read_data_file,
     result_header_line,
     row_to_json,
+    write_columns,
     write_data_file,
 )
 from fedeval.sweep import SweepResultRow
@@ -28,10 +31,30 @@ def test_round_trip_preserves_floats(tmp_path):
     assert read_data_file(path) == examples
 
 
+def test_columns_and_lists_write_the_same_file(tmp_path):
+    rng = np.random.default_rng(4)
+    scores = rng.random(50)
+    positive = rng.random(50) < 0.5
+    by_columns = tmp_path / "columns.csv"
+    by_list = tmp_path / "list.csv"
+    write_columns(by_columns, scores, positive)
+    write_data_file(by_list, read_data_file(by_columns))
+    assert by_list.read_bytes() == by_columns.read_bytes()
+    read_scores, read_positive = read_columns(by_columns)
+    assert read_scores.dtype == np.float64 and read_positive.dtype == bool
+    assert read_scores.tobytes() == scores.tobytes()
+    assert read_positive.tolist() == positive.tolist()
+    listed = as_arrays(read_data_file(by_columns))
+    assert listed[0].tobytes() == scores.tobytes()
+    assert listed[1].tolist() == positive.tolist()
+
+
 def test_header_only_file_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("score,label\n")
     assert read_data_file(path) == []
+    scores, positive = read_columns(path)
+    assert scores.shape == positive.shape == (0,)
 
 
 def test_missing_header_rejected(tmp_path):

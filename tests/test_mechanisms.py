@@ -135,6 +135,15 @@ def test_oue_params_frozen():
         OueParams(epsilon=1.0, domain_size=0)
 
 
+def test_oue_flip_probability_is_stable_at_any_epsilon():
+    # expit(-eps) equals the literal 1/(exp(eps) + 1) bit for bit wherever
+    # exp(eps) is finite, and goes to 0 instead of overflowing beyond.
+    for eps in np.geomspace(1e-300, 709.0, 20_000).tolist():
+        assert OueParams(eps, 2).q_flip == 1.0 / (math.exp(eps) + 1.0)
+    assert OueParams(800.0, 2).q_flip == 0.0
+    assert OueParams(1e300, 2).q_flip == 0.0
+
+
 def test_oue_encode_shapes_and_range():
     params = OueParams(epsilon=1.0, domain_size=6)
     rng = np.random.default_rng(0)
