@@ -3,9 +3,12 @@
 A hierarchy for one class population stores, for every level k in 1..h,
 the counts of examples falling in each of the f**k uniform segments of
 [0, 1]. Prefix counts over leaf cells decompose into at most (f-1)
-segments per level, so any prefix needs few node reads; quantiles come
-from a binary search over prefix counts, and equi-depth score histograms
-from quantile boundaries plus prefix differences.
+segments per level, so a prefix is read from at most h(f-1) nodes and
+only the prefixes a query asks for are read. Quantiles come from a
+bisection over prefix counts: the first crossing of the target when
+prefixes are monotone (secure aggregation), otherwise the crossing the
+bisection converges to. Equi-depth score histograms come from quantile
+boundaries plus prefix differences.
 
 Counts are exact under secure aggregation, carry per-node discrete
 Laplace noise under distributed DP, and are decoded unbiased frequency
@@ -101,17 +104,6 @@ class HierarchicalCounts:
     def num_leaves(self) -> int:
         return self.spec.num_leaves
 
-    def level(self, k: int) -> np.ndarray:
-        """Segment counts of level k (1-indexed)."""
-        if not (1 <= k <= self.height):
-            raise ValueError(f"level must be in [1, {self.height}], got {k}")
-        return self.values[k - 1]
-
-    def level_variance(self, k: int) -> float:
-        if not (1 <= k <= self.height):
-            raise ValueError(f"level must be in [1, {self.height}], got {k}")
-        return self.level_variances[k - 1]
-
     def __add__(self, other: "HierarchicalCounts") -> "HierarchicalCounts":
         if not isinstance(other, HierarchicalCounts):
             return NotImplemented
@@ -128,49 +120,20 @@ class HierarchicalCounts:
         return HierarchicalCounts(self.spec, values, variances, total)
 
     @cached_property
-    def prefix_values(self) -> np.ndarray:
-        """Estimated count of examples with leaf index < r, for r in 0..f**h.
+    def _running_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every level's running sums in one buffer, and each level's offset.
 
-        Each prefix [0, r) decomposes into one run of segments per level;
-        the run at level k spans nodes f*(r // f**(h-k+1)) .. r // f**(h-k).
-        Contributions are accumulated level by level in a fixed order, so
-        scalar queries indexing this array and bulk queries agree bitwise.
+        buffer[offsets[k-1] + i] is the sum of the first i level-k nodes
+        (0 for i = 0), in int64 when every level is an integer array and
+        float64 otherwise.
         """
-        f = self.fanout
-        n = self.num_leaves
-        r = np.arange(n + 1, dtype=np.int64)
-        exact = all(arr.dtype.kind in "iu" for arr in self.values)
-        out = np.zeros(n + 1, dtype=np.int64 if exact else np.float64)
-        seg = n
-        for k in range(1, self.height + 1):
-            parent_seg = seg
-            seg //= f
-            level = self.values[k - 1]
-            cum = np.concatenate(([level.dtype.type(0)], np.cumsum(level)))
-            hi = r // seg
-            # The top level has no stored parent, so its run starts at 0;
-            # this also covers the full prefix r = f**h.
-            lo = f * (r // parent_seg) if k > 1 else np.zeros_like(r)
-            out += cum[hi] - cum[lo]
-        return out
-
-    @cached_property
-    def prefix_variances(self) -> np.ndarray:
-        """Advertised variance of each prefix estimate, for r in 0..f**h."""
-        f = self.fanout
-        n = self.num_leaves
-        r = np.arange(n + 1, dtype=np.int64)
-        out = np.zeros(n + 1, dtype=np.float64)
-        seg = n
-        for k in range(1, self.height + 1):
-            parent_seg = seg
-            seg //= f
-            v = self.level_variances[k - 1]
-            if v == 0.0:
-                continue
-            nodes_used = r // seg - (f * (r // parent_seg) if k > 1 else 0)
-            out += nodes_used * v
-        return out
+        exact = all(level.dtype.kind in "iu" for level in self.values)
+        sizes = [len(level) + 1 for level in self.values]
+        offsets = np.cumsum([0] + sizes[:-1])
+        buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
+        for off, level in zip(offsets, self.values):
+            buffer[off + 1 : off + len(level) + 1] = np.cumsum(level)
+        return buffer, offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,43 +319,89 @@ def build_hierarchy(
     )
 
 
+def _level_runs(
+    counts: HierarchicalCounts, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node runs of the prefixes [0, r): lo and hi of shape (h, len(r)).
+
+    Prefix [0, r) holds level-k nodes lo[k-1]..hi[k-1]-1, with
+    hi = r // f**(h-k) and lo = f * (r // f**(h-k+1)): at most f - 1
+    nodes per level. The top level has no stored parent, so its run
+    starts at 0; this also covers the full prefix r = f**h.
+    """
+    f = counts.fanout
+    seg = np.array([f ** (counts.height - k) for k in range(1, counts.height + 1)])
+    hi = r[None, :] // seg[:, None]
+    lo = np.zeros_like(hi)
+    lo[1:] = f * hi[:-1]
+    return lo, hi
+
+
+def _prefixes_at(counts: HierarchicalCounts, r: np.ndarray) -> np.ndarray:
+    """Estimated count of examples with leaf index < r, for each r.
+
+    Level contributions are accumulated from zero in level order, so a
+    prefix has the same bits whichever queries it is read with.
+    """
+    buffer, offsets = counts._running_sums
+    lo, hi = _level_runs(counts, r)
+    base = offsets[:, None]
+    out = np.zeros(r.shape, dtype=buffer.dtype)
+    for level_sum in buffer[base + hi] - buffer[base + lo]:
+        out += level_sum
+    return out
+
+
 def prefix_count(counts: HierarchicalCounts, r) -> NoisyCount:
-    """Estimated number of examples with leaf index < r, with variance."""
+    """Estimated number of examples with leaf index < r, with variance.
+
+    The variance adds each level's node variance once per node read.
+    """
     r = operator.index(r)
     if not (0 <= r <= counts.num_leaves):
         raise ValueError(f"r must be in [0, {counts.num_leaves}], got {r}")
-    return NoisyCount(
-        float(counts.prefix_values[r]), float(counts.prefix_variances[r])
-    )
+    leaf = np.array([r])
+    lo, hi = _level_runs(counts, leaf)
+    nodes_read = (hi - lo)[:, 0].tolist()
+    variance = sum(v * n for v, n in zip(counts.level_variances, nodes_read))
+    return NoisyCount(float(_prefixes_at(counts, leaf)[0]), float(variance))
 
 
-def _quantile_leaf(prefix_values: np.ndarray, target: float) -> int:
-    """Smallest leaf index r with prefix_values[r] >= target.
+def _quantile_leaves(counts: HierarchicalCounts, targets: np.ndarray) -> np.ndarray:
+    """Leaf boundary that bisection over prefix counts reaches for each target.
 
-    Noisy prefixes may be non-monotone; the bisection then returns the
+    Targets are clamped to [0, population total]. Every target runs the
+    scalar bisection over r in 0..f**h (move hi to mid when the prefix
+    at mid reaches the target, else lo to mid + 1) in lockstep with the
+    others. On monotone prefixes, as under secure aggregation, the
+    result is the first r whose prefix reaches the target; noisy
+    prefixes may be non-monotone, and the bisection then returns the
     crossing it converges to, without post-processing.
     """
-    lo = 0
-    hi = len(prefix_values) - 1
-    while lo < hi:
+    total = max(counts.population_total.value, 0.0)
+    targets = np.minimum(np.maximum(targets, 0.0), total)
+    lo = np.zeros(targets.shape, dtype=np.int64)
+    hi = np.full(targets.shape, counts.num_leaves, dtype=np.int64)
+    active = lo < hi
+    while active.any():
         mid = (lo + hi) // 2
-        if prefix_values[mid] >= target:
-            hi = mid
-        else:
-            lo = mid + 1
+        reached = _prefixes_at(counts, mid) >= targets
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid + 1, lo)
+        active = lo < hi
     return lo
 
 
 def find_quantile(counts: HierarchicalCounts, target_rank: float) -> float:
-    """Leaf-aligned score boundary whose prefix count first reaches the rank.
+    """Leaf-aligned score boundary that bisection finds for the rank.
 
-    target_rank is clamped to [0, population total]; ties break toward
-    the smaller boundary.
+    target_rank is clamped to [0, population total]. The boundary is the
+    first one whose prefix count reaches the rank when prefixes are
+    monotone (secure aggregation); under noise it is the crossing the
+    bisection converges to (see _quantile_leaves).
     """
-    total = counts.population_total.value
-    target = min(max(float(target_rank), 0.0), max(total, 0.0))
-    r = _quantile_leaf(counts.prefix_values, target)
-    return r / counts.num_leaves
+    target = np.array([float(target_rank)])
+    return int(_quantile_leaves(counts, target)[0]) / counts.num_leaves
 
 
 def _bucket_variances(
@@ -401,73 +410,60 @@ def _bucket_variances(
     """Variance of each prefix-difference bucket count.
 
     Nodes shared by the two prefix decompositions cancel in the
-    difference; the survivors are counted from the first level at which
-    the two boundaries fall in different nodes.
+    difference; every other node either prefix reads adds its level's
+    variance.
     """
-    num_buckets = len(boundary_leaves) - 1
-    if all(v == 0.0 for v in counts.level_variances):
-        return np.zeros(num_buckets, dtype=np.float64)
-    f = counts.fanout
-    h = counts.height
-    node_idx = np.empty((h, num_buckets + 1), dtype=np.int64)
-    nodes_used = np.empty((h, num_buckets + 1), dtype=np.int64)
-    seg = counts.num_leaves
-    for k in range(1, h + 1):
-        parent_seg = seg
-        seg //= f
-        node_idx[k - 1] = boundary_leaves // seg
-        nodes_used[k - 1] = node_idx[k - 1] - (
-            f * (boundary_leaves // parent_seg) if k > 1 else 0
-        )
-    left_nodes = node_idx[:, :-1]
-    right_nodes = node_idx[:, 1:]
-    first_diverging = np.argmax(left_nodes != right_nodes, axis=0)
-    left_used = nodes_used[:, :-1]
-    right_used = nodes_used[:, 1:]
-    level_of_row = np.arange(h)[:, None]
-    weights = np.where(level_of_row > first_diverging[None, :], left_used + right_used, 0)
-    cols = np.arange(num_buckets)
-    weights[first_diverging, cols] = (
-        right_used[first_diverging, cols] - left_used[first_diverging, cols]
+    lo, hi = _level_runs(counts, boundary_leaves)
+    # Runs under one parent start at the same node and differ by their
+    # ends; runs under different parents are disjoint, so both count.
+    nodes = np.where(
+        lo[:, :-1] == lo[:, 1:],
+        hi[:, 1:] - hi[:, :-1],
+        (hi - lo)[:, :-1] + (hi - lo)[:, 1:],
     )
     level_vars = np.asarray(counts.level_variances, dtype=np.float64)
-    return (weights * level_vars[:, None]).sum(axis=0)
+    return (nodes * level_vars[:, None]).sum(axis=0)
+
+
+def _bucket_histogram(
+    pos: HierarchicalCounts, neg: HierarchicalCounts, boundary_leaves: np.ndarray
+) -> ScoreHistogram:
+    """Bucket counts of both classes between the given leaf boundaries."""
+    pos_prefix = _prefixes_at(pos, boundary_leaves)
+    neg_prefix = _prefixes_at(neg, boundary_leaves)
+    return ScoreHistogram(
+        spec=pos.spec,
+        boundary_leaves=boundary_leaves,
+        pos_values=np.diff(pos_prefix),
+        neg_values=np.diff(neg_prefix),
+        pos_variances=_bucket_variances(pos, boundary_leaves),
+        neg_variances=_bucket_variances(neg, boundary_leaves),
+        pos_total=NoisyCount(float(pos_prefix[-1]), pos.population_total.variance),
+        neg_total=NoisyCount(float(neg_prefix[-1]), neg.population_total.variance),
+    )
 
 
 def build_score_histogram(
-    pos: HierarchicalCounts,
-    neg: HierarchicalCounts,
-    num_buckets: int,
-    boundary_source: HierarchicalCounts | None = None,
+    pos: HierarchicalCounts, neg: HierarchicalCounts, num_buckets: int
 ) -> ScoreHistogram:
     """Equi-depth histogram over both classes from quantile boundaries.
 
-    Boundaries are the B-quantiles of the combined population, then any
-    bucket wider than f**(-ceil(log_f B) + 1) is split at aligned leaf
-    boundaries so every bucket has width O(1/B). Duplicate quantiles are
-    merged, so fewer than B buckets may come back; splitting produces at
-    most B - 1 extra ones.
-
-    boundary_source, when given, supplies the prefix counts used for the
-    quantile search (for callers that budget boundary queries separately
-    from bucket counts); bucket counts always come from pos and neg.
+    Boundaries are the B-quantiles of the combined population (found by
+    bisection, see _quantile_leaves), then any bucket wider than
+    f**(-ceil(log_f B) + 1) is split at aligned leaf boundaries so every
+    bucket has width O(1/B). Duplicate quantiles are merged, so fewer
+    than B buckets may come back; splitting produces at most B - 1
+    extra ones.
     """
     if num_buckets < 1:
         raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
     if pos.spec != neg.spec:
         raise ValueError("pos and neg hierarchies must share one privacy spec")
     combined = pos + neg
-    source = combined if boundary_source is None else boundary_source
-    if boundary_source is not None and boundary_source.spec != pos.spec:
-        raise ValueError("boundary_source must share the histogram's privacy spec")
-
     n = pos.num_leaves
-    total = source.population_total.value
-    prefix_values = source.prefix_values
-    cuts = {0, n}
-    for j in range(1, num_buckets):
-        target = min(max(j * total / num_buckets, 0.0), max(total, 0.0))
-        cuts.add(_quantile_leaf(prefix_values, target))
+    total = combined.population_total.value
+    targets = np.arange(1, num_buckets) * total / num_buckets
+    cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}
 
     # Width cap: split any bucket wider than f**-cap_level at multiples
     # of the aligned leaf stride, keeping widths O(1/B).
@@ -478,26 +474,6 @@ def build_score_histogram(
     final: list[int] = [0]
     for left, right in zip(bounds, bounds[1:]):
         if right - left > stride:
-            cursor = (left // stride + 1) * stride
-            while cursor < right:
-                final.append(cursor)
-                cursor += stride
+            final.extend(range((left // stride + 1) * stride, right, stride))
         final.append(right)
-    boundary_leaves = np.asarray(final, dtype=np.int64)
-
-    pos_values = np.diff(pos.prefix_values[boundary_leaves])
-    neg_values = np.diff(neg.prefix_values[boundary_leaves])
-    return ScoreHistogram(
-        spec=pos.spec,
-        boundary_leaves=boundary_leaves,
-        pos_values=pos_values,
-        neg_values=neg_values,
-        pos_variances=_bucket_variances(pos, boundary_leaves),
-        neg_variances=_bucket_variances(neg, boundary_leaves),
-        pos_total=NoisyCount(
-            float(pos.prefix_values[n]), pos.population_total.variance
-        ),
-        neg_total=NoisyCount(
-            float(neg.prefix_values[n]), neg.population_total.variance
-        ),
-    )
+    return _bucket_histogram(pos, neg, np.asarray(final, dtype=np.int64))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import (
     DegenerateEstimateError,
@@ -236,7 +237,8 @@ def _randomized_response_counts(
     debiased sums and their variances.
     """
     num_clients = client_bits.shape[0]
-    p_true = math.exp(epsilon_per_bit) / (math.exp(epsilon_per_bit) + 1.0)
+    # expit(eps) is e^eps / (e^eps + 1) without overflowing.
+    p_true = float(expit(epsilon_per_bit))
     ones = client_bits.sum(axis=0)
     kept = rng.binomial(ones, p_true)
     flipped = rng.binomial(num_clients - ones, 1.0 - p_true)
@@ -244,6 +246,23 @@ def _randomized_response_counts(
     debiased = (reported - num_clients * (1.0 - p_true)) / (2.0 * p_true - 1.0)
     variance = num_clients * p_true * (1.0 - p_true) / (2.0 * p_true - 1.0) ** 2
     return debiased, np.full(ones.shape, variance)
+
+
+def _check_counter_budget(spec: PrivacySpec) -> None:
+    """Reject an epsilon whose epsilon/4 per-counter mechanism degenerates.
+
+    PrivacySpec checks the per-level budget epsilon/h, which can pass
+    where epsilon/4 rounds the noise parameter to 0 or 1 (dist_dp) or
+    the keep probability to 1/2 (local_dp).
+    """
+    eps = spec.epsilon
+    if (spec.regime is Regime.DIST_DP and math.exp(-eps / 4) in (0.0, 1.0)) or (
+        spec.regime is Regime.LOCAL_DP and expit(eps / 4) == 0.5
+    ):
+        raise ValueError(
+            f"epsilon {eps!r} degenerates the fixed-threshold counters, "
+            f"which spend epsilon/4 each under {spec.regime.value}"
+        )
 
 
 def pra_fixed(
@@ -260,7 +279,10 @@ def pra_fixed(
     per client. Under local randomization shards must hold at most one
     example and each client randomizes its four bits at budget eps/4
     per bit. The accuracy denominator is the public number of examples.
+    An epsilon at which that per-counter budget degenerates raises
+    ValueError.
     """
+    _check_counter_budget(spec)
     rng = as_generator(seed)
     counts, total = _fixed_counts(shards)
     sums = counts.sum(axis=0)

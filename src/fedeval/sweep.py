@@ -135,6 +135,16 @@ def _float_bits(value: float | None) -> int:
     return int.from_bytes(struct.pack("<d", float(value)), "little")
 
 
+def _estimate_or_none(metric, hist, *args):
+    """metric(hist, *args), or None when hist is None or the estimate is degenerate."""
+    if hist is None:
+        return None
+    try:
+        return metric(hist, *args)
+    except DegenerateEstimateError:
+        return None
+
+
 def histogram_metric_records(
     hist,
     scores: np.ndarray,
@@ -147,7 +157,8 @@ def histogram_metric_records(
     One AUC record, then precision/recall/accuracy per threshold. Exact
     values come from the raw scores; a missing exact (single-class
     data, say) leaves that field None without marking the estimate
-    degenerate.
+    degenerate. hist is None for a cell whose aggregation could not
+    run, and every estimate is then degenerate.
     """
     records = []
     try:
@@ -155,13 +166,13 @@ def histogram_metric_records(
     except ValueError:
         strict = half = None
     exact_value = half if tie_convention == "half" else strict
-    try:
-        est = auc_histogram(hist)
+    est = _estimate_or_none(auc_histogram, hist)
+    if est is None:
+        records.append(("auc", None, None, exact_value, None, True))
+    else:
         records.append(
             ("auc", None, est.value, exact_value, est.advertised_uncertainty, False)
         )
-    except DegenerateEstimateError:
-        records.append(("auc", None, None, exact_value, None, True))
 
     if thresholds:
         if scores.size:
@@ -169,13 +180,13 @@ def histogram_metric_records(
         else:
             curve = [(None, None, None)] * len(thresholds)
         for threshold, exact_triple in zip(thresholds, curve):
-            try:
-                est = pra_threshold(hist, threshold)
-                values = (est.precision, est.recall, est.accuracy)
-                slack = est.threshold_slack
-            except DegenerateEstimateError:
+            est = _estimate_or_none(pra_threshold, hist, threshold)
+            if est is None:
                 values = (None, None, None)
                 slack = None
+            else:
+                values = (est.precision, est.recall, est.accuracy)
+                slack = est.threshold_slack
             for name, value, exact in zip(PRA_METRICS, values, exact_triple):
                 records.append(
                     (name, threshold, value, exact, slack, value is None)
@@ -184,29 +195,6 @@ def histogram_metric_records(
 
 
 _DEGENERATE_ECE = ("ece", None, None, None, None, True)
-
-
-def _degenerate_records(
-    scores: np.ndarray,
-    flags: np.ndarray,
-    thresholds: Sequence[float],
-    tie_convention: str,
-) -> list[tuple]:
-    """Record set for a cell whose aggregation could not run at all."""
-    try:
-        strict, half = _auc_from_arrays(scores, flags)
-        exact_value = half if tie_convention == "half" else strict
-    except ValueError:
-        exact_value = None
-    records: list[tuple] = [("auc", None, None, exact_value, None, True)]
-    if thresholds and scores.size:
-        curve = exact_pra_curve(scores, flags, thresholds)
-    else:
-        curve = [(None, None, None)] * len(thresholds)
-    for threshold, exact_triple in zip(thresholds, curve):
-        for name, exact in zip(PRA_METRICS, exact_triple):
-            records.append((name, threshold, None, exact, None, True))
-    return records
 
 
 def _aggregate_classes(
@@ -241,12 +229,11 @@ def evaluate_population(
         pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
         hist = build_score_histogram(pos, neg, num_buckets)
     except InsufficientPopulationError:
-        records = _degenerate_records(scores, positive, thresholds, tie_convention)
-        return records, False
+        hist = None
     records = histogram_metric_records(
         hist, scores, positive, thresholds, tie_convention
     )
-    return records, True
+    return records, hist is not None
 
 
 @dataclass(frozen=True, eq=False)

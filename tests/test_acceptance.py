@@ -30,8 +30,13 @@ from fedeval.calibration import (
     ece,
     ece_arrays,
 )
-from fedeval.core import as_arrays, as_generator, leaf_indices
-from fedeval.datagen import gen_well_behaved, split_to_clients
+from fedeval.core import as_generator, leaf_indices
+from fedeval.datagen import (
+    gen_well_behaved,
+    sample_population,
+    split_population,
+    split_to_clients,
+)
 from fedeval.hierarchy import build_hierarchy, build_score_histogram
 from fedeval.mechanisms import (
     OueParams,
@@ -43,7 +48,7 @@ from fedeval.mechanisms import (
     sample_polya,
 )
 from fedeval.metrics import auc_histogram, pra_threshold
-from fedeval.oracle import exact_auc, exact_pra_curve
+from fedeval.oracle import _auc_from_arrays, exact_auc, exact_pra_curve
 
 THRESHOLD_GRID = tuple(0.25 + 0.05 * i for i in range(10))
 LIPS1 = ScoreDistribution(lipschitz=1.0)
@@ -51,30 +56,31 @@ SKEWED_DIST = ScoreDistribution(positive_slope=2.0, negative_slope=0.0)
 
 
 def make_dataset(num_examples, seed, dist=ScoreDistribution(), balance=0.5):
-    examples = gen_well_behaved(num_examples, dist, balance, (seed, 0))
-    shards = split_to_clients(examples, "one_per_client", (seed, 1))
-    return examples, shards
+    """(clients, scores, flags): a sampled population split one per client."""
+    scores, flags = sample_population(num_examples, dist, balance, (seed, 0))
+    clients = split_population(scores, flags, "one_per_client", (seed, 1))
+    return clients, scores, flags
 
 
-def histogram_auc_errors(shards, examples, spec, bucket_counts, seed):
+def histogram_auc_errors(clients, scores, flags, spec, bucket_counts, seed):
     """|histogram AUC - exact half-ties AUC| for each bucket count.
 
     Both bucket counts reuse one pair of hierarchies, so comparisons
     across bucket counts see identical noise draws.
     """
-    pos = build_hierarchy(shards, Label.POSITIVE, spec, (seed, 2))
-    neg = build_hierarchy(shards, Label.NEGATIVE, spec, (seed, 3))
-    _, half = exact_auc(examples)
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, (seed, 2))
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, (seed, 3))
+    _, half = _auc_from_arrays(scores, flags)
     return [
         abs(auc_histogram(build_score_histogram(pos, neg, b)).value - half)
         for b in bucket_counts
     ]
 
 
-def pra_max_err(shards, scores, flags, spec, num_buckets, seed):
+def pra_max_err(clients, scores, flags, spec, num_buckets, seed):
     """Worst |estimate - exact| over the threshold grid and all three metrics."""
-    pos = build_hierarchy(shards, Label.POSITIVE, spec, (seed, 2))
-    neg = build_hierarchy(shards, Label.NEGATIVE, spec, (seed, 3))
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, (seed, 2))
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, (seed, 3))
     hist = build_score_histogram(pos, neg, num_buckets)
     exact = exact_pra_curve(scores, flags, THRESHOLD_GRID)
     worst = 0.0
@@ -94,14 +100,13 @@ def held_out_ece(num_examples, num_buckets, spec, seed, eval_bins):
     """Calibrate on half the data, score the held-out half."""
     root = np.random.SeedSequence((91, num_examples, spec.height, seed))
     data_ss, perm_ss, split_ss, pos_ss, neg_ss = root.spawn(5)
-    examples = gen_well_behaved(num_examples, SKEWED_DIST, 0.5, data_ss)
-    scores, flags = as_arrays(examples)
+    scores, flags = sample_population(num_examples, SKEWED_DIST, 0.5, data_ss)
     perm = as_generator(perm_ss).permutation(num_examples)
     half = num_examples // 2
-    fit_half = [examples[i] for i in perm[:half]]
-    shards = split_to_clients(fit_half, "one_per_client", split_ss)
-    pos = build_hierarchy(shards, Label.POSITIVE, spec, pos_ss)
-    neg = build_hierarchy(shards, Label.NEGATIVE, spec, neg_ss)
+    fit = perm[:half]
+    clients = split_population(scores[fit], flags[fit], "one_per_client", split_ss)
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_ss)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_ss)
     hist = build_score_histogram(pos, neg, num_buckets)
     cal_map = calibrate_histogram(hist)
     probs = apply_calibration_batch(cal_map, scores[perm[half:]])
@@ -159,7 +164,7 @@ def test_criterion_02_secure_agg_auc_error_shrinks_quadratically_in_buckets():
     bucket_grid = (10, 25, 50, 100)
     errors = np.array(
         [
-            histogram_auc_errors(*make_dataset(10**5, 200 + r)[::-1],
+            histogram_auc_errors(*make_dataset(10**5, 200 + r),
                                  spec, bucket_grid, 200 + r)
             for r in range(20)
         ]
@@ -175,7 +180,7 @@ def test_criterion_03_dist_dp_fine_buckets_do_not_inflate_error():
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=1.0, height=10, fanout=2)
     errors = np.array(
         [
-            histogram_auc_errors(*make_dataset(10**5, 300 + r)[::-1],
+            histogram_auc_errors(*make_dataset(10**5, 300 + r),
                                  spec, (40, 100), 300 + r)
             for r in range(30)
         ]
@@ -192,7 +197,7 @@ def test_criterion_04_local_dp_auc_error_scales_like_inverse_sqrt_population():
     medians = []
     for num in populations:
         errs = [
-            histogram_auc_errors(*make_dataset(num, 400 + r)[::-1],
+            histogram_auc_errors(*make_dataset(num, 400 + r),
                                  spec, (100,), 400 + r)[0]
             for r in range(8)
         ]
@@ -208,7 +213,7 @@ def test_criterion_05_dist_dp_auc_error_scales_like_inverse_population():
     medians = []
     for num in populations:
         errs = [
-            histogram_auc_errors(*make_dataset(num, 500 + r)[::-1],
+            histogram_auc_errors(*make_dataset(num, 500 + r),
                                  spec, (200,), 500 + r)[0]
             for r in range(6)
         ]
@@ -225,10 +230,9 @@ def test_criterion_06_secure_agg_threshold_error_halves_per_extra_level():
         spec = PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=2)
         errs = []
         for r in range(5):
-            examples, shards = make_dataset(10**5, 600 + r, LIPS1)
-            scores, flags = as_arrays(examples)
             errs.append(
-                pra_max_err(shards, scores, flags, spec, 2**height, 600 + r)
+                pra_max_err(*make_dataset(10**5, 600 + r, LIPS1),
+                            spec, 2**height, 600 + r)
             )
         medians.append(np.median(errs))
     medians = np.array(medians)
@@ -242,14 +246,13 @@ def test_criterion_07_dist_dp_best_height_balances_noise_and_resolution():
     heights = range(6, 15)
     errors = np.zeros((9, len(heights)))
     for r in range(9):
-        examples, shards = make_dataset(5 * 10**5, 700 + r, LIPS1)
-        scores, flags = as_arrays(examples)
+        clients, scores, flags = make_dataset(5 * 10**5, 700 + r, LIPS1)
         for j, height in enumerate(heights):
             spec = PrivacySpec(
                 regime=Regime.DIST_DP, epsilon=1.0, height=height, fanout=2
             )
             errors[r, j] = pra_max_err(
-                shards, scores, flags, spec, 1024, 1000 * r + height
+                clients, scores, flags, spec, 1024, 1000 * r + height
             )
     medians = np.median(errors, axis=0)
     best_height = 6 + int(np.argmin(medians))

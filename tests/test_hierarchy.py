@@ -44,23 +44,22 @@ FOUR = [(0.1, 1), (0.3, 1), (0.6, 1), (0.9, 1)]
 
 def test_levels_of_four_spread_scores():
     pos = build_hierarchy(singleton_shards(FOUR), Label.POSITIVE, sa_spec(2))
-    assert pos.level(1).tolist() == [2, 2]
-    assert pos.level(2).tolist() == [1, 1, 1, 1]
+    assert pos.values[0].tolist() == [2, 2]
+    assert pos.values[1].tolist() == [1, 1, 1, 1]
     assert pos.population_total == NoisyCount(4.0, 0.0)
     assert pos.level_variances == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        pos.level(3)
+    assert len(pos.values) == 2
 
 
 def test_other_class_tree_is_empty_but_same_shape():
     neg = build_hierarchy(singleton_shards(FOUR), Label.NEGATIVE, sa_spec(2))
-    assert neg.level(1).tolist() == [0, 0]
+    assert neg.values[0].tolist() == [0, 0]
     assert neg.population_total.value == 0.0
 
 
 def test_prefix_values_cover_full_range():
     pos = build_hierarchy(singleton_shards(FOUR), Label.POSITIVE, sa_spec(2))
-    assert pos.prefix_values.tolist() == [0, 1, 2, 3, 4]
+    assert [prefix_count(pos, r).value for r in range(5)] == [0, 1, 2, 3, 4]
     assert prefix_count(pos, 3) == NoisyCount(3.0, 0.0)
     assert prefix_count(pos, 0) == NoisyCount(0.0, 0.0)
     assert prefix_count(pos, 4) == NoisyCount(4.0, 0.0)
@@ -126,7 +125,7 @@ def test_histogram_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_score_histogram(pos, other, 2)
     with pytest.raises(ValueError):
-        build_score_histogram(pos, neg, 2, boundary_source=other)
+        build_score_histogram(other, neg, 2)
 
 
 def test_hierarchy_addition():
@@ -134,7 +133,7 @@ def test_hierarchy_addition():
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
     combined = pos + neg
-    assert combined.level(1).tolist() == [2, 2]
+    assert combined.values[0].tolist() == [2, 2]
     assert combined.population_total.value == 4.0
     other = build_hierarchy(shards, Label.NEGATIVE, sa_spec(3))
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def test_secure_agg_ignores_sharding():
     for shards in (grouped, with_empty):
         alt = build_hierarchy(shards, Label.POSITIVE, spec)
         for k in range(1, 6):
-            assert np.array_equal(reference.level(k), alt.level(k))
+            assert np.array_equal(reference.values[k - 1], alt.values[k - 1])
 
 
 def test_class_filter_type_checked():
@@ -177,7 +176,7 @@ def test_distdp_advertises_exact_node_variance():
     hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=0)
     expected = discrete_laplace_variance(math.exp(-1.0 / 3.0))
     for k in (1, 2, 3):
-        assert hier.level_variance(k) == pytest.approx(expected)
+        assert hier.level_variances[k - 1] == pytest.approx(expected)
     assert hier.population_total.variance == pytest.approx(2 * expected)
 
 
@@ -189,13 +188,13 @@ def test_distdp_unbiased_and_variance_calibrated():
         for i, s in enumerate(scores)
     ]
     spec = dp_spec(3, 1.0)
-    exact = build_hierarchy(shards, Label.POSITIVE, sa_spec(3)).level(1)
+    exact = build_hierarchy(shards, Label.POSITIVE, sa_spec(3)).values[0]
     node_var = discrete_laplace_variance(math.exp(-1.0 / 3.0))
     builds = 300
     samples = np.zeros((builds, 2))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(99, i))
-        samples[i] = hier.level(1)
+        samples[i] = hier.values[0]
     errors = samples - exact
     assert np.all(np.abs(errors.mean(axis=0)) < 3.0 * math.sqrt(node_var / builds))
     pooled = errors.var(ddof=1)
@@ -209,8 +208,10 @@ def test_distdp_determinism_and_seed_sensitivity():
     b = build_hierarchy(shards, Label.POSITIVE, spec, seed=7)
     c = build_hierarchy(shards, Label.POSITIVE, spec, seed=8)
     for k in (1, 2, 3):
-        assert np.array_equal(a.level(k), b.level(k))
-    assert any(not np.array_equal(a.level(k), c.level(k)) for k in (1, 2, 3))
+        assert np.array_equal(a.values[k - 1], b.values[k - 1])
+    assert any(
+        not np.array_equal(a.values[k - 1], c.values[k - 1]) for k in (1, 2, 3)
+    )
 
 
 # -- local randomization ----------------------------------------------------
@@ -231,8 +232,8 @@ def test_local_dp_needs_enough_clients():
 def test_local_dp_empty_population_is_all_zero():
     hier = build_hierarchy([], Label.POSITIVE, ldp_spec(4, 5.0), seed=0)
     for k in range(1, 5):
-        assert hier.level(k).tolist() == [0.0] * 2**k
-        assert hier.level_variance(k) == 0.0
+        assert hier.values[k - 1].tolist() == [0.0] * 2**k
+        assert hier.level_variances[k - 1] == 0.0
     assert hier.population_total == NoisyCount(0.0, 0.0)
 
 
@@ -264,8 +265,8 @@ def test_local_dp_unbiased_and_variance_calibrated():
     variances = np.zeros(builds)
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(55, i))
-        samples[i] = hier.level(1)
-        variances[i] = hier.level_variance(1)
+        samples[i] = hier.values[0]
+        variances[i] = hier.level_variances[0]
     # Group sizes are fixed by M and h, so the advertisement is constant.
     assert np.all(variances == variances[0])
     q = 1.0 / (math.exp(2.0) + 1.0)
@@ -303,7 +304,7 @@ def test_local_dp_determinism():
     a = build_hierarchy(shards, Label.POSITIVE, spec, seed=5)
     b = build_hierarchy(shards, Label.POSITIVE, spec, seed=5)
     for k in (1, 2, 3):
-        assert np.array_equal(a.level(k), b.level(k))
+        assert np.array_equal(a.values[k - 1], b.values[k - 1])
 
 
 # -- variance bookkeeping ---------------------------------------------------
@@ -342,7 +343,7 @@ def test_prefix_variances_count_decomposition_nodes(height, fanout):
             level_vars[k - 1] * len(prefix_run(r, k, height, fanout))
             for k in range(1, height + 1)
         )
-        assert counts.prefix_variances[r] == pytest.approx(expected)
+        assert prefix_count(counts, r).variance == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("height,fanout", [(5, 2), (3, 3)])
@@ -385,7 +386,7 @@ def test_bucket_variance_empirically_calibrated():
     samples = np.zeros((builds, 3))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(77, i))
-        samples[i] = np.diff(hier.prefix_values[boundary])
+        samples[i] = np.diff([prefix_count(hier, r).value for r in boundary])
         advertised = _bucket_variances(hier, boundary)
     empirical = samples.var(axis=0, ddof=1)
     assert np.all(empirical > 0.6 * advertised)
@@ -409,12 +410,12 @@ def test_prefixes_and_quantiles_consistent(items, target):
         for i, f in items
     ]
     hier = build_hierarchy([[e] for e in examples], Label.POSITIVE, sa_spec(4))
-    prefix = hier.prefix_values
+    prefix = np.array([prefix_count(hier, r).value for r in range(17)])
     assert np.all(np.diff(prefix) >= 0)
     num_pos = sum(1 for e in examples if e.label is Label.POSITIVE)
     assert prefix[-1] == num_pos
     for k in range(1, 5):
-        assert hier.level(k).sum() == num_pos
+        assert hier.values[k - 1].sum() == num_pos
 
     r = round(find_quantile(hier, target) * 16)
     clamped = min(max(target, 0.0), float(num_pos))
@@ -458,6 +459,151 @@ def test_histogram_counts_partition_the_data(items, num_buckets):
     cap_level = min(6, max(0, cap_level - 1))
     stride = 64 // 2**cap_level
     assert int(np.diff(bounds).max()) <= stride
+
+
+# -- literal reference for prefixes, quantiles and histograms --------------
+
+
+def dense_prefixes(counts):
+    """Every prefix value and variance, for r = 0..f**h, by the dense formula.
+
+    Prefix [0, r) is accumulated from zero in level order (int64 when
+    every level is an integer array, else float64); level k contributes
+    its nodes f*(r // f**(h-k+1)) .. r // f**(h-k) - 1, or 0 .. r // f**(h-1) - 1
+    at the top level, and their count times the level variance.
+    """
+    f, h, n = counts.fanout, counts.height, counts.num_leaves
+    r = np.arange(n + 1, dtype=np.int64)
+    exact = all(level.dtype.kind in "iu" for level in counts.values)
+    values = np.zeros(n + 1, dtype=np.int64 if exact else np.float64)
+    variances = np.zeros(n + 1, dtype=np.float64)
+    for k in range(1, h + 1):
+        level = counts.values[k - 1]
+        cum = np.concatenate(([level.dtype.type(0)], np.cumsum(level)))
+        hi = r // f ** (h - k)
+        lo = f * (r // f ** (h - k + 1)) if k > 1 else np.zeros_like(r)
+        values += cum[hi] - cum[lo]
+        v = counts.level_variances[k - 1]
+        if v != 0.0:
+            variances += (hi - lo) * v
+    return values, variances
+
+
+def bisect_leaf(prefix, target):
+    """Scalar bisection over prefix[0..f**h] for a clamped target."""
+    lo, hi = 0, len(prefix) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if prefix[mid] >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def clamped(target, counts):
+    return min(max(target, 0.0), max(counts.population_total.value, 0.0))
+
+
+def reference_boundaries(combined, num_buckets):
+    """Quantile cuts by scalar bisection, then the aligned width cap."""
+    prefix, _ = dense_prefixes(combined)
+    total = combined.population_total.value
+    n, f = combined.num_leaves, combined.fanout
+    cuts = {0, n}
+    for j in range(1, num_buckets):
+        cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, combined)))
+    cap_level = 0
+    while f**cap_level < num_buckets:
+        cap_level += 1
+    stride = n // f ** min(combined.height, max(0, cap_level - 1))
+    bounds = sorted(cuts)
+    final = [0]
+    for left, right in zip(bounds, bounds[1:]):
+        if right - left > stride:
+            final.extend(range((left // stride + 1) * stride, right, stride))
+        final.append(right)
+    return np.array(final, dtype=np.int64)
+
+
+def reference_bucket_variances(counts, boundary):
+    """Level variance times the nodes of one prefix run but not the other."""
+    h, f = counts.height, counts.fanout
+    return np.array(
+        [
+            sum(
+                counts.level_variances[k - 1]
+                * len(prefix_run(a, k, h, f) ^ prefix_run(b, k, h, f))
+                for k in range(1, h + 1)
+            )
+            for a, b in zip(boundary.tolist(), boundary[1:].tolist())
+        ],
+        dtype=np.float64,
+    )
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(
+    regime=st.sampled_from(list(Regime)),
+    epsilon=st.sampled_from([0.1, 1.0, 8.0]),
+    fanout=st.sampled_from([2, 3]),
+    height=st.integers(1, 8),
+    num_examples=st.one_of(st.just(0), st.integers(8, 400)),
+    balance=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    num_buckets=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_prefix_queries_match_literal_reference(
+    regime, epsilon, fanout, height, num_examples, balance, num_buckets, seed, data
+):
+    spec = PrivacySpec(
+        regime=regime,
+        epsilon=None if regime is Regime.SECURE_AGG else epsilon,
+        height=height,
+        fanout=fanout,
+    )
+    scores, positive = sample_population(
+        num_examples, ScoreDistribution(), balance, seed
+    )
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, seed + 1)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, seed + 2)
+    n = spec.num_leaves
+
+    leaves = data.draw(st.lists(st.integers(0, n), max_size=20)) + [0, n]
+    targets = data.draw(
+        st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
+    )
+    for counts in (pos, neg, pos + neg):
+        values, variances = dense_prefixes(counts)
+        for r in leaves:
+            got = prefix_count(counts, r)
+            assert same_bits(
+                [got.value, got.variance], [float(values[r]), float(variances[r])]
+            )
+        for target in targets:
+            want = bisect_leaf(values, clamped(target, counts)) / n
+            assert same_bits(find_quantile(counts, target), want)
+
+    hist = build_score_histogram(pos, neg, num_buckets)
+    boundary = reference_boundaries(pos + neg, num_buckets)
+    assert same_bits(hist.boundary_leaves, boundary)
+    for counts, got_values, got_variances, got_total in (
+        (pos, hist.pos_values, hist.pos_variances, hist.pos_total),
+        (neg, hist.neg_values, hist.neg_variances, hist.neg_total),
+    ):
+        values, _ = dense_prefixes(counts)
+        assert same_bits(got_values, np.diff(values[boundary]))
+        assert same_bits(got_variances, reference_bucket_variances(counts, boundary))
+        assert same_bits(
+            list(got_total),
+            [float(values[n]), counts.population_total.variance],
+        )
 
 
 @given(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedeval import (
     DegenerateEstimateError,
@@ -14,7 +16,12 @@ from fedeval import (
     PrivacySpec,
     Regime,
 )
-from fedeval.hierarchy import ScoreHistogram, build_hierarchy, build_score_histogram
+from fedeval.hierarchy import (
+    ScoreHistogram,
+    _bucket_histogram,
+    build_hierarchy,
+    build_score_histogram,
+)
 from fedeval.mechanisms import discrete_laplace_variance
 from fedeval.metrics import (
     FIXED_COUNTER_NAMES,
@@ -165,9 +172,11 @@ def test_auc_noise_variance_is_conservative():
     ]
     shards = [[e] for e in examples]
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=2.0, height=6, fanout=2)
-    source = build_hierarchy(
-        shards, Label.POSITIVE, spec, seed=(11, 0)
-    ) + build_hierarchy(shards, Label.NEGATIVE, spec, seed=(11, 1))
+    boundary = build_score_histogram(
+        build_hierarchy(shards, Label.POSITIVE, spec, seed=(11, 0)),
+        build_hierarchy(shards, Label.NEGATIVE, spec, seed=(11, 1)),
+        16,
+    ).boundary_leaves
     strict, half = exact_auc(examples)
     builds = 250
     values = np.zeros(builds)
@@ -176,7 +185,7 @@ def test_auc_noise_variance_is_conservative():
     for i in range(builds):
         pos = build_hierarchy(shards, Label.POSITIVE, spec, seed=(13, i))
         neg = build_hierarchy(shards, Label.NEGATIVE, spec, seed=(14, i))
-        hist = build_score_histogram(pos, neg, 16, boundary_source=source)
+        hist = _bucket_histogram(pos, neg, boundary)
         est = auc_histogram(hist)
         values[i] = est.value
         advertised_var[i] = est.noise_variance
@@ -331,6 +340,32 @@ def test_pra_fixed_local_dp_rejects_grouped_shards():
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)
     with pytest.raises(ValueError, match="shard 0"):
         pra_fixed(shards, spec, seed=0)
+
+
+@given(
+    epsilon=st.floats(min_value=1e-300, max_value=1e300),
+    regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),
+    height=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(epsilon=3000.0, regime=Regime.LOCAL_DP, height=4, seed=0)
+@example(epsilon=3000.0, regime=Regime.DIST_DP, height=10, seed=0)
+@example(epsilon=4e-16, regime=Regime.LOCAL_DP, height=4, seed=0)
+def test_pra_fixed_runs_or_names_the_epsilon(epsilon, regime, height, seed):
+    try:
+        spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
+    except ValueError as exc:
+        assert f"epsilon {epsilon!r} " in str(exc)
+        return
+    rng = np.random.default_rng(seed)
+    shards = predicted_shards(random_examples(rng, 12), 0.5)
+    try:
+        est = pra_fixed(shards, spec, seed=seed)
+    except ValueError as exc:
+        assert str(exc).startswith(f"epsilon {epsilon!r} ")
+        return
+    for counter in est.counters.values():
+        assert math.isfinite(counter.value) and math.isfinite(counter.variance)
 
 
 def test_pra_fixed_empty_population_raises():
