@@ -12,12 +12,10 @@ studies against exact centralized baselines.
 from .calibration import (
     CalibrationMap,
     EceReport,
-    apply_calibration,
     apply_calibration_batch,
     bbq_weights,
     calibrate_bbq,
     calibrate_histogram,
-    ece,
     ece_arrays,
 )
 from .core import (
@@ -27,7 +25,6 @@ from .core import (
     Label,
     LabeledScore,
     NoisyCount,
-    PredictedExample,
     PrivacySpec,
     Regime,
     ScoreDistribution,
@@ -67,7 +64,7 @@ from .mechanisms import (
     secure_aggregate,
 )
 from .metrics import AucEstimate, PraEstimate, auc_histogram, pra_fixed, pra_threshold
-from .oracle import ExactMetrics, exact_auc, exact_metrics, exact_pra
+from .oracle import exact_auc, exact_pra
 from .sweep import (
     SweepConfig,
     SweepConfigError,
@@ -85,7 +82,6 @@ __all__ = [
     "DataFileError",
     "DegenerateEstimateError",
     "EceReport",
-    "ExactMetrics",
     "HierarchicalCounts",
     "InsufficientPopulationError",
     "Label",
@@ -94,7 +90,6 @@ __all__ = [
     "OueParams",
     "PolyaShareParams",
     "PraEstimate",
-    "PredictedExample",
     "PrivacySpec",
     "Regime",
     "ScoreDistribution",
@@ -104,7 +99,6 @@ __all__ = [
     "SweepConfigError",
     "SweepResultRow",
     "aggregated_noise",
-    "apply_calibration",
     "apply_calibration_batch",
     "auc_histogram",
     "bbq_weights",
@@ -114,10 +108,8 @@ __all__ = [
     "calibrate_histogram",
     "discrete_laplace_variance",
     "distdp_noise_share",
-    "ece",
     "ece_arrays",
     "exact_auc",
-    "exact_metrics",
     "exact_pra",
     "find_quantile",
     "gen_well_behaved",

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import betaln
 
-from .core import Label
-from .hierarchy import HierarchicalCounts, ScoreHistogram, build_score_histogram
+from .hierarchy import (
+    HierarchicalCounts,
+    ScoreHistogram,
+    _bucket_histogram,
+    _cut_leaves,
+)
 
 __all__ = [
     "CalibrationMap",
@@ -27,9 +30,7 @@ __all__ = [
     "calibrate_histogram",
     "bbq_weights",
     "calibrate_bbq",
-    "apply_calibration",
     "apply_calibration_batch",
-    "ece",
     "ece_arrays",
 ]
 
@@ -70,7 +71,7 @@ class CalibrationMap:
                 raise ValueError("boundaries must span [0, 1]")
             if np.any(np.diff(boundaries) <= 0.0):
                 raise ValueError("boundaries must be strictly increasing")
-            if np.any((values < 0.0) | (values > 1.0)):
+            if not np.all((values >= 0.0) & (values <= 1.0)):
                 raise ValueError("calibrated values must lie in [0, 1]")
 
 
@@ -111,6 +112,11 @@ def _bucket_probabilities(hist: ScoreHistogram, prior: float) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _check_prior(prior: float | None) -> None:
+    if prior is not None and not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must be in [0, 1], got {prior}")
+
+
 def calibrate_histogram(
     hist: ScoreHistogram, prior: float | None = None
 ) -> CalibrationMap:
@@ -121,10 +127,9 @@ def calibrate_histogram(
     population fall back to the prior (global positive fraction unless
     given).
     """
+    _check_prior(prior)
     if prior is None:
         prior = _default_prior(hist)
-    if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior must be in [0, 1], got {prior}")
     values = _bucket_probabilities(hist, prior)
     return CalibrationMap(
         binnings=((hist.boundaries.copy(), values),),
@@ -165,8 +170,9 @@ def _scored_binnings(
     pos: HierarchicalCounts, neg: HierarchicalCounts, population: float
 ) -> list[tuple[int, ScoreHistogram, float]]:
     out = []
+    combined = pos + neg
     for count in _candidate_bucket_counts(population):
-        hist = build_score_histogram(pos, neg, int(count))
+        hist = _bucket_histogram(pos, neg, _cut_leaves(combined, int(count)))
         out.append((int(count), hist, _log_marginal(hist)))
     return out
 
@@ -197,6 +203,7 @@ def calibrate_bbq(
     prior: float | None = None,
 ) -> CalibrationMap:
     """Model-averaged calibration over a grid of bucket counts."""
+    _check_prior(prior)
     population = pos.population_total.value + neg.population_total.value
     scored = _scored_binnings(pos, neg, population)
     weights = _softmax(np.array([score for _, _, score in scored]))
@@ -219,7 +226,7 @@ def apply_calibration_batch(
     cal_map: CalibrationMap, scores: np.ndarray
 ) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+    if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
     out = np.zeros(scores.shape, dtype=np.float64)
     for weight, (boundaries, values) in zip(cal_map.weights, cal_map.binnings):
@@ -227,11 +234,6 @@ def apply_calibration_batch(
     # Weights may sum to 1 + 2**-52 after rounding, which can lift a
     # mixture of values 1.0 just above 1.
     return np.clip(out, 0.0, 1.0, out=out)
-
-
-def apply_calibration(cal_map: CalibrationMap, score: float) -> float:
-    """Calibrated probability of one score in [0, 1]."""
-    return float(apply_calibration_batch(cal_map, np.array([score]))[0])
 
 
 def ece_arrays(
@@ -246,7 +248,7 @@ def ece_arrays(
         raise ValueError("ece needs at least one prediction")
     if probs.shape != flags.shape:
         raise ValueError("probabilities and labels must align")
-    if probs.min() < 0.0 or probs.max() > 1.0:
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ValueError("predicted probabilities must lie in [0, 1]")
     edges = np.arange(1, num_bins + 1) / num_bins
     idx = np.searchsorted(edges, probs, side="left")
@@ -271,18 +273,3 @@ def ece_arrays(
         ece=value,
     )
 
-
-def ece(
-    predictions: Iterable[tuple[float, Label | int]], num_bins: int
-) -> EceReport:
-    """ece_arrays over an iterable of (probability, label) pairs."""
-    pairs = list(predictions)
-    probs = np.array([float(p) for p, _ in pairs], dtype=np.float64)
-    flags = np.array(
-        [
-            label is Label.POSITIVE if isinstance(label, Label) else bool(label)
-            for _, label in pairs
-        ],
-        dtype=bool,
-    )
-    return ece_arrays(probs, flags, num_bins)

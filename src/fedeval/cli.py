@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--spike", action="append", default=[],
                      metavar="LOC:POS_MASS:NEG_MASS",
                      help="point mass; repeatable")
-    gen.add_argument("--spike-threshold", type=float, default=0.01)
     gen.add_argument("--seed", type=int, required=True)
     gen.set_defaults(func=cmd_gen_data)
 
@@ -92,8 +91,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--buckets", type=int, required=True)
     ev.add_argument("--threshold", action="append", type=float, default=[],
                     help="decision threshold; repeatable")
-    ev.add_argument("--tie-convention", choices=("half", "strict"),
-                    default="half")
     ev.add_argument("--timings", action="store_true",
                     help="measure wall_ms (output no longer byte-stable)")
     ev.set_defaults(func=cmd_evaluate)
@@ -151,7 +148,6 @@ def cmd_gen_data(args) -> int:
     dist = ScoreDistribution(
         spikes=parse_spikes(";".join(args.spike)),
         lipschitz=args.lipschitz,
-        spike_threshold=args.spike_threshold,
         positive_slope=args.pos_slope,
         negative_slope=args.neg_slope,
     )
@@ -173,7 +169,7 @@ def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     records, _ = evaluate_population(
         scores, positive, spec, args.buckets, args.split, thresholds,
-        args.tie_convention, np.random.SeedSequence((args.seed,)).spawn(3),
+        np.random.SeedSequence((args.seed,)).spawn(3),
     )
     wall_ms = (time.perf_counter() - started) * 1000.0 if args.timings else None
     print(result_header_line())

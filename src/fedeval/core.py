@@ -23,14 +23,12 @@ __all__ = [
     "LabeledScore",
     "ClientShard",
     "ClientSplit",
-    "PredictedExample",
     "NoisyCount",
     "PrivacySpec",
     "Spike",
     "ScoreDistribution",
     "DegenerateEstimateError",
     "InsufficientPopulationError",
-    "validate",
     "as_arrays",
     "as_examples",
     "leaf_indices",
@@ -43,14 +41,6 @@ class Label(enum.Enum):
 
     NEGATIVE = 0
     POSITIVE = 1
-
-    @classmethod
-    def from_int(cls, value: int) -> "Label":
-        if value == 0:
-            return cls.NEGATIVE
-        if value == 1:
-            return cls.POSITIVE
-        raise ValueError(f"label must be 0 or 1, got {value!r}")
 
 
 class Regime(enum.Enum):
@@ -70,13 +60,6 @@ class LabeledScore(NamedTuple):
     """One example: a classifier score in [0, 1] and its true label."""
 
     score: float
-    label: Label
-
-
-class PredictedExample(NamedTuple):
-    """One example carrying a fixed binary prediction and its true label."""
-
-    prediction: Label
     label: Label
 
 
@@ -116,6 +99,19 @@ class ClientSplit:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def check_one_per_client(self) -> None:
+        """Raise ValueError if a client holds more than one example.
+
+        Local randomization lets each client report about one example.
+        """
+        sizes = self.sizes()
+        if np.any(sizes > 1):
+            i = int(np.argmax(sizes > 1))
+            raise ValueError(
+                "local DP accepts at most one example per client shard, "
+                f"shard {i} holds {sizes[i]}"
+            )
 
 
 class DegenerateEstimateError(RuntimeError):
@@ -220,30 +216,27 @@ class ScoreDistribution:
     [0, 1], where the slope a is bounded by min(lipschitz, 2) in magnitude
     (2 keeps the density nonnegative). By default the positive class slopes
     up and the negative class slopes down by that amount; per-class slopes
-    can be overridden. spike_threshold records the mass above which a point
-    is treated as an atom in analyses; it does not affect sampling.
+    can be overridden.
     """
 
     spikes: tuple[Spike, ...] = ()
     lipschitz: float = 2.0
-    spike_threshold: float = 0.01
     positive_slope: float | None = None
     negative_slope: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.lipschitz >= 0.0):
             raise ValueError(f"lipschitz bound must be >= 0, got {self.lipschitz}")
-        if not (0.0 < self.spike_threshold <= 1.0):
-            raise ValueError(
-                f"spike_threshold must lie in (0, 1], got {self.spike_threshold}"
-            )
         pos_total = 0.0
         neg_total = 0.0
         for spike in self.spikes:
             if not (0.0 <= spike.location <= 1.0):
                 raise ValueError(f"spike location {spike.location} outside [0, 1]")
-            if spike.positive_mass < 0.0 or spike.negative_mass < 0.0:
-                raise ValueError("spike masses must be nonnegative")
+            if not (spike.positive_mass >= 0.0 and spike.negative_mass >= 0.0):
+                raise ValueError(
+                    f"spike masses must be nonnegative, got {spike.positive_mass}"
+                    f" and {spike.negative_mass}"
+                )
             pos_total += spike.positive_mass
             neg_total += spike.negative_mass
         if pos_total > 1.0 or neg_total > 1.0:
@@ -256,9 +249,10 @@ class ScoreDistribution:
             ("positive_slope", self.positive_slope),
             ("negative_slope", self.negative_slope),
         ):
-            if slope is not None and abs(slope) > limit + 1e-12:
+            # Written so that a NaN slope fails too.
+            if slope is not None and not abs(slope) <= limit + 1e-12:
                 raise ValueError(
-                    f"{name}={slope} exceeds the allowed magnitude {limit}"
+                    f"{name}={slope} must be a number of magnitude at most {limit}"
                 )
 
     def class_slope(self, label: Label) -> float:
@@ -266,26 +260,6 @@ class ScoreDistribution:
         if label is Label.POSITIVE:
             return limit if self.positive_slope is None else self.positive_slope
         return -limit if self.negative_slope is None else self.negative_slope
-
-    def class_spike_mass(self, label: Label) -> float:
-        if label is Label.POSITIVE:
-            return sum(s.positive_mass for s in self.spikes)
-        return sum(s.negative_mass for s in self.spikes)
-
-
-def validate(example: LabeledScore) -> LabeledScore:
-    """Check one example and return it unchanged.
-
-    Rejects scores outside [0, 1] (NaN included) and non-Label labels.
-    """
-    score = example.score
-    if not isinstance(score, (int, float)) or isinstance(score, bool):
-        raise ValueError(f"score must be a real number, got {score!r}")
-    if not (0.0 <= score <= 1.0):  # NaN fails both comparisons
-        raise ValueError(f"score must lie in [0, 1], got {score!r}")
-    if not isinstance(example.label, Label):
-        raise ValueError(f"label must be a Label, got {example.label!r}")
-    return example
 
 
 def as_arrays(examples: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:

@@ -151,8 +151,10 @@ def _variable_offsets(
     num_examples: int, mean_size: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Offsets of consecutive shards with geometric sizes of the given mean."""
-    if mean_size < 1.0:
-        raise ValueError(f"mean shard size must be at least 1, got {mean_size}")
+    if not 1.0 <= mean_size < math.inf:
+        raise ValueError(
+            f"mean shard size must be a finite number of at least 1, got {mean_size}"
+        )
     sizes = []
     start = 0
     while start < num_examples:

@@ -210,15 +210,9 @@ def _build_exact(
 def _build_local_dp(
     clients: ClientSplit, class_filter: Label, spec: PrivacySpec, rng
 ) -> tuple[list[np.ndarray], list[float]]:
+    clients.check_one_per_client()
     num_clients = clients.num_clients
-    sizes = clients.sizes()
-    if np.any(sizes > 1):
-        i = int(np.argmax(sizes > 1))
-        raise ValueError(
-            "local DP accepts at most one example per client shard, "
-            f"shard {i} holds {sizes[i]}"
-        )
-    occupied = sizes == 1
+    occupied = clients.sizes() == 1
     rows = clients.offsets[:-1][occupied]
     leaf_of_client = np.full(num_clients, -1, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
@@ -443,32 +437,22 @@ def _bucket_histogram(
     )
 
 
-def build_score_histogram(
-    pos: HierarchicalCounts, neg: HierarchicalCounts, num_buckets: int
-) -> ScoreHistogram:
-    """Equi-depth histogram over both classes from quantile boundaries.
+def _cut_leaves(combined: HierarchicalCounts, num_buckets: int) -> np.ndarray:
+    """Leaf boundaries of the equi-depth histogram of one combined tree.
 
-    Boundaries are the B-quantiles of the combined population (found by
-    bisection, see _quantile_leaves), then any bucket wider than
-    f**(-ceil(log_f B) + 1) is split at aligned leaf boundaries so every
-    bucket has width O(1/B). Duplicate quantiles are merged, so fewer
-    than B buckets may come back; splitting produces at most B - 1
-    extra ones.
+    Boundaries are the B-quantiles of combined (found by bisection, see
+    _quantile_leaves), then any bucket wider than f**(-ceil(log_f B) + 1)
+    is split at aligned leaf boundaries so every bucket has width
+    O(1/B). Duplicate quantiles are merged, so fewer than B buckets may
+    come back; splitting produces at most B - 1 extra ones.
     """
-    if num_buckets < 1:
-        raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-    if pos.spec != neg.spec:
-        raise ValueError("pos and neg hierarchies must share one privacy spec")
-    combined = pos + neg
-    n = pos.num_leaves
+    n = combined.num_leaves
     total = combined.population_total.value
     targets = np.arange(1, num_buckets) * total / num_buckets
     cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}
 
-    # Width cap: split any bucket wider than f**-cap_level at multiples
-    # of the aligned leaf stride, keeping widths O(1/B).
-    f = pos.fanout
-    cap_level = min(pos.height, max(0, _ceil_log(num_buckets, f) - 1))
+    f = combined.fanout
+    cap_level = min(combined.height, max(0, _ceil_log(num_buckets, f) - 1))
     stride = n // f**cap_level
     bounds = sorted(cuts)
     final: list[int] = [0]
@@ -476,4 +460,19 @@ def build_score_histogram(
         if right - left > stride:
             final.extend(range((left // stride + 1) * stride, right, stride))
         final.append(right)
-    return _bucket_histogram(pos, neg, np.asarray(final, dtype=np.int64))
+    return np.asarray(final, dtype=np.int64)
+
+
+def build_score_histogram(
+    pos: HierarchicalCounts, neg: HierarchicalCounts, num_buckets: int
+) -> ScoreHistogram:
+    """Equi-depth histogram over both classes.
+
+    Boundaries are the B-quantiles of the combined population, with
+    over-wide buckets split (see _cut_leaves).
+    """
+    if num_buckets < 1:
+        raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
+    if pos.spec != neg.spec:
+        raise ValueError("pos and neg hierarchies must share one privacy spec")
+    return _bucket_histogram(pos, neg, _cut_leaves(pos + neg, num_buckets))

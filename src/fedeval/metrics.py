@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import expit
 
 from .core import (
+    ClientSplit,
     DegenerateEstimateError,
-    Label,
     NoisyCount,
-    PredictedExample,
     PrivacySpec,
     Regime,
     as_generator,
@@ -210,36 +209,17 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
     )
 
 
-def _fixed_counts(
-    shards: Sequence[Sequence[PredictedExample]],
-) -> tuple[np.ndarray, int]:
-    """Per-shard contributions to the four counters, plus total examples."""
-    counts = np.zeros((len(shards), 4), dtype=np.int64)
-    total = 0
-    for i, shard in enumerate(shards):
-        for example in shard:
-            total += 1
-            hit = example.prediction is example.label
-            counts[i, 0] += hit
-            counts[i, 1] += example.label is Label.POSITIVE
-            counts[i, 2] += example.prediction is Label.POSITIVE
-            counts[i, 3] += hit and example.label is Label.POSITIVE
-    return counts, total
-
-
 def _randomized_response_counts(
-    client_bits: np.ndarray, epsilon_per_bit: float, rng: np.random.Generator
+    ones: np.ndarray, num_clients: int, epsilon_per_bit: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Debiased symmetric randomized response over one bit per client.
 
-    Each column of client_bits is one counter; every client flips each
-    of its bits independently with probability 1/(e^eps + 1). Returns
-    debiased sums and their variances.
+    ones[j] clients hold bit j set; every client flips each of its bits
+    independently with probability 1/(e^eps + 1). Returns debiased sums
+    and their variances.
     """
-    num_clients = client_bits.shape[0]
     # expit(eps) is e^eps / (e^eps + 1) without overflowing.
     p_true = float(expit(epsilon_per_bit))
-    ones = client_bits.sum(axis=0)
     kept = rng.binomial(ones, p_true)
     flipped = rng.binomial(num_clients - ones, 1.0 - p_true)
     reported = kept + flipped
@@ -266,60 +246,57 @@ def _check_counter_budget(spec: PrivacySpec) -> None:
 
 
 def pra_fixed(
-    shards: Sequence[Sequence[PredictedExample]],
-    spec: PrivacySpec,
-    seed=None,
+    clients: ClientSplit, threshold: float, spec: PrivacySpec, seed=None
 ) -> PraEstimate:
     """Metrics for a threshold fixed before aggregation.
 
+    Each example is predicted positive when its score exceeds threshold.
     Clients report four counters (correct, positives, predicted
     positive, true positive) over their own examples. Under secure
     aggregation the sums are exact. Under distributed noise each counter
     gets discrete Laplace noise calibrated to sensitivity 4, one share
-    per client. Under local randomization shards must hold at most one
+    per client. Under local randomization clients must hold at most one
     example and each client randomizes its four bits at budget eps/4
     per bit. The accuracy denominator is the public number of examples.
     An epsilon at which that per-counter budget degenerates raises
     ValueError.
     """
+    threshold = float(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     _check_counter_budget(spec)
+    if spec.regime is Regime.LOCAL_DP:
+        clients.check_one_per_client()
     rng = as_generator(seed)
-    counts, total = _fixed_counts(shards)
-    sums = counts.sum(axis=0)
-
-    if spec.regime is Regime.SECURE_AGG:
-        values = sums.astype(np.float64)
-        variances = np.zeros(4)
-    elif spec.regime is Regime.DIST_DP:
-        num_clients = len(shards)
-        values = sums.astype(np.float64)
-        variances = np.zeros(4)
-        if num_clients > 0:
-            params = PolyaShareParams.from_budget(
-                epsilon=spec.epsilon, sensitivity=4, num_clients=num_clients
-            )
-            noise = np.array(
-                [aggregated_noise(params, num_clients, rng) for _ in range(4)],
-                dtype=np.float64,
-            )
-            values = values + noise
-            variances = np.full(4, discrete_laplace_variance(params.alpha))
-    elif spec.regime is Regime.LOCAL_DP:
-        for i, shard in enumerate(shards):
-            if len(shard) > 1:
-                raise ValueError(
-                    f"local randomization requires at most one example per "
-                    f"client, shard {i} has {len(shard)}"
-                )
-        if len(shards) == 0:
-            values = np.zeros(4)
-            variances = np.zeros(4)
-        else:
-            values, variances = _randomized_response_counts(
-                counts, spec.epsilon / 4.0, rng
-            )
-    else:
-        raise ValueError(f"unknown regime {spec.regime!r}")
+    predicted = clients.scores > threshold
+    positive = clients.positive
+    sums = np.array(
+        [
+            np.count_nonzero(predicted == positive),
+            np.count_nonzero(positive),
+            np.count_nonzero(predicted),
+            np.count_nonzero(predicted & positive),
+        ],
+        dtype=np.int64,
+    )
+    total = positive.size
+    num_clients = clients.num_clients
+    values = sums.astype(np.float64)
+    variances = np.zeros(4)
+    if spec.regime is Regime.DIST_DP and num_clients > 0:
+        params = PolyaShareParams.from_budget(
+            epsilon=spec.epsilon, sensitivity=4, num_clients=num_clients
+        )
+        noise = np.array(
+            [aggregated_noise(params, num_clients, rng) for _ in range(4)],
+            dtype=np.float64,
+        )
+        values = values + noise
+        variances = np.full(4, discrete_laplace_variance(params.alpha))
+    elif spec.regime is Regime.LOCAL_DP and num_clients > 0:
+        values, variances = _randomized_response_counts(
+            sums, num_clients, spec.epsilon / 4.0, rng
+        )
 
     correct, positives, pred_pos, true_pos = (float(v) for v in values)
     counters = {

@@ -4,12 +4,11 @@ Everything here sees the raw examples, so results are ground truth for
 the federated estimators. AUC is computed under both tie conventions:
 the strict form counts tied positive/negative pairs as 0, the half-ties
 form as 1/2. Histogram estimators approximate the half-ties form on
-bucket-coarsened data, so harness error measurements default to it.
+bucket-coarsened data, so harness error measurements use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,22 +16,10 @@ import numpy as np
 from .core import LabeledScore, as_arrays
 
 __all__ = [
-    "ExactMetrics",
     "exact_auc",
     "exact_pra",
     "exact_pra_curve",
-    "exact_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class ExactMetrics:
-    auc_strict: float
-    auc_half_ties: float
-    precision: float | None
-    recall: float | None
-    accuracy: float
-    threshold: float
 
 
 def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
@@ -122,19 +109,3 @@ def exact_pra_curve(
             _pra_from_counts(true_pos, pred_pos, num_pos, correct, total)
         )
     return out
-
-
-def exact_metrics(
-    examples: Sequence[LabeledScore], threshold: float
-) -> ExactMetrics:
-    """Bundle of the exact reference values at one threshold."""
-    auc_strict, auc_half = exact_auc(examples)
-    precision, recall, accuracy = exact_pra(examples, threshold)
-    return ExactMetrics(
-        auc_strict=auc_strict,
-        auc_half_ties=auc_half,
-        precision=precision,
-        recall=recall,
-        accuracy=accuracy,
-        threshold=threshold,
-    )

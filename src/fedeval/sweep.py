@@ -96,7 +96,6 @@ class SweepConfig:
     class_balance: float = 0.5
     distribution: ScoreDistribution = field(default_factory=ScoreDistribution)
     data_path: str | None = None
-    tie_convention: str = "half"
     eval_bins: int = 20
     measure_ece: bool = True
 
@@ -105,11 +104,6 @@ class SweepConfig:
             raise SweepConfigError("base_seed must be nonnegative")
         if self.repetitions < 0:
             raise SweepConfigError("repetitions must be nonnegative")
-        if self.tie_convention not in ("half", "strict"):
-            raise SweepConfigError(
-                f"tie_convention must be 'half' or 'strict', "
-                f"got {self.tie_convention!r}"
-            )
         if self.eval_bins < 1:
             raise SweepConfigError("eval_bins must be at least 1")
         for eps in self.epsilons:
@@ -150,22 +144,21 @@ def histogram_metric_records(
     scores: np.ndarray,
     flags: np.ndarray,
     thresholds: Sequence[float],
-    tie_convention: str = "half",
 ) -> list[tuple[str, float | None, float | None, float | None, float | None, bool]]:
     """(metric, threshold, estimate, exact, advertised, degenerate) tuples.
 
     One AUC record, then precision/recall/accuracy per threshold. Exact
-    values come from the raw scores; a missing exact (single-class
+    values come from the raw scores, with AUC ties counted half as the
+    histogram estimate counts them; a missing exact (single-class
     data, say) leaves that field None without marking the estimate
     degenerate. hist is None for a cell whose aggregation could not
     run, and every estimate is then degenerate.
     """
     records = []
     try:
-        strict, half = _auc_from_arrays(scores, flags)
+        _, exact_value = _auc_from_arrays(scores, flags)
     except ValueError:
-        strict = half = None
-    exact_value = half if tie_convention == "half" else strict
+        exact_value = None
     est = _estimate_or_none(auc_histogram, hist)
     if est is None:
         records.append(("auc", None, None, exact_value, None, True))
@@ -213,7 +206,6 @@ def evaluate_population(
     num_buckets: int,
     split_policy: str,
     thresholds: Sequence[float],
-    tie_convention: str,
     seeds: Sequence,
 ) -> tuple[list[tuple], bool]:
     """Metric records of one population, and whether it was aggregated.
@@ -230,9 +222,7 @@ def evaluate_population(
         hist = build_score_histogram(pos, neg, num_buckets)
     except InsufficientPopulationError:
         hist = None
-    records = histogram_metric_records(
-        hist, scores, positive, thresholds, tie_convention
-    )
+    records = histogram_metric_records(hist, scores, positive, thresholds)
     return records, hist is not None
 
 
@@ -394,7 +384,7 @@ def _run_cell(
     )
     records, aggregated = evaluate_population(
         scores, positive, spec, num_buckets, config.split_policy,
-        config.thresholds, config.tie_convention, (split_ss, pos_ss, neg_ss),
+        config.thresholds, (split_ss, pos_ss, neg_ss),
     )
     if config.measure_ece:
         records.append(
@@ -463,7 +453,6 @@ _SCALAR_KEYS = {
     "fanout": int,
     "eval_bins": int,
     "split_policy": str,
-    "tie_convention": str,
     "class_balance": float,
     "data": str,
     "measure_ece": lambda v: {"true": True, "false": False}[v.lower()],
@@ -509,7 +498,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
                 values[key] = tuple(parse(x) for x in items if x)
             elif key == "spikes":
                 dist_kwargs["spikes"] = parse_spikes(value)
-            elif key in ("lipschitz", "pos_slope", "neg_slope", "spike_threshold"):
+            elif key in ("lipschitz", "pos_slope", "neg_slope"):
                 dist_kwargs[
                     {"pos_slope": "positive_slope", "neg_slope": "negative_slope"}.get(
                         key, key

@@ -27,7 +27,6 @@ from fedeval import (
 from fedeval.calibration import (
     apply_calibration_batch,
     calibrate_histogram,
-    ece,
     ece_arrays,
 )
 from fedeval.core import as_generator, leaf_indices
@@ -439,8 +438,9 @@ def test_criterion_10_fast_oracles_equal_literal_formulas():
                 acc += 0.0
         assert report.ece == acc
         if case < 50:
-            pairs = list(zip(probs.tolist(), (int(f) for f in flags.tolist())))
-            assert ece(pairs, num_bins).ece == report.ece
+            ints = np.array([int(f) for f in flags.tolist()])
+            from_lists = ece_arrays(np.array(probs.tolist()), ints, num_bins)
+            assert from_lists.ece == report.ece
 
 
 def test_criterion_11_secure_agg_invariant_to_client_partitioning():

@@ -14,12 +14,10 @@ from fedeval import (
 from fedeval.calibration import (
     CalibrationMap,
     _candidate_bucket_counts,
-    apply_calibration,
     apply_calibration_batch,
     bbq_weights,
     calibrate_bbq,
     calibrate_histogram,
-    ece,
     ece_arrays,
 )
 from fedeval.core import as_arrays
@@ -90,9 +88,10 @@ def test_calibration_map_validation():
     bad_span = (np.array([0.1, 1.0]), np.array([0.5]))
     with pytest.raises(ValueError):
         CalibrationMap(binnings=(bad_span,), weights=np.array([1.0]))
-    bad_value = (np.array([0.0, 1.0]), np.array([1.5]))
-    with pytest.raises(ValueError):
-        CalibrationMap(binnings=(bad_value,), weights=np.array([1.0]))
+    for value in (1.5, np.nan):
+        bad_value = (np.array([0.0, 1.0]), np.array([value]))
+        with pytest.raises(ValueError):
+            CalibrationMap(binnings=(bad_value,), weights=np.array([1.0]))
     decreasing = (np.array([0.0, 0.6, 0.5, 1.0]), np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         CalibrationMap(binnings=(decreasing,), weights=np.array([1.0]))
@@ -120,9 +119,10 @@ def test_right_closed_bucket_lookup():
         cal_map, np.array([0.0, 0.25, 0.5, 0.500001, 1.0])
     )
     assert probs.tolist() == [0.1, 0.1, 0.1, 0.9, 0.9]
-    assert apply_calibration(cal_map, 0.5) == 0.1
-    with pytest.raises(ValueError):
-        apply_calibration_batch(cal_map, np.array([1.2]))
+    assert apply_calibration_batch(cal_map, np.array([0.5])).tolist() == [0.1]
+    for bad in (1.2, np.nan):
+        with pytest.raises(ValueError):
+            apply_calibration_batch(cal_map, np.array([0.5, bad]))
 
 
 def test_mixture_of_binnings():
@@ -133,7 +133,7 @@ def test_mixture_of_binnings():
         ),
         weights=np.array([0.3, 0.7]),
     )
-    assert apply_calibration(cal_map, 0.3) == pytest.approx(
+    assert apply_calibration_batch(cal_map, np.array([0.3]))[0] == pytest.approx(
         0.3 * 0.2 + 0.7 * 0.6
     )
 
@@ -273,9 +273,13 @@ def test_ece_report_is_self_consistent():
 
 
 def test_ece_accepts_labels_and_ints():
-    pairs_enum = [(0.2, Label.NEGATIVE), (0.8, Label.POSITIVE)]
-    pairs_int = [(0.2, 0), (0.8, 1)]
-    assert ece(pairs_enum, 5).ece == ece(pairs_int, 5).ece
+    probs = np.array([0.2, 0.8])
+    labels = np.array([Label.NEGATIVE, Label.POSITIVE])
+    ints = np.array([0, 1])
+    assert (
+        ece_arrays(probs, labels == Label.POSITIVE, 5).ece
+        == ece_arrays(probs, ints, 5).ece
+    )
 
 
 def test_ece_input_validation():
@@ -283,6 +287,8 @@ def test_ece_input_validation():
         ece_arrays(np.array([]), np.array([], dtype=bool), 10)
     with pytest.raises(ValueError):
         ece_arrays(np.array([1.5]), np.array([True]), 10)
+    with pytest.raises(ValueError, match="lie in"):
+        ece_arrays(np.array([0.5, np.nan]), np.array([True, False]), 10)
     with pytest.raises(ValueError):
         ece_arrays(np.array([0.5]), np.array([True]), 0)
     with pytest.raises(ValueError):

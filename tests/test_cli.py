@@ -69,6 +69,25 @@ def test_gen_data_bad_spike_exits_one(tmp_path, capsys):
     assert "spike" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, needle",
+    [
+        ("--pos-slope", "nan", "positive_slope=nan"),
+        ("--neg-slope", "inf", "negative_slope=inf"),
+        ("--spike", "0.5:nan:0.1", "got nan"),
+    ],
+)
+def test_gen_data_rejects_non_finite_parameters(tmp_path, capsys, flag, value, needle):
+    out = tmp_path / "x.csv"
+    code = main([
+        "gen-data", "--out", str(out), "--num-examples", "10",
+        flag, value, "--seed", "3",
+    ])
+    assert code == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_negative_count_exits_one(tmp_path, capsys):
     code = main([
         "gen-data", "--out", str(tmp_path / "x.csv"),
@@ -178,6 +197,21 @@ def test_evaluate_malformed_csv_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["variable:nan", "variable:inf"])
+def test_evaluate_rejects_non_finite_shard_size(data_csv, capsys, policy):
+    code = main([
+        "evaluate", "--data", data_csv, "--regime", "secure_agg",
+        "--buckets", "4", "--split", policy, "--seed", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "fedeval: error: mean shard size must be a finite number of at "
+        f"least 1, got {policy.partition(':')[2]}\n"
+    )
 
 
 def test_evaluate_is_byte_stable(data_csv, capsys):
@@ -291,6 +325,20 @@ def test_calibrate_needs_four_examples(tmp_path, capsys):
     ])
     assert code == 1
     assert "4 examples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prior", ["5", "-1", "nan"])
+def test_calibrate_bbq_rejects_prior_outside_unit_interval(data_csv, capsys, prior):
+    code = main([
+        "calibrate", "--data", data_csv, "--regime", "dist_dp", "--bbq",
+        "--prior", prior, "--seed", "13",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"fedeval: error: prior must be in [0, 1], got {float(prior)}\n"
+    )
 
 
 def test_calibrate_bbq_mixture_stays_a_probability(tmp_path, capsys):

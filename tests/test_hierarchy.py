@@ -35,7 +35,7 @@ def sa_spec(height, fanout=2):
 
 def singleton_shards(pairs):
     return [
-        [LabeledScore(float(s), Label.from_int(l))] for s, l in pairs
+        [LabeledScore(float(s), Label(l))] for s, l in pairs
     ]
 
 
@@ -145,7 +145,7 @@ def test_secure_agg_ignores_sharding():
     spec = sa_spec(5)
     one_per = singleton_shards(examples)
     grouped = [
-        [LabeledScore(float(s), Label.from_int(l)) for s, l in examples[i : i + 5]]
+        [LabeledScore(float(s), Label(l)) for s, l in examples[i : i + 5]]
         for i in range(0, 37, 5)
     ]
     with_empty = grouped + [[], []]

@@ -1,6 +1,8 @@
 """Histogram metric estimators against hand values and the exact oracle."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,14 +10,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fedeval import (
+    ClientSplit,
     DegenerateEstimateError,
     Label,
     LabeledScore,
     NoisyCount,
-    PredictedExample,
     PrivacySpec,
     Regime,
 )
+from fedeval.core import as_arrays
 from fedeval.hierarchy import (
     ScoreHistogram,
     _bucket_histogram,
@@ -37,7 +40,7 @@ def sa_spec(height, fanout=2):
 
 
 def singleton_shards(pairs):
-    return [[LabeledScore(float(s), Label.from_int(l))] for s, l in pairs]
+    return [[LabeledScore(float(s), Label(l))] for s, l in pairs]
 
 
 def separated_hist():
@@ -252,15 +255,11 @@ def test_pra_threshold_all_degenerate_raises():
 # -- fixed-threshold counter aggregation ------------------------------------
 
 
-def predicted_shards(examples, threshold, group=1):
-    predicted = [
-        PredictedExample(
-            prediction=Label.POSITIVE if e.score > threshold else Label.NEGATIVE,
-            label=e.label,
-        )
-        for e in examples
-    ]
-    return [predicted[i : i + group] for i in range(0, len(predicted), group)]
+def fixed_split(examples, group=1):
+    """Columns of the examples, group consecutive examples per client."""
+    scores, positive = as_arrays(examples)
+    offsets = np.append(np.arange(0, scores.size, group), scores.size)
+    return ClientSplit(scores, positive, offsets)
 
 
 def random_examples(rng, num):
@@ -276,8 +275,7 @@ def test_pra_fixed_secure_agg_matches_oracle():
     rng = np.random.default_rng(77)
     examples = random_examples(rng, 200)
     for group in (1, 3):
-        shards = predicted_shards(examples, 0.35, group)
-        est = pra_fixed(shards, sa_spec(4))
+        est = pra_fixed(fixed_split(examples, group), 0.35, sa_spec(4))
         precision, recall, accuracy = exact_pra(examples, 0.35)
         assert est.precision == precision
         assert est.recall == recall
@@ -285,19 +283,22 @@ def test_pra_fixed_secure_agg_matches_oracle():
         assert est.effective_threshold is None
         assert est.threshold_slack == 0.0
         assert list(est.counters) == list(FIXED_COUNTER_NAMES) + ["total"]
+    for threshold in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            pra_fixed(fixed_split(examples), threshold, sa_spec(4))
 
 
 def test_pra_fixed_distdp_unbiased():
     rng = np.random.default_rng(88)
     examples = random_examples(rng, 400)
-    shards = predicted_shards(examples, 0.5)
+    clients = fixed_split(examples)
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=2.0, height=4, fanout=2)
-    exact = pra_fixed(shards, sa_spec(4))
+    exact = pra_fixed(clients, 0.5, sa_spec(4))
     node_var = discrete_laplace_variance(math.exp(-2.0 / 4.0))
     trials = 300
     sums = {name: 0.0 for name in FIXED_COUNTER_NAMES}
     for i in range(trials):
-        est = pra_fixed(shards, spec, seed=(5, i))
+        est = pra_fixed(clients, 0.5, spec, seed=(5, i))
         for name in FIXED_COUNTER_NAMES:
             assert est.counters[name].variance == pytest.approx(node_var)
             sums[name] += est.counters[name].value
@@ -311,15 +312,15 @@ def test_pra_fixed_distdp_unbiased():
 def test_pra_fixed_local_dp_unbiased_and_public_total():
     rng = np.random.default_rng(99)
     examples = random_examples(rng, 1000)
-    shards = predicted_shards(examples, 0.5)
+    clients = fixed_split(examples)
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=4.0, height=4, fanout=2)
-    exact = pra_fixed(shards, sa_spec(4))
+    exact = pra_fixed(clients, 0.5, sa_spec(4))
     p = math.exp(1.0) / (math.exp(1.0) + 1.0)
     bit_var = 1000 * p * (1 - p) / (2 * p - 1) ** 2
     trials = 200
     sums = {name: 0.0 for name in FIXED_COUNTER_NAMES}
     for i in range(trials):
-        est = pra_fixed(shards, spec, seed=(6, i))
+        est = pra_fixed(clients, 0.5, spec, seed=(6, i))
         for name in FIXED_COUNTER_NAMES:
             assert est.counters[name].variance == pytest.approx(bit_var)
             sums[name] += est.counters[name].value
@@ -336,10 +337,10 @@ def test_pra_fixed_local_dp_unbiased_and_public_total():
 def test_pra_fixed_local_dp_rejects_grouped_shards():
     rng = np.random.default_rng(3)
     examples = random_examples(rng, 30)
-    shards = predicted_shards(examples, 0.5, group=3)
+    clients = fixed_split(examples, group=3)
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)
-    with pytest.raises(ValueError, match="shard 0"):
-        pra_fixed(shards, spec, seed=0)
+    with pytest.raises(ValueError, match="shard 0 holds 3"):
+        pra_fixed(clients, 0.5, spec, seed=0)
 
 
 @given(
@@ -358,9 +359,9 @@ def test_pra_fixed_runs_or_names_the_epsilon(epsilon, regime, height, seed):
         assert f"epsilon {epsilon!r} " in str(exc)
         return
     rng = np.random.default_rng(seed)
-    shards = predicted_shards(random_examples(rng, 12), 0.5)
+    clients = fixed_split(random_examples(rng, 12))
     try:
-        est = pra_fixed(shards, spec, seed=seed)
+        est = pra_fixed(clients, 0.5, spec, seed=seed)
     except ValueError as exc:
         assert str(exc).startswith(f"epsilon {epsilon!r} ")
         return
@@ -369,8 +370,63 @@ def test_pra_fixed_runs_or_names_the_epsilon(epsilon, regime, height, seed):
 
 
 def test_pra_fixed_empty_population_raises():
+    empty = fixed_split([])
     with pytest.raises(DegenerateEstimateError):
-        pra_fixed([], sa_spec(4))
+        pra_fixed(empty, 0.5, sa_spec(4))
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)
     with pytest.raises(DegenerateEstimateError):
-        pra_fixed([], spec, seed=0)
+        pra_fixed(empty, 0.5, spec, seed=0)
+
+
+def _estimates_digest(estimates):
+    h = hashlib.sha256()
+    for est in estimates:
+        for name, counter in est.counters.items():
+            h.update(name.encode())
+            h.update(struct.pack("<dd", counter.value, counter.variance))
+        for value in (est.precision, est.recall, est.accuracy):
+            h.update(b"none" if value is None else struct.pack("<d", value))
+    return h.hexdigest()
+
+
+_SA_DIGEST = "c9291ac2c185891f16941fbad349bf624baf5f8d801da7b7e11d266be6437c5d"
+_DIST_DIGEST = "351a6deacefd82ec5f41f29209d890019cb05db0b6902d137335926531d6836c"
+
+
+@pytest.mark.parametrize(
+    "spec,group,expected",
+    [
+        (sa_spec(4), 1, _SA_DIGEST),
+        (sa_spec(4), 3, _SA_DIGEST),
+        (PrivacySpec(Regime.DIST_DP, 2.0, height=4), 1, _DIST_DIGEST),
+        (PrivacySpec(Regime.DIST_DP, 2.0, height=4), 3, _DIST_DIGEST),
+        (
+            PrivacySpec(Regime.LOCAL_DP, 4.0, height=4),
+            1,
+            "af0edb0c4bfabb7f0ada203b6a8a040f08dfb65afdb3f350403af7191b5e94a7",
+        ),
+    ],
+)
+def test_pra_fixed_counters_are_byte_stable(spec, group, expected):
+    # The digests pin counters and estimates byte for byte. Client groups
+    # of 1 and 3 share a digest: the exact sums do not depend on the
+    # grouping, nor does the aggregate dist_dp noise.
+    rng = np.random.default_rng(11)
+    scores, positive = rng.random(90), rng.random(90) < 0.4
+    offsets = np.append(np.arange(0, 90, group), 90)
+    clients = ClientSplit(scores, positive, offsets)
+    estimates = [pra_fixed(clients, 0.35, spec, seed=(7, rep)) for rep in range(3)]
+    assert _estimates_digest(estimates) == expected
+
+
+def test_pra_fixed_local_dp_counts_empty_clients():
+    rng = np.random.default_rng(12)
+    scores, positive = rng.random(40), rng.random(40) < 0.4
+    # Every third client of 60 is empty; the other 40 hold one example.
+    offsets = np.concatenate(([0], np.cumsum(np.arange(60) % 3 != 1)))
+    clients = ClientSplit(scores, positive, offsets)
+    spec = PrivacySpec(Regime.LOCAL_DP, 4.0, height=4)
+    estimates = [pra_fixed(clients, 0.35, spec, seed=(8, rep)) for rep in range(3)]
+    assert _estimates_digest(estimates) == (
+        "6d2db79ff73f1a72b2c7fd98d0360e18b54a53985f18a2a2bcafb3efc1966085"
+    )

@@ -6,14 +6,13 @@ import pytest
 from fedeval import Label, LabeledScore
 from fedeval.oracle import (
     exact_auc,
-    exact_metrics,
     exact_pra,
     exact_pra_curve,
 )
 
 
 def make(pairs):
-    return [LabeledScore(float(s), Label.from_int(l)) for s, l in pairs]
+    return [LabeledScore(float(s), Label(l)) for s, l in pairs]
 
 
 def brute_force_auc(scores, positives):
@@ -118,10 +117,5 @@ def test_exact_pra_curve_matches_pointwise():
 
 def test_exact_metrics_bundle():
     examples = make([(0.8, 1), (0.9, 1), (0.1, 0), (0.2, 0)])
-    bundle = exact_metrics(examples, 0.5)
-    assert bundle.auc_strict == 1.0
-    assert bundle.auc_half_ties == 1.0
-    assert bundle.precision == 1.0
-    assert bundle.recall == 1.0
-    assert bundle.accuracy == 1.0
-    assert bundle.threshold == 0.5
+    assert exact_auc(examples) == (1.0, 1.0)
+    assert exact_pra(examples, 0.5) == (1.0, 1.0, 1.0)

@@ -220,8 +220,6 @@ def test_config_validation():
     with pytest.raises(SweepConfigError):
         SweepConfig(base_seed=-1)
     with pytest.raises(SweepConfigError):
-        SweepConfig(base_seed=1, tie_convention="sometimes")
-    with pytest.raises(SweepConfigError):
         SweepConfig(base_seed=1, thresholds=(1.5,))
     with pytest.raises(SweepConfigError):
         SweepConfig(base_seed=1, heights=(0,))
