@@ -23,19 +23,13 @@ from .core import (
     DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
-    LabeledScore,
     NoisyCount,
     PrivacySpec,
     Regime,
     ScoreDistribution,
     Spike,
 )
-from .datagen import (
-    gen_well_behaved,
-    sample_population,
-    split_population,
-    split_to_clients,
-)
+from .datagen import sample_population, split_population
 from .hierarchy import (
     HierarchicalCounts,
     ScoreHistogram,
@@ -44,27 +38,15 @@ from .hierarchy import (
     find_quantile,
     prefix_count,
 )
-from .io import (
-    DataFileError,
-    read_columns,
-    read_data_file,
-    write_columns,
-    write_data_file,
-)
+from .io import DataFileError, read_columns, write_columns
 from .mechanisms import (
     OueParams,
     PolyaShareParams,
     aggregated_noise,
     discrete_laplace_variance,
-    distdp_noise_share,
-    oue_aggregate,
-    oue_decode,
-    oue_encode,
     sample_polya,
-    secure_aggregate,
 )
 from .metrics import AucEstimate, PraEstimate, auc_histogram, pra_fixed, pra_threshold
-from .oracle import exact_auc, exact_pra
 from .sweep import (
     SweepConfig,
     SweepConfigError,
@@ -85,7 +67,6 @@ __all__ = [
     "HierarchicalCounts",
     "InsufficientPopulationError",
     "Label",
-    "LabeledScore",
     "NoisyCount",
     "OueParams",
     "PolyaShareParams",
@@ -107,27 +88,16 @@ __all__ = [
     "calibrate_bbq",
     "calibrate_histogram",
     "discrete_laplace_variance",
-    "distdp_noise_share",
     "ece_arrays",
-    "exact_auc",
-    "exact_pra",
     "find_quantile",
-    "gen_well_behaved",
-    "oue_aggregate",
-    "oue_decode",
-    "oue_encode",
     "parse_sweep_config",
     "pra_fixed",
     "pra_threshold",
     "prefix_count",
     "read_columns",
-    "read_data_file",
     "run_sweep",
     "sample_polya",
     "sample_population",
-    "secure_aggregate",
     "split_population",
-    "split_to_clients",
     "write_columns",
-    "write_data_file",
 ]

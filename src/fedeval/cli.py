@@ -62,6 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def non_negative_int(text: str) -> int:
+    """An integer of at least 0, the seeds numpy accepts."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fedeval",
@@ -83,7 +91,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--spike", action="append", default=[],
                      metavar="LOC:POS_MASS:NEG_MASS",
                      help="point mass; repeatable")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=non_negative_int, required=True)
     gen.set_defaults(func=cmd_gen_data)
 
     ev = sub.add_parser("evaluate", help="estimate metrics from a CSV")
@@ -128,7 +136,7 @@ def _add_privacy_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--fanout", type=int, default=2)
     sub.add_argument("--split", default="one_per_client",
                      help="client split policy")
-    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--seed", type=non_negative_int, required=True)
 
 
 def _resolve_privacy(args) -> PrivacySpec:

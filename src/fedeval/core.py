@@ -21,7 +21,6 @@ __all__ = [
     "Label",
     "Regime",
     "LabeledScore",
-    "ClientShard",
     "ClientSplit",
     "NoisyCount",
     "PrivacySpec",
@@ -31,6 +30,7 @@ __all__ = [
     "InsufficientPopulationError",
     "as_arrays",
     "as_examples",
+    "check_epsilon_use",
     "leaf_indices",
     "as_generator",
 ]
@@ -63,11 +63,6 @@ class LabeledScore(NamedTuple):
     label: Label
 
 
-# A client's local data. May be empty: such clients still participate in
-# the aggregation protocols.
-ClientShard = Sequence[LabeledScore]
-
-
 @dataclass(frozen=True, eq=False)
 class ClientSplit:
     """A population split into client shards, stored as columns.
@@ -81,7 +76,7 @@ class ClientSplit:
     offsets: np.ndarray
 
     @classmethod
-    def from_shards(cls, shards: Sequence[ClientShard]) -> "ClientSplit":
+    def from_shards(cls, shards: Sequence[Sequence[LabeledScore]]) -> "ClientSplit":
         """Columns of per-client example lists, clients in input order."""
         sizes = np.fromiter(map(len, shards), dtype=np.int64, count=len(shards))
         offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -163,32 +158,15 @@ class PrivacySpec:
             eps = self.epsilon
             if eps is None or not math.isfinite(eps) or eps <= 0.0:
                 raise ValueError(f"epsilon must be a finite positive real, got {eps!r}")
-            self._check_mechanism(eps)
+            # Each dist_dp level spends epsilon/height; a local_dp client
+            # spends all of epsilon on its one report.
+            parts = self.height if self.regime is Regime.DIST_DP else 1
+            use = f"{self.regime.value} at height {self.height}"
+            check_epsilon_use(self.regime, eps, parts, use)
         # Leaf arrays of every level must fit comfortably in memory.
         if self.num_leaves > (1 << 26):
             raise ValueError(
                 f"fanout**height = {self.num_leaves} exceeds the supported resolution"
-            )
-
-    def _check_mechanism(self, eps: float) -> None:
-        """Reject an epsilon at which the regime's mechanism degenerates."""
-        if self.regime is Regime.DIST_DP:
-            # The per-level discrete Laplace parameter must lie in (0, 1).
-            alpha = math.exp(-eps / self.height)
-            if alpha == 1.0:
-                raise ValueError(
-                    f"epsilon {eps!r} is too small for dist_dp at height "
-                    f"{self.height}: exp(-epsilon/height) rounds to 1"
-                )
-            if alpha == 0.0:
-                raise ValueError(
-                    f"epsilon {eps!r} is too large for dist_dp at height "
-                    f"{self.height}: exp(-epsilon/height) rounds to 0"
-                )
-        elif expit(-eps) == 0.5:
-            raise ValueError(
-                f"epsilon {eps!r} is too small for local_dp: the flip "
-                f"probability 1/(exp(epsilon)+1) rounds to the keep probability 1/2"
             )
 
     @property
@@ -277,6 +255,29 @@ def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[LabeledScore]:
         LabeledScore(score, labels[flag])
         for score, flag in zip(scores.tolist(), positive.tolist())
     ]
+
+
+def check_epsilon_use(regime: Regime, epsilon: float, parts: int, use: str) -> None:
+    """Reject an epsilon whose share epsilon/parts degenerates a mechanism.
+
+    dist_dp needs exp(-share) strictly inside (0, 1). local_dp needs the
+    flip probability 1/(exp(share) + 1) to differ from 1/2; it rounds
+    to 1/2 at a larger share than its complement does, so this also
+    covers randomized response. Secure aggregation spends no epsilon.
+    """
+    budget = "epsilon" if parts == 1 else f"epsilon/{parts}"
+    if regime is Regime.DIST_DP:
+        alpha = math.exp(-epsilon / parts)
+        if alpha in (0.0, 1.0):
+            raise ValueError(
+                f"epsilon {epsilon!r} is too {'small' if alpha else 'large'} for "
+                f"{use}: exp(-{budget}) rounds to {alpha:g}"
+            )
+    elif regime is Regime.LOCAL_DP and expit(-epsilon / parts) == 0.5:
+        raise ValueError(
+            f"epsilon {epsilon!r} is too small for {use}: the flip probability "
+            f"1/(exp({budget})+1) rounds to 1/2"
+        )
 
 
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:

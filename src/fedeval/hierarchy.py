@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ClientShard,
     ClientSplit,
     InsufficientPopulationError,
     Label,
+    LabeledScore,
     NoisyCount,
     PrivacySpec,
     Regime,
@@ -249,7 +249,7 @@ def _build_local_dp(
 
 
 def build_hierarchy(
-    shards: ClientSplit | Sequence[ClientShard],
+    shards: ClientSplit | Sequence[Sequence[LabeledScore]],
     class_filter: Label,
     spec: PrivacySpec,
     seed=None,

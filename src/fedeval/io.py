@@ -58,7 +58,10 @@ def read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     The file is rejected on any bad row; all offending line numbers (up
     to a cap) are reported in the raised DataFileError.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not a UTF-8 text file: {exc}") from None
     if not lines or lines[0].strip() != DATA_HEADER:
         raise DataFileError(f"{path}:1: expected header {DATA_HEADER!r}")
     scores: list[float] = []

@@ -1,36 +1,30 @@
-"""Aggregation mechanisms for client count vectors.
+"""Noise parameters and closed-form aggregate draws for the DP regimes.
 
-Three primitives, matching the three regimes:
-
-* exact secure-style summation of integer vectors,
-* per-client Polya noise shares whose sum across clients is a two-sided
-  geometric (discrete Laplace) variable, used for distributed DP, and
-* optimized unary encoding (OUE) with unbiased frequency decoding, used
-  for local DP.
+The simulation never materializes per-client reports. Under
+distributed DP the sum of all clients' Polya noise shares is drawn in
+one pass (aggregated_noise), which is a two-sided geometric (discrete
+Laplace) variable when the shares use shape 1/num_clients. Under local
+DP, OueParams holds the optimized unary encoding probabilities from
+which the hierarchy draws binomial report counts. The per-client
+protocols these draws stand for live with the tests, as references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .core import NoisyCount, as_generator
+from .core import as_generator
 
 __all__ = [
     "PolyaShareParams",
     "OueParams",
-    "secure_aggregate",
     "sample_polya",
-    "distdp_noise_share",
     "aggregated_noise",
     "discrete_laplace_variance",
-    "oue_encode",
-    "oue_aggregate",
-    "oue_decode",
 ]
 
 
@@ -94,24 +88,6 @@ class OueParams:
         return float(expit(-self.epsilon))
 
 
-def secure_aggregate(reports: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum integer report vectors exactly.
-
-    The sum is over int64, so the result is independent of report order.
-    """
-    if len(reports) == 0:
-        raise ValueError("secure_aggregate needs at least one report")
-    arrays = [np.asarray(r, dtype=np.int64) for r in reports]
-    width = arrays[0].shape
-    for arr in arrays:
-        if arr.shape != width:
-            raise ValueError(f"report shapes differ: {arr.shape} vs {width}")
-    total = np.zeros(width, dtype=np.int64)
-    for arr in arrays:
-        total += arr
-    return total
-
-
 def sample_polya(shape: float, alpha: float, rng, size=None):
     """Draw from Polya(shape, alpha), a negative binomial with real shape.
 
@@ -126,14 +102,6 @@ def sample_polya(shape: float, alpha: float, rng, size=None):
     scale = alpha / (1.0 - alpha)
     rate = gen.gamma(shape, scale, size=size)
     return gen.poisson(rate)
-
-
-def distdp_noise_share(params: PolyaShareParams, rng) -> int:
-    """One client's additive noise share: difference of two Polya draws."""
-    gen = as_generator(rng)
-    x = sample_polya(params.shape, params.alpha, gen)
-    y = sample_polya(params.shape, params.alpha, gen)
-    return int(x) - int(y)
 
 
 def aggregated_noise(params: PolyaShareParams, num_shares: int, rng, size=None):
@@ -162,56 +130,3 @@ def discrete_laplace_variance(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return 2.0 * alpha / (1.0 - alpha) ** 2
-
-
-def oue_encode(value: int | None, params: OueParams, rng) -> np.ndarray:
-    """Perturbed one-hot report for value, or a perturbed zero vector.
-
-    value None means the client has nothing to report in this domain; it
-    still submits a (perturbed) all-zeros vector so participation does not
-    leak its class.
-    """
-    if value is not None and not (0 <= value < params.domain_size):
-        raise ValueError(
-            f"value must be None or in [0, {params.domain_size}), got {value}"
-        )
-    gen = as_generator(rng)
-    bits = np.zeros(params.domain_size, dtype=np.uint8)
-    if value is not None:
-        bits[value] = 1
-    uniforms = gen.random(params.domain_size)
-    keep = np.where(bits == 1, params.p_keep, params.q_flip)
-    return (uniforms < keep).astype(np.uint8)
-
-
-def oue_decode(
-    bit_sums: np.ndarray, num_reports: int, params: OueParams
-) -> tuple[np.ndarray, float]:
-    """Unbiased frequency estimates from summed OUE bits.
-
-    Returns (estimates, per-entry variance). The variance is the usual
-    num_reports * q(1-q) / (p-q)**2 advertisement.
-    """
-    if num_reports < 1:
-        raise ValueError(f"num_reports must be >= 1, got {num_reports}")
-    p = params.p_keep
-    q = params.q_flip
-    sums = np.asarray(bit_sums, dtype=np.float64)
-    estimates = (sums - num_reports * q) / (p - q)
-    variance = num_reports * q * (1.0 - q) / (p - q) ** 2
-    return estimates, variance
-
-
-def oue_aggregate(
-    reports: Sequence[np.ndarray], params: OueParams
-) -> tuple[NoisyCount, ...]:
-    """Decode a batch of OUE reports into per-entry count estimates."""
-    if len(reports) == 0:
-        raise ValueError("oue_aggregate needs at least one report")
-    sums = secure_aggregate(reports)
-    if sums.shape != (params.domain_size,):
-        raise ValueError(
-            f"reports must have length {params.domain_size}, got shape {sums.shape}"
-        )
-    estimates, variance = oue_decode(sums, len(reports), params)
-    return tuple(NoisyCount(float(v), variance) for v in estimates)

@@ -24,6 +24,7 @@ from .core import (
     PrivacySpec,
     Regime,
     as_generator,
+    check_epsilon_use,
 )
 from .hierarchy import ScoreHistogram
 from .mechanisms import (
@@ -228,23 +229,6 @@ def _randomized_response_counts(
     return debiased, np.full(ones.shape, variance)
 
 
-def _check_counter_budget(spec: PrivacySpec) -> None:
-    """Reject an epsilon whose epsilon/4 per-counter mechanism degenerates.
-
-    PrivacySpec checks the per-level budget epsilon/h, which can pass
-    where epsilon/4 rounds the noise parameter to 0 or 1 (dist_dp) or
-    the keep probability to 1/2 (local_dp).
-    """
-    eps = spec.epsilon
-    if (spec.regime is Regime.DIST_DP and math.exp(-eps / 4) in (0.0, 1.0)) or (
-        spec.regime is Regime.LOCAL_DP and expit(eps / 4) == 0.5
-    ):
-        raise ValueError(
-            f"epsilon {eps!r} degenerates the fixed-threshold counters, "
-            f"which spend epsilon/4 each under {spec.regime.value}"
-        )
-
-
 def pra_fixed(
     clients: ClientSplit, threshold: float, spec: PrivacySpec, seed=None
 ) -> PraEstimate:
@@ -264,7 +248,8 @@ def pra_fixed(
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    _check_counter_budget(spec)
+    use = f"the fixed-threshold counters under {spec.regime.value}"
+    check_epsilon_use(spec.regime, spec.epsilon, 4, use)
     if spec.regime is Regime.LOCAL_DP:
         clients.check_one_per_client()
     rng = as_generator(seed)

@@ -1,28 +1,31 @@
 """Exact centralized metrics for error measurement.
 
-Everything here sees the raw examples, so results are ground truth for
-the federated estimators. AUC is computed under both tie conventions:
-the strict form counts tied positive/negative pairs as 0, the half-ties
-form as 1/2. Histogram estimators approximate the half-ties form on
-bucket-coarsened data, so harness error measurements use it.
+Everything here reads the raw (scores, positive) columns, so results
+are ground truth for the federated estimators. AUC is computed under
+both tie conventions: the strict form counts tied positive/negative
+pairs as 0, the half-ties form as 1/2. Histogram estimators approximate
+the half-ties form on bucket-coarsened data, so harness error
+measurements use it. Precision, recall and accuracy predict positive
+when score > threshold.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .core import LabeledScore, as_arrays
-
 __all__ = [
-    "exact_auc",
-    "exact_pra",
     "exact_pra_curve",
 ]
 
 
 def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
+    """(strict, half-ties) AUC of one labeled sample, by sorting.
+
+    Strict counts a tied pair as 0; half-ties counts it as 1/2. Raises
+    when either class is empty.
+    """
     num_pos = int(positives.sum())
     num_neg = positives.size - num_pos
     if num_pos == 0 or num_neg == 0:
@@ -46,47 +49,15 @@ def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, 
     return strict_pairs / denom, (strict_pairs + tied_pairs / 2) / denom
 
 
-def exact_auc(examples: Sequence[LabeledScore]) -> tuple[float, float]:
-    """(strict, half-ties) AUC of one labeled sample, by sorting.
-
-    Strict counts a tied pair as 0; half-ties counts it as 1/2. Raises
-    when either class is empty.
-    """
-    scores, positives = as_arrays(examples)
-    return _auc_from_arrays(scores, positives)
-
-
-def _pra_from_counts(
-    true_pos: int, pred_pos: int, num_pos: int, correct: int, total: int
-) -> tuple[float | None, float | None, float]:
-    precision = true_pos / pred_pos if pred_pos > 0 else None
-    recall = true_pos / num_pos if num_pos > 0 else None
-    return precision, recall, correct / total
-
-
-def exact_pra(
-    examples: Sequence[LabeledScore], threshold: float
-) -> tuple[float | None, float | None, float]:
-    """(precision, recall, accuracy) with prediction rule score > threshold.
-
-    Precision is None when nothing is predicted positive; recall is None
-    when there are no positives.
-    """
-    scores, positives = as_arrays(examples)
-    if scores.size == 0:
-        raise ValueError("exact_pra needs at least one example")
-    predicted = scores > threshold
-    true_pos = int(np.count_nonzero(predicted & positives))
-    pred_pos = int(np.count_nonzero(predicted))
-    num_pos = int(np.count_nonzero(positives))
-    correct = int(np.count_nonzero(predicted == positives))
-    return _pra_from_counts(true_pos, pred_pos, num_pos, correct, scores.size)
-
-
 def exact_pra_curve(
     scores: np.ndarray, positives: np.ndarray, thresholds: Iterable[float]
 ) -> list[tuple[float | None, float | None, float]]:
-    """exact_pra at many thresholds from one sort of the data."""
+    """(precision, recall, accuracy) at each threshold, from one sort.
+
+    An example is predicted positive when its score exceeds the
+    threshold. Precision is None when nothing is predicted positive;
+    recall is None when there are no positives.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     if scores.size == 0:
@@ -104,8 +75,9 @@ def exact_pra_curve(
         pred_pos = total - first_above
         true_pos = int(pos_suffix[first_above])
         true_neg = first_above - (num_pos - true_pos)
-        correct = true_pos + true_neg
-        out.append(
-            _pra_from_counts(true_pos, pred_pos, num_pos, correct, total)
-        )
+        out.append((
+            true_pos / pred_pos if pred_pos > 0 else None,
+            true_pos / num_pos if num_pos > 0 else None,
+            (true_pos + true_neg) / total,
+        ))
     return out

@@ -17,37 +17,25 @@ import numpy as np
 from scipy import stats
 
 import fedeval
-from fedeval import (
-    Label,
-    LabeledScore,
-    PrivacySpec,
-    Regime,
-    ScoreDistribution,
-)
+from fedeval import Label, PrivacySpec, Regime, ScoreDistribution
 from fedeval.calibration import (
     apply_calibration_batch,
     calibrate_histogram,
     ece_arrays,
 )
 from fedeval.core import as_generator, leaf_indices
-from fedeval.datagen import (
-    gen_well_behaved,
-    sample_population,
-    split_population,
-    split_to_clients,
-)
+from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import build_hierarchy, build_score_histogram
 from fedeval.mechanisms import (
     OueParams,
     PolyaShareParams,
     discrete_laplace_variance,
-    oue_aggregate,
-    oue_decode,
-    oue_encode,
     sample_polya,
 )
 from fedeval.metrics import auc_histogram, pra_threshold
-from fedeval.oracle import _auc_from_arrays, exact_auc, exact_pra_curve
+from fedeval.oracle import _auc_from_arrays, exact_pra_curve
+
+from reference_mechanisms import oue_aggregate, oue_decode, oue_encode
 
 THRESHOLD_GRID = tuple(0.25 + 0.05 * i for i in range(10))
 LIPS1 = ScoreDistribution(lipschitz=1.0)
@@ -136,16 +124,12 @@ def test_criterion_01_secure_agg_auc_inside_advertised_halfwidth():
         flags = rng.random(m) < balance
         if flags.all() or not flags.any():
             flags[0] = not flags[0]
-        examples = [
-            LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-            for s, f in zip(scores, flags)
-        ]
         height = int(rng.integers(4, 11))
         spec = PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=2)
-        shards = [[example] for example in examples]
-        pos = build_hierarchy(shards, Label.POSITIVE, spec)
-        neg = build_hierarchy(shards, Label.NEGATIVE, spec)
-        strict, half = exact_auc(examples)
+        clients = split_population(scores, flags, "one_per_client")
+        pos = build_hierarchy(clients, Label.POSITIVE, spec)
+        neg = build_hierarchy(clients, Label.NEGATIVE, spec)
+        strict, half = _auc_from_arrays(scores, flags)
         ties = int(np.bincount(leaf_indices(scores, height, 2)).max())
         num_pos = int(flags.sum())
         kappa = m * m / (4.0 * num_pos * (m - num_pos))
@@ -386,13 +370,9 @@ def test_criterion_10_fast_oracles_equal_literal_formulas():
         flags = rng.random(m) < 0.5
         if flags.all() or not flags.any():
             flags[0] = not flags[0]
-        examples = [
-            LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-            for s, f in zip(scores, flags)
-        ]
-        strict, half = exact_auc(examples)
-        pos_scores = [e.score for e in examples if e.label is Label.POSITIVE]
-        neg_scores = [e.score for e in examples if e.label is Label.NEGATIVE]
+        strict, half = _auc_from_arrays(scores, flags)
+        pos_scores = [s for s, f in zip(scores.tolist(), flags.tolist()) if f]
+        neg_scores = [s for s, f in zip(scores.tolist(), flags.tolist()) if not f]
         wins = ties = 0
         for ps in pos_scores:
             for ns in neg_scores:
@@ -450,12 +430,12 @@ def test_criterion_11_secure_agg_invariant_to_client_partitioning():
         rng = np.random.default_rng(seed)
         m = int(rng.integers(200, 1501))
         dist = distributions[r % 3]
-        examples = gen_well_behaved(m, dist, 0.5, (seed, 0))
+        scores, flags = sample_population(m, dist, 0.5, (seed, 0))
         spec = PrivacySpec(regime=Regime.SECURE_AGG, height=8, fanout=2)
         shardings = (
-            split_to_clients(examples, "one_per_client", (seed, 1)),
-            split_to_clients(examples, "skewed:0.25", (seed, 2)),
-            split_to_clients(examples, "variable:5.0", (seed, 3)),
+            split_population(scores, flags, "one_per_client", (seed, 1)),
+            split_population(scores, flags, "skewed:0.25", (seed, 2)),
+            split_population(scores, flags, "variable:5.0", (seed, 3)),
         )
         outputs = []
         for shards in shardings:

@@ -3,7 +3,9 @@
 perfbench's own tests are outside this suite, and its tracer test fails
 when a traced name disappears. These checks read the perfbench sources
 without importing them, so a simplification that removes or renames a
-name the benchmark depends on fails here first.
+name the benchmark depends on fails here first. The per-example list
+forms kept only for the benchmark must in turn stay out of the rest of
+the package.
 """
 
 import ast
@@ -16,7 +18,18 @@ from fedeval import calibration, datagen, hierarchy
 from fedeval import io as fio
 from fedeval.core import Label, PrivacySpec, Regime, as_generator
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# The per-example list forms stay only because perfbench calls or traces
+# them. By module, the definitions that make up those shims.
+LIST_SHIMS = {
+    "core": {"LabeledScore", "from_shards", "as_arrays", "as_examples"},
+    "datagen": {"gen_well_behaved", "split_to_clients"},
+    "io": {"read_data_file", "write_data_file"},
+    "hierarchy": {"build_hierarchy"},
+}
+LIST_NAMES = {"LabeledScore", "as_arrays", "as_examples", "from_shards"}
 
 
 def _tree(name):
@@ -73,3 +86,41 @@ def test_bbq_op_list_calls_still_run(tmp_path):
     cal_map = calibration.calibrate_bbq(pos, neg)
     assert len(shards) == 200
     assert abs(float(cal_map.weights.sum()) - 1.0) < 1e-9
+
+
+def _list_names_outside(node, shims):
+    """(line, name) of each list-form name used outside the shim definitions.
+
+    A module that defines shims may import the list names for them.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in shims:
+        return []
+    if isinstance(node, ast.Name):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom) and not shims:
+        names = [alias.name for alias in node.names]
+    else:
+        names = []
+    found = [(node.lineno, name) for name in names if name in LIST_NAMES]
+    for child in ast.iter_child_nodes(node):
+        found += _list_names_outside(child, shims)
+    return found
+
+
+def test_list_forms_stay_inside_the_shims():
+    # The pipeline runs on columns; only the list shims themselves may
+    # name the per-example type or its converters.
+    paths = sorted((ROOT / "src" / "fedeval").glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    assert len(paths) >= 12
+    offenders = []
+    for path in paths:
+        shims = LIST_SHIMS.get(path.stem, set())
+        tree = ast.parse(path.read_text())
+        offenders += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in _list_names_outside(tree, shims)
+        ]
+    assert offenders == []

@@ -5,7 +5,6 @@ import pytest
 
 from fedeval import (
     Label,
-    LabeledScore,
     NoisyCount,
     PrivacySpec,
     Regime,
@@ -20,8 +19,7 @@ from fedeval.calibration import (
     calibrate_histogram,
     ece_arrays,
 )
-from fedeval.core import as_arrays
-from fedeval.datagen import gen_well_behaved
+from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import ScoreHistogram, build_hierarchy, build_score_histogram
 
 
@@ -157,15 +155,15 @@ def test_mixture_stays_in_unit_interval_when_weights_overshoot():
 
 
 def build_class_trees(num, dist, seed, height=6):
-    examples = gen_well_behaved(num, dist, seed=seed)
-    shards = [[e] for e in examples]
-    pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(height))
-    neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(height))
-    return examples, pos, neg
+    scores, positive = sample_population(num, dist, seed=seed)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, sa_spec(height))
+    neg = build_hierarchy(clients, Label.NEGATIVE, sa_spec(height))
+    return pos, neg
 
 
 def test_bbq_weights_form_a_distribution():
-    _, pos, neg = build_class_trees(4000, ScoreDistribution(), seed=31)
+    pos, neg = build_class_trees(4000, ScoreDistribution(), seed=31)
     weighted = bbq_weights(pos, neg, 4000.0)
     weights = np.array([w for _, w in weighted])
     assert weights.sum() == pytest.approx(1.0)
@@ -175,7 +173,7 @@ def test_bbq_weights_form_a_distribution():
 
 
 def test_calibrate_bbq_mixes_valid_binnings():
-    _, pos, neg = build_class_trees(4000, ScoreDistribution(), seed=32)
+    pos, neg = build_class_trees(4000, ScoreDistribution(), seed=32)
     cal_map = calibrate_bbq(pos, neg)
     assert len(cal_map.binnings) == cal_map.weights.size
     assert cal_map.weights.sum() == pytest.approx(1.0)
@@ -187,9 +185,8 @@ def test_calibration_reduces_ece_of_miscalibrated_scores():
     # Positive density 2s against uniform negatives: the true positive
     # probability is 2s/(2s+1), so raw scores are poorly calibrated.
     dist = ScoreDistribution(positive_slope=2.0, negative_slope=0.0)
-    examples, pos, neg = build_class_trees(6000, dist, seed=33)
-    held_out = gen_well_behaved(6000, dist, seed=34)
-    scores, flags = as_arrays(held_out)
+    pos, neg = build_class_trees(6000, dist, seed=33)
+    scores, flags = sample_population(6000, dist, seed=34)
 
     hist = build_score_histogram(pos, neg, 25)
     cal_map = calibrate_histogram(hist)

@@ -391,3 +391,64 @@ def test_evaluate_epsilon_extremes_exit_cleanly(
         assert len(lines) == 1
         assert lines[0].startswith("fedeval: error: epsilon ")
         assert repr(float(epsilon)) in lines[0]
+
+
+SECURE = ["--regime", "secure_agg", "--seed", "1"]
+LOCAL = ["--regime", "local_dp", "--seed", "1"]
+EVALUATE = ["evaluate", "--data", "{data}", *SECURE, "--buckets", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        pytest.param(["evaluate", "--data", "{dir}", *SECURE, "--buckets", "4"], 2,
+                     id="data-is-a-directory"),
+        pytest.param(["evaluate", "--data", "{binary}", *SECURE, "--buckets", "4"], 2,
+                     id="evaluate-non-utf8-csv"),
+        pytest.param(["calibrate", "--data", "{binary}", *SECURE, "--buckets", "4"], 2,
+                     id="calibrate-non-utf8-csv"),
+        pytest.param(["evaluate", "--data", "{data}", *SECURE, "--buckets", "0"], 1,
+                     id="buckets-0"),
+        pytest.param([*EVALUATE, "--height", "0"], 1, id="height-0"),
+        pytest.param([*EVALUATE, "--fanout", "1"], 1, id="fanout-1"),
+        pytest.param([*EVALUATE, "--height", "40"], 1, id="height-40"),
+        pytest.param(["calibrate", "--data", "{data}", *SECURE, "--buckets", "4",
+                      "--eval-bins", "0"], 1, id="eval-bins-0"),
+        pytest.param([*EVALUATE, "--split", "banana"], 1, id="unknown-split"),
+        pytest.param(["evaluate", "--data", "{data}", *LOCAL, "--buckets", "4",
+                      "--split", "variable:3"], 1, id="evaluate-local-dp-shards"),
+        pytest.param(["calibrate", "--data", "{data}", *LOCAL, "--buckets", "4",
+                      "--split", "variable:3"], 1, id="calibrate-local-dp-shards"),
+        pytest.param(["gen-data", "--out", "{out}", "--num-examples", "5",
+                      "--seed", "-1"], 1, id="gen-data-seed-negative"),
+        pytest.param(["evaluate", "--data", "{data}", "--regime", "secure_agg",
+                      "--buckets", "4", "--seed", "-1"], 1,
+                     id="evaluate-seed-negative"),
+        pytest.param(["calibrate", "--data", "{data}", "--regime", "secure_agg",
+                      "--buckets", "4", "--seed", "-1"], 1,
+                     id="calibrate-seed-negative"),
+        pytest.param(["sweep", "--config", "{binary}"], 1, id="sweep-non-utf8-config"),
+    ],
+)
+def test_failure_paths_exit_with_one_message(
+    data_csv, tmp_path, capsys, argv, expected_code
+):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"score,label\n0.5,1\n\xd0\x00\xff,1\n")
+    paths = {
+        "data": data_csv, "dir": str(tmp_path), "binary": str(binary),
+        "out": str(tmp_path / "out.csv"),
+    }
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected_code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("fedeval")
+    if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
+        assert "argument --seed" in captured.err
+    if "{binary}" in argv and argv[0] != "sweep":
+        assert f"data error: {binary}: " in captured.err

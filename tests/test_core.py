@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from fedeval import (
     Label,
-    LabeledScore,
     PrivacySpec,
     Regime,
     ScoreDistribution,
     Spike,
 )
-from fedeval.core import as_arrays, as_generator, leaf_indices
+from fedeval.core import as_generator, leaf_indices
 
 
 def test_label_from_int():
@@ -122,17 +121,6 @@ def test_leaf_indices_stay_in_range_and_order(scores):
     assert idx.min() >= 0 and idx.max() < 32
     order = np.argsort(arr, kind="stable")
     assert np.all(np.diff(idx[order]) >= 0)
-
-
-def test_as_arrays_round_trip():
-    examples = [
-        LabeledScore(0.25, Label.POSITIVE),
-        LabeledScore(0.75, Label.NEGATIVE),
-    ]
-    scores, flags = as_arrays(examples)
-    assert scores.tolist() == [0.25, 0.75]
-    assert flags.tolist() == [True, False]
-    assert scores.dtype == np.float64 and flags.dtype == bool
 
 
 def test_as_generator_accepts_common_seed_types():

@@ -5,86 +5,91 @@ import math
 import numpy as np
 import pytest
 
-from fedeval import Label, ScoreDistribution, Spike
-from fedeval.core import as_arrays
-from fedeval.datagen import gen_well_behaved, split_to_clients
-from fedeval.oracle import exact_auc
+from fedeval import ScoreDistribution, Spike
+from fedeval.datagen import sample_population, split_population
+from fedeval.oracle import _auc_from_arrays
 
 
 def test_sizes_and_extreme_balance():
-    assert gen_well_behaved(0, ScoreDistribution(), seed=0) == []
-    all_neg = gen_well_behaved(50, ScoreDistribution(), class_balance=0.0, seed=1)
-    assert all(e.label is Label.NEGATIVE for e in all_neg)
-    all_pos = gen_well_behaved(50, ScoreDistribution(), class_balance=1.0, seed=2)
-    assert all(e.label is Label.POSITIVE for e in all_pos)
-    for e in all_pos + all_neg:
-        assert 0.0 <= e.score <= 1.0
+    scores, positive = sample_population(0, ScoreDistribution(), seed=0)
+    assert scores.size == positive.size == 0
+    neg_scores, all_neg = sample_population(
+        50, ScoreDistribution(), class_balance=0.0, seed=1
+    )
+    assert not all_neg.any()
+    pos_scores, all_pos = sample_population(
+        50, ScoreDistribution(), class_balance=1.0, seed=2
+    )
+    assert all_pos.all()
+    for scores in (pos_scores, neg_scores):
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        gen_well_behaved(-1, ScoreDistribution(), seed=0)
+        sample_population(-1, ScoreDistribution(), seed=0)
     with pytest.raises(ValueError):
-        gen_well_behaved(10, ScoreDistribution(), class_balance=1.5, seed=0)
+        sample_population(10, ScoreDistribution(), class_balance=1.5, seed=0)
+
+
+def same_columns(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def test_seed_determinism():
-    a = gen_well_behaved(200, ScoreDistribution(), seed=7)
-    b = gen_well_behaved(200, ScoreDistribution(), seed=7)
-    assert a == b
-    c = gen_well_behaved(200, ScoreDistribution(), seed=8)
-    assert a != c
+    a = sample_population(200, ScoreDistribution(), seed=7)
+    b = sample_population(200, ScoreDistribution(), seed=7)
+    assert same_columns(a, b)
+    c = sample_population(200, ScoreDistribution(), seed=8)
+    assert not same_columns(a, c)
 
 
 def test_spike_masses_are_respected():
     dist = ScoreDistribution(
         spikes=(Spike(0.25, 0.4, 0.0), Spike(0.75, 0.0, 0.5))
     )
-    examples = gen_well_behaved(20_000, dist, seed=11)
-    pos = [e.score for e in examples if e.label is Label.POSITIVE]
-    neg = [e.score for e in examples if e.label is Label.NEGATIVE]
-    at_quarter = sum(1 for s in pos if s == 0.25) / len(pos)
-    se = math.sqrt(0.4 * 0.6 / len(pos))
+    scores, positive = sample_population(20_000, dist, seed=11)
+    pos = scores[positive]
+    neg = scores[~positive]
+    at_quarter = np.count_nonzero(pos == 0.25) / pos.size
+    se = math.sqrt(0.4 * 0.6 / pos.size)
     assert abs(at_quarter - 0.4) < 3.0 * se
-    at_three_quarters = sum(1 for s in neg if s == 0.75) / len(neg)
-    se = math.sqrt(0.5 * 0.5 / len(neg))
+    at_three_quarters = np.count_nonzero(neg == 0.75) / neg.size
+    se = math.sqrt(0.5 * 0.5 / neg.size)
     assert abs(at_three_quarters - 0.5) < 3.0 * se
     # Smooth draws never land exactly on the other class's spike.
-    assert sum(1 for s in pos if s == 0.75) == 0
-    assert sum(1 for s in neg if s == 0.25) == 0
+    assert np.count_nonzero(pos == 0.75) == 0
+    assert np.count_nonzero(neg == 0.25) == 0
 
 
 def test_linear_density_cdf():
     # Slope 2 integrates to F(x) = x**2; slope -2 to F(x) = 2x - x**2.
-    up = gen_well_behaved(
+    scores, _ = sample_population(
         20_000,
         ScoreDistribution(positive_slope=2.0),
         class_balance=1.0,
         seed=21,
     )
-    scores = np.array([e.score for e in up])
     for x in (0.3, 0.7):
         expected = x * x
         se = math.sqrt(expected * (1 - expected) / scores.size)
         assert abs((scores <= x).mean() - expected) < 3.5 * se
 
-    down = gen_well_behaved(
+    scores, _ = sample_population(
         20_000,
         ScoreDistribution(negative_slope=-2.0),
         class_balance=0.0,
         seed=22,
     )
-    scores = np.array([e.score for e in down])
     expected = 2 * 0.5 - 0.25
     se = math.sqrt(expected * (1 - expected) / scores.size)
     assert abs((scores <= 0.5).mean() - expected) < 3.5 * se
 
 
 def test_zero_slope_is_uniform():
-    flat = gen_well_behaved(
+    scores, _ = sample_population(
         20_000, ScoreDistribution(lipschitz=0.0), class_balance=1.0, seed=23
     )
-    scores = np.array([e.score for e in flat])
     for x in (0.25, 0.5, 0.75):
         se = math.sqrt(x * (1 - x) / scores.size)
         assert abs((scores <= x).mean() - x) < 3.5 * se
@@ -93,73 +98,79 @@ def test_zero_slope_is_uniform():
 def test_default_distribution_auc():
     # Opposing slopes of 2 give a population AUC of 5/6; slopes of 1
     # give 2/3.
-    examples = gen_well_behaved(40_000, ScoreDistribution(), seed=24)
-    _, half = exact_auc(examples)
-    assert abs(half - 5.0 / 6.0) < 0.01
-    examples = gen_well_behaved(
-        40_000, ScoreDistribution(lipschitz=1.0), seed=25
+    _, half = _auc_from_arrays(
+        *sample_population(40_000, ScoreDistribution(), seed=24)
     )
-    _, half = exact_auc(examples)
+    assert abs(half - 5.0 / 6.0) < 0.01
+    _, half = _auc_from_arrays(
+        *sample_population(40_000, ScoreDistribution(lipschitz=1.0), seed=25)
+    )
     assert abs(half - 2.0 / 3.0) < 0.01
 
 
-def sorted_key(examples):
-    return sorted((e.score, e.label.value) for e in examples)
+def rows(scores, positive):
+    """The (score, positive) rows of columns, in order."""
+    return list(zip(scores.tolist(), positive.tolist()))
+
+
+def same_split(a, b):
+    return same_columns(
+        (a.scores, a.positive, a.offsets), (b.scores, b.positive, b.offsets)
+    )
 
 
 def test_one_per_client_split():
-    examples = gen_well_behaved(40, ScoreDistribution(), seed=31)
-    shards = split_to_clients(examples, "one_per_client")
-    assert len(shards) == 40
-    assert all(len(s) == 1 for s in shards)
-    assert [s[0] for s in shards] == examples
+    scores, positive = sample_population(40, ScoreDistribution(), seed=31)
+    clients = split_population(scores, positive, "one_per_client")
+    assert clients.num_clients == 40
+    assert np.all(clients.sizes() == 1)
+    assert rows(clients.scores, clients.positive) == rows(scores, positive)
 
 
 def test_skewed_split_concentrates_positives():
-    examples = gen_well_behaved(100, ScoreDistribution(), seed=32)
-    num_pos = sum(1 for e in examples if e.label is Label.POSITIVE)
-    shards = split_to_clients(examples, "skewed:0.2")
-    assert len(shards) == 100
-    flattened = [e for shard in shards for e in shard]
-    assert sorted_key(flattened) == sorted_key(examples)
-    hot = shards[:20]
-    hot_pos = sum(1 for s in hot for e in s if e.label is Label.POSITIVE)
+    scores, positive = sample_population(100, ScoreDistribution(), seed=32)
+    num_pos = int(np.count_nonzero(positive))
+    clients = split_population(scores, positive, "skewed:0.2")
+    assert clients.num_clients == 100
+    flattened = rows(clients.scores, clients.positive)
+    assert sorted(flattened) == sorted(rows(scores, positive))
+    hot_end = clients.offsets[20]
+    hot_pos = int(np.count_nonzero(clients.positive[:hot_end]))
     assert hot_pos == math.ceil(0.2 * num_pos)
     # The same policy is deterministic without a seed.
-    again = split_to_clients(examples, "skewed:0.2")
-    assert again == shards
+    again = split_population(scores, positive, "skewed:0.2")
+    assert same_split(again, clients)
 
 
 def test_variable_split_preserves_data():
-    examples = gen_well_behaved(300, ScoreDistribution(), seed=33)
-    shards = split_to_clients(examples, "variable:4", seed=5)
-    flattened = [e for shard in shards for e in shard]
-    assert sorted_key(flattened) == sorted_key(examples)
-    assert all(len(s) >= 1 for s in shards)
-    assert len(shards) < 300
-    again = split_to_clients(examples, "variable:4", seed=5)
-    assert again == shards
-    other = split_to_clients(examples, "variable:4", seed=6)
-    assert other != shards
+    scores, positive = sample_population(300, ScoreDistribution(), seed=33)
+    clients = split_population(scores, positive, "variable:4", seed=5)
+    flattened = rows(clients.scores, clients.positive)
+    assert sorted(flattened) == sorted(rows(scores, positive))
+    assert np.all(clients.sizes() >= 1)
+    assert clients.num_clients < 300
+    again = split_population(scores, positive, "variable:4", seed=5)
+    assert same_split(again, clients)
+    other = split_population(scores, positive, "variable:4", seed=6)
+    assert not same_split(other, clients)
 
 
 def test_split_policy_validation():
-    examples = gen_well_behaved(10, ScoreDistribution(), seed=34)
+    scores, positive = sample_population(10, ScoreDistribution(), seed=34)
+    for policy in ("banana", "skewed:0", "skewed:abc", "variable:0.5"):
+        with pytest.raises(ValueError):
+            split_population(scores, positive, policy)
+    empty = np.empty(0), np.empty(0, dtype=bool)
     with pytest.raises(ValueError):
-        split_to_clients(examples, "banana")
-    with pytest.raises(ValueError):
-        split_to_clients(examples, "skewed:0")
-    with pytest.raises(ValueError):
-        split_to_clients(examples, "skewed:abc")
-    with pytest.raises(ValueError):
-        split_to_clients(examples, "variable:0.5")
-    with pytest.raises(ValueError):
-        split_to_clients([], "skewed:0.5")
-    assert split_to_clients([], "one_per_client") == []
+        split_population(*empty, "skewed:0.5")
+    assert split_population(*empty, "one_per_client").num_clients == 0
 
 
 def test_splits_feed_arrays_consistently():
-    examples = gen_well_behaved(64, ScoreDistribution(), seed=35)
-    scores, flags = as_arrays(examples)
+    scores, positive = sample_population(64, ScoreDistribution(), seed=35)
     assert scores.size == 64
-    assert flags.sum() == sum(1 for e in examples if e.label is Label.POSITIVE)
+    assert scores.dtype == np.float64 and positive.dtype == bool
+    for policy in ("one_per_client", "skewed:0.3", "variable:4"):
+        clients = split_population(scores, positive, policy, seed=1)
+        assert clients.offsets[-1] == 64
+        assert clients.positive.sum() == positive.sum()

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from fedeval import Label, PrivacySpec, Regime, ScoreDistribution, Spike
 from fedeval.cli import main
-from fedeval.core import ClientSplit, as_arrays, as_examples
+from fedeval.core import ClientSplit, LabeledScore, as_arrays, as_examples
 from fedeval.datagen import (
     gen_well_behaved,
     sample_population,
@@ -277,6 +277,18 @@ def test_splits_match_the_reference_loops(num_examples, policy):
     expected = reference_split(examples, policy, 9)
     assert split_to_clients(examples, policy, 9) == expected
     assert client_rows(split_population(scores, positive, policy, 9)) == expected
+
+
+def test_as_arrays_round_trip():
+    examples = [
+        LabeledScore(0.25, Label.POSITIVE),
+        LabeledScore(0.75, Label.NEGATIVE),
+    ]
+    scores, flags = as_arrays(examples)
+    assert scores.tolist() == [0.25, 0.75]
+    assert flags.tolist() == [True, False]
+    assert scores.dtype == np.float64 and flags.dtype == bool
+    assert as_examples(scores, flags) == examples
 
 
 def test_local_dp_rejects_multi_example_clients_in_both_forms():

@@ -8,14 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedeval import (
+    ClientSplit,
     InsufficientPopulationError,
     Label,
-    LabeledScore,
     NoisyCount,
     PrivacySpec,
     Regime,
     ScoreDistribution,
 )
+from fedeval.calibration import calibrate_bbq
 from fedeval.core import leaf_indices
 from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
@@ -33,17 +34,20 @@ def sa_spec(height, fanout=2):
     return PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=fanout)
 
 
-def singleton_shards(pairs):
-    return [
-        [LabeledScore(float(s), Label(l))] for s, l in pairs
-    ]
+def clients_of(pairs, offsets=None):
+    """Columns of (score, label) pairs, one pair per client by default."""
+    scores = np.array([float(s) for s, _ in pairs], dtype=np.float64)
+    positive = np.array([l == 1 for _, l in pairs], dtype=bool)
+    if offsets is None:
+        offsets = np.arange(len(pairs) + 1)
+    return ClientSplit(scores, positive, np.asarray(offsets, dtype=np.int64))
 
 
 FOUR = [(0.1, 1), (0.3, 1), (0.6, 1), (0.9, 1)]
 
 
 def test_levels_of_four_spread_scores():
-    pos = build_hierarchy(singleton_shards(FOUR), Label.POSITIVE, sa_spec(2))
+    pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
     assert pos.values[0].tolist() == [2, 2]
     assert pos.values[1].tolist() == [1, 1, 1, 1]
     assert pos.population_total == NoisyCount(4.0, 0.0)
@@ -52,13 +56,13 @@ def test_levels_of_four_spread_scores():
 
 
 def test_other_class_tree_is_empty_but_same_shape():
-    neg = build_hierarchy(singleton_shards(FOUR), Label.NEGATIVE, sa_spec(2))
+    neg = build_hierarchy(clients_of(FOUR), Label.NEGATIVE, sa_spec(2))
     assert neg.values[0].tolist() == [0, 0]
     assert neg.population_total.value == 0.0
 
 
 def test_prefix_values_cover_full_range():
-    pos = build_hierarchy(singleton_shards(FOUR), Label.POSITIVE, sa_spec(2))
+    pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
     assert [prefix_count(pos, r).value for r in range(5)] == [0, 1, 2, 3, 4]
     assert prefix_count(pos, 3) == NoisyCount(3.0, 0.0)
     assert prefix_count(pos, 0) == NoisyCount(0.0, 0.0)
@@ -70,7 +74,7 @@ def test_prefix_values_cover_full_range():
 
 
 def test_find_quantile_first_crossing():
-    pos = build_hierarchy(singleton_shards(FOUR), Label.POSITIVE, sa_spec(2))
+    pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
     assert find_quantile(pos, 1.0) == 0.25
     assert find_quantile(pos, 2.0) == 0.5
     assert find_quantile(pos, 0.0) == 0.0
@@ -81,7 +85,7 @@ def test_find_quantile_first_crossing():
 
 
 def test_histogram_of_separated_classes():
-    shards = singleton_shards([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
+    shards = clients_of([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
     hist = build_score_histogram(pos, neg, 2)
@@ -95,7 +99,7 @@ def test_histogram_of_separated_classes():
 
 
 def test_single_bucket_histogram():
-    shards = singleton_shards([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
+    shards = clients_of([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
     hist = build_score_histogram(pos, neg, 1)
@@ -107,7 +111,7 @@ def test_single_bucket_histogram():
 def test_width_cap_splits_wide_buckets():
     # All mass in leaf 0 collapses every quantile cut to r = 1; the cap
     # then splits the huge right bucket at the aligned stride.
-    shards = singleton_shards([(0.01, 1)] * 8)
+    shards = clients_of([(0.01, 1)] * 8)
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(4))
     hist = build_score_histogram(pos, neg, 4)
@@ -116,7 +120,7 @@ def test_width_cap_splits_wide_buckets():
 
 
 def test_histogram_rejects_bad_inputs():
-    shards = singleton_shards(FOUR)
+    shards = clients_of(FOUR)
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
     with pytest.raises(ValueError):
@@ -129,7 +133,7 @@ def test_histogram_rejects_bad_inputs():
 
 
 def test_hierarchy_addition():
-    shards = singleton_shards([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
+    shards = clients_of([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
     combined = pos + neg
@@ -143,12 +147,10 @@ def test_hierarchy_addition():
 def test_secure_agg_ignores_sharding():
     examples = [(i / 37.0, i % 2) for i in range(37)]
     spec = sa_spec(5)
-    one_per = singleton_shards(examples)
-    grouped = [
-        [LabeledScore(float(s), Label(l)) for s, l in examples[i : i + 5]]
-        for i in range(0, 37, 5)
-    ]
-    with_empty = grouped + [[], []]
+    one_per = clients_of(examples)
+    starts = list(range(0, 37, 5))
+    grouped = clients_of(examples, starts + [37])
+    with_empty = clients_of(examples, starts + [37, 37, 37])
     reference = build_hierarchy(one_per, Label.POSITIVE, spec)
     for shards in (grouped, with_empty):
         alt = build_hierarchy(shards, Label.POSITIVE, spec)
@@ -158,7 +160,7 @@ def test_secure_agg_ignores_sharding():
 
 def test_class_filter_type_checked():
     with pytest.raises(TypeError):
-        build_hierarchy([], 1, sa_spec(2))
+        build_hierarchy(clients_of([]), 1, sa_spec(2))
 
 
 # -- distributed noise ------------------------------------------------------
@@ -171,7 +173,7 @@ def dp_spec(height, epsilon, fanout=2):
 
 
 def test_distdp_advertises_exact_node_variance():
-    shards = singleton_shards(FOUR)
+    shards = clients_of(FOUR)
     spec = dp_spec(3, 1.0)
     hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=0)
     expected = discrete_laplace_variance(math.exp(-1.0 / 3.0))
@@ -183,10 +185,7 @@ def test_distdp_advertises_exact_node_variance():
 def test_distdp_unbiased_and_variance_calibrated():
     rng = np.random.default_rng(314)
     scores = rng.random(500)
-    shards = [
-        [LabeledScore(float(s), Label.POSITIVE if i % 2 else Label.NEGATIVE)]
-        for i, s in enumerate(scores)
-    ]
+    shards = clients_of([(s, i % 2) for i, s in enumerate(scores)])
     spec = dp_spec(3, 1.0)
     exact = build_hierarchy(shards, Label.POSITIVE, sa_spec(3)).values[0]
     node_var = discrete_laplace_variance(math.exp(-1.0 / 3.0))
@@ -202,7 +201,7 @@ def test_distdp_unbiased_and_variance_calibrated():
 
 
 def test_distdp_determinism_and_seed_sensitivity():
-    shards = singleton_shards(FOUR)
+    shards = clients_of(FOUR)
     spec = dp_spec(3, 0.5)
     a = build_hierarchy(shards, Label.POSITIVE, spec, seed=7)
     b = build_hierarchy(shards, Label.POSITIVE, spec, seed=7)
@@ -224,13 +223,15 @@ def ldp_spec(height, epsilon, fanout=2):
 
 
 def test_local_dp_needs_enough_clients():
-    shards = singleton_shards(FOUR)
+    shards = clients_of(FOUR)
     with pytest.raises(InsufficientPopulationError):
         build_hierarchy(shards, Label.POSITIVE, ldp_spec(10, 5.0), seed=0)
 
 
 def test_local_dp_empty_population_is_all_zero():
-    hier = build_hierarchy([], Label.POSITIVE, ldp_spec(4, 5.0), seed=0)
+    hier = build_hierarchy(
+        clients_of([]), Label.POSITIVE, ldp_spec(4, 5.0), seed=0
+    )
     for k in range(1, 5):
         assert hier.values[k - 1].tolist() == [0.0] * 2**k
         assert hier.level_variances[k - 1] == 0.0
@@ -238,11 +239,8 @@ def test_local_dp_empty_population_is_all_zero():
 
 
 def test_local_dp_rejects_multi_example_shards():
-    shard = [
-        LabeledScore(0.2, Label.POSITIVE),
-        LabeledScore(0.4, Label.NEGATIVE),
-    ]
-    shards = [shard] + [[LabeledScore(0.5, Label.POSITIVE)]] * 5
+    pairs = [(0.2, 1), (0.4, 0)] + [(0.5, 1)] * 5
+    shards = clients_of(pairs, [0, 2, 3, 4, 5, 6, 7])
     with pytest.raises(ValueError, match="shard 0"):
         build_hierarchy(shards, Label.POSITIVE, ldp_spec(2, 5.0), seed=0)
 
@@ -252,10 +250,7 @@ def test_local_dp_unbiased_and_variance_calibrated():
     num = 3000
     scores = rng.random(num)
     flags = rng.random(num) < 0.5
-    shards = [
-        [LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)]
-        for s, f in zip(scores, flags)
-    ]
+    shards = clients_of(list(zip(scores, flags)))
     spec = ldp_spec(3, 2.0)
     leaves = leaf_indices(scores[flags], 3, 2)
     exact_level1 = np.bincount(leaves // 4, minlength=2)
@@ -299,7 +294,7 @@ def test_local_dp_unbiased_and_variance_calibrated():
 
 
 def test_local_dp_determinism():
-    shards = singleton_shards([(i / 16.0, i % 2) for i in range(16)])
+    shards = clients_of([(i / 16.0, i % 2) for i in range(16)])
     spec = ldp_spec(3, 4.0)
     a = build_hierarchy(shards, Label.POSITIVE, spec, seed=5)
     b = build_hierarchy(shards, Label.POSITIVE, spec, seed=5)
@@ -377,9 +372,7 @@ def test_bucket_variance_empirically_calibrated():
     # each bucket count must match the advertisement.
     rng = np.random.default_rng(404)
     scores = rng.random(400)
-    shards = [
-        [LabeledScore(float(s), Label.POSITIVE)] for s in scores
-    ]
+    shards = clients_of([(s, 1) for s in scores])
     spec = dp_spec(4, 1.0)
     boundary = np.array([0, 3, 8, 16])
     builds = 400
@@ -405,14 +398,11 @@ def test_bucket_variance_empirically_calibrated():
     st.floats(min_value=-5.0, max_value=100.0),
 )
 def test_prefixes_and_quantiles_consistent(items, target):
-    examples = [
-        LabeledScore((i + 0.5) / 16.0, Label.POSITIVE if f else Label.NEGATIVE)
-        for i, f in items
-    ]
-    hier = build_hierarchy([[e] for e in examples], Label.POSITIVE, sa_spec(4))
+    shards = clients_of([((i + 0.5) / 16.0, f) for i, f in items])
+    hier = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
     prefix = np.array([prefix_count(hier, r).value for r in range(17)])
     assert np.all(np.diff(prefix) >= 0)
-    num_pos = sum(1 for e in examples if e.label is Label.POSITIVE)
+    num_pos = sum(1 for _, f in items if f)
     assert prefix[-1] == num_pos
     for k in range(1, 5):
         assert hier.values[k - 1].sum() == num_pos
@@ -433,11 +423,7 @@ def test_prefixes_and_quantiles_consistent(items, target):
     st.integers(1, 12),
 )
 def test_histogram_counts_partition_the_data(items, num_buckets):
-    examples = [
-        LabeledScore((i + 0.5) / 64.0, Label.POSITIVE if f else Label.NEGATIVE)
-        for i, f in items
-    ]
-    shards = [[e] for e in examples]
+    shards = clients_of([((i + 0.5) / 64.0, f) for i, f in items])
     pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(6))
     neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(6))
     hist = build_score_histogram(pos, neg, num_buckets)
@@ -610,15 +596,19 @@ def test_prefix_queries_match_literal_reference(
     epsilon=st.floats(min_value=1e-300, max_value=1e300),
     regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),
     height=st.integers(1, 6),
+    fanout=st.sampled_from([2, 3, 4]),
     num_examples=st.integers(0, 30),
     balance=st.sampled_from([0.0, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
 def test_every_accepted_epsilon_runs(
-    epsilon, regime, height, num_examples, balance, seed
+    epsilon, regime, height, fanout, num_examples, balance, seed, data
 ):
     try:
-        spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
+        spec = PrivacySpec(
+            regime=regime, epsilon=epsilon, height=height, fanout=fanout
+        )
     except ValueError as exc:
         assert f"epsilon {epsilon!r} " in str(exc)
         return
@@ -635,5 +625,18 @@ def test_every_accepted_epsilon_runs(
     for counts in (pos, neg):
         assert all(np.all(np.isfinite(level)) for level in counts.values)
         assert all(math.isfinite(v) and v >= 0.0 for v in counts.level_variances)
-    hist = build_score_histogram(pos, neg, 4)
+    # From one bucket to more buckets than leaves.
+    num_buckets = data.draw(st.integers(1, fanout**height + 2), label="buckets")
+    hist = build_score_histogram(pos, neg, num_buckets)
     assert np.all(np.isfinite(hist.pos_values))
+    assert np.all(np.isfinite(hist.neg_values))
+    assert 1 <= hist.num_buckets <= fanout**height
+    try:
+        cal_map = calibrate_bbq(pos, neg)
+    except ValueError as exc:
+        # The noisy population estimate can be zero or negative.
+        assert "population estimate must be positive" in str(exc)
+        return
+    assert abs(float(cal_map.weights.sum()) - 1.0) < 1e-9
+    for _, values in cal_map.binnings:
+        assert np.all((0.0 <= values) & (values <= 1.0))

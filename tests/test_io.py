@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fedeval import Label, LabeledScore, Regime
-from fedeval.core import as_arrays
+from fedeval import Label, Regime
+from fedeval.core import LabeledScore, as_arrays
 from fedeval.io import (
     DataFileError,
     read_columns,
@@ -21,38 +21,46 @@ from fedeval.sweep import SweepResultRow
 
 def test_round_trip_preserves_floats(tmp_path):
     rng = np.random.default_rng(3)
-    examples = [
-        LabeledScore(float(s), Label.POSITIVE if i % 2 else Label.NEGATIVE)
-        for i, s in enumerate(rng.random(100))
-    ]
-    examples.append(LabeledScore(0.1 + 0.2, Label.POSITIVE))
+    scores = np.append(rng.random(100), 0.1 + 0.2)
+    positive = np.append(np.arange(100) % 2 == 1, True)
     path = tmp_path / "scores.csv"
-    write_data_file(path, examples)
-    assert read_data_file(path) == examples
+    write_columns(path, scores, positive)
+    read_scores, read_positive = read_columns(path)
+    assert read_scores.tobytes() == scores.tobytes()
+    assert read_positive.tolist() == positive.tolist()
 
 
 def test_columns_and_lists_write_the_same_file(tmp_path):
+    # The list forms are kept for the benchmark; they must read and
+    # write the same rows as the column forms.
     rng = np.random.default_rng(4)
     scores = rng.random(50)
     positive = rng.random(50) < 0.5
     by_columns = tmp_path / "columns.csv"
     by_list = tmp_path / "list.csv"
     write_columns(by_columns, scores, positive)
-    write_data_file(by_list, read_data_file(by_columns))
+    examples = read_data_file(by_columns)
+    assert examples == [
+        LabeledScore(s, Label.POSITIVE if f else Label.NEGATIVE)
+        for s, f in zip(scores.tolist(), positive.tolist())
+    ]
+    write_data_file(by_list, examples)
     assert by_list.read_bytes() == by_columns.read_bytes()
     read_scores, read_positive = read_columns(by_columns)
     assert read_scores.dtype == np.float64 and read_positive.dtype == bool
     assert read_scores.tobytes() == scores.tobytes()
     assert read_positive.tolist() == positive.tolist()
-    listed = as_arrays(read_data_file(by_columns))
+    listed = as_arrays(examples)
     assert listed[0].tobytes() == scores.tobytes()
     assert listed[1].tolist() == positive.tolist()
+    empty = tmp_path / "empty.csv"
+    write_data_file(empty, [])
+    assert read_data_file(empty) == []
 
 
 def test_header_only_file_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("score,label\n")
-    assert read_data_file(path) == []
     scores, positive = read_columns(path)
     assert scores.shape == positive.shape == (0,)
 
@@ -61,12 +69,12 @@ def test_missing_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5,1\n")
     with pytest.raises(DataFileError, match=r":1:"):
-        read_data_file(path)
+        read_columns(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        read_data_file(tmp_path / "nope.csv")
+        read_columns(tmp_path / "nope.csv")
 
 
 @pytest.mark.parametrize(
@@ -86,7 +94,7 @@ def test_bad_rows_report_line_numbers(tmp_path, row, needle):
     path = tmp_path / "bad.csv"
     path.write_text(f"score,label\n0.5,1\n{row}\n")
     with pytest.raises(DataFileError, match=needle) as excinfo:
-        read_data_file(path)
+        read_columns(path)
     assert ":3:" in str(excinfo.value)
 
 
@@ -95,7 +103,7 @@ def test_many_bad_rows_are_capped(tmp_path):
     body = "\n".join("2.0,1" for _ in range(27))
     path.write_text(f"score,label\n{body}\n")
     with pytest.raises(DataFileError) as excinfo:
-        read_data_file(path)
+        read_columns(path)
     message = str(excinfo.value)
     assert message.count(": score must be") == 20
     assert "(7 further bad rows omitted)" in message
@@ -105,9 +113,17 @@ def test_all_errors_reported_and_nothing_kept(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("score,label\n0.5,1\n0.6,3\n0.7,0\n")
     with pytest.raises(DataFileError) as excinfo:
-        read_data_file(path)
+        read_columns(path)
     assert ":3:" in str(excinfo.value)
     assert ":2:" not in str(excinfo.value)
+
+
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"score,label\n0.5,1\n\xd0\x00\xff,1\n")
+    with pytest.raises(DataFileError, match="not a UTF-8 text file") as excinfo:
+        read_columns(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def test_result_header_line():

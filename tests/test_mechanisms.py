@@ -1,4 +1,5 @@
-"""Distribution-level checks of the aggregation mechanisms."""
+"""Distribution-level checks of the aggregation mechanisms and of the
+per-client reference protocols in reference_mechanisms."""
 
 import math
 
@@ -10,11 +11,14 @@ from fedeval.mechanisms import (
     PolyaShareParams,
     aggregated_noise,
     discrete_laplace_variance,
+    sample_polya,
+)
+
+from reference_mechanisms import (
     distdp_noise_share,
     oue_aggregate,
     oue_decode,
     oue_encode,
-    sample_polya,
     secure_aggregate,
 )
 

@@ -13,12 +13,11 @@ from fedeval import (
     ClientSplit,
     DegenerateEstimateError,
     Label,
-    LabeledScore,
     NoisyCount,
     PrivacySpec,
     Regime,
 )
-from fedeval.core import as_arrays
+from fedeval.datagen import split_population
 from fedeval.hierarchy import (
     ScoreHistogram,
     _bucket_histogram,
@@ -32,7 +31,7 @@ from fedeval.metrics import (
     pra_fixed,
     pra_threshold,
 )
-from fedeval.oracle import exact_auc, exact_pra
+from fedeval.oracle import _auc_from_arrays, exact_pra_curve
 
 
 def sa_spec(height, fanout=2):
@@ -40,7 +39,9 @@ def sa_spec(height, fanout=2):
 
 
 def singleton_shards(pairs):
-    return [[LabeledScore(float(s), Label(l))] for s, l in pairs]
+    scores = np.array([float(s) for s, _ in pairs])
+    positive = np.array([l == 1 for _, l in pairs], dtype=bool)
+    return split_population(scores, positive, "one_per_client")
 
 
 def separated_hist():
@@ -117,16 +118,12 @@ def test_auc_envelope_covers_exact_value():
         flags = rng.random(num) < 0.5
         if flags.all() or not flags.any():
             flags[0] = not flags[0]
-        examples = [
-            LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-            for s, f in zip(scores, flags)
-        ]
-        shards = [[e] for e in examples]
+        shards = split_population(scores, flags, "one_per_client")
         pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(6))
         neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(6))
         num_buckets = int(rng.integers(1, 20))
         est = auc_histogram(build_score_histogram(pos, neg, num_buckets))
-        strict, half = exact_auc(examples)
+        strict, half = _auc_from_arrays(scores, flags)
         hw = est.bucketization_halfwidth + 1e-12
         assert abs(est.value - half) <= hw
         assert abs(est.value - strict) <= hw
@@ -169,18 +166,14 @@ def test_auc_noise_variance_is_conservative():
     num = 3000
     scores = rng.random(num)
     flags = rng.random(num) < 0.5
-    examples = [
-        LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-        for s, f in zip(scores, flags)
-    ]
-    shards = [[e] for e in examples]
+    shards = split_population(scores, flags, "one_per_client")
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=2.0, height=6, fanout=2)
     boundary = build_score_histogram(
         build_hierarchy(shards, Label.POSITIVE, spec, seed=(11, 0)),
         build_hierarchy(shards, Label.NEGATIVE, spec, seed=(11, 1)),
         16,
     ).boundary_leaves
-    strict, half = exact_auc(examples)
+    strict, half = _auc_from_arrays(scores, flags)
     builds = 250
     values = np.zeros(builds)
     advertised_var = np.zeros(builds)
@@ -256,19 +249,14 @@ def test_pra_threshold_all_degenerate_raises():
 
 
 def fixed_split(examples, group=1):
-    """Columns of the examples, group consecutive examples per client."""
-    scores, positive = as_arrays(examples)
+    """The (scores, positive) examples, group consecutive rows per client."""
+    scores, positive = examples
     offsets = np.append(np.arange(0, scores.size, group), scores.size)
     return ClientSplit(scores, positive, offsets)
 
 
 def random_examples(rng, num):
-    scores = rng.random(num)
-    flags = rng.random(num) < 0.5
-    return [
-        LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-        for s, f in zip(scores, flags)
-    ]
+    return rng.random(num), rng.random(num) < 0.5
 
 
 def test_pra_fixed_secure_agg_matches_oracle():
@@ -276,7 +264,7 @@ def test_pra_fixed_secure_agg_matches_oracle():
     examples = random_examples(rng, 200)
     for group in (1, 3):
         est = pra_fixed(fixed_split(examples, group), 0.35, sa_spec(4))
-        precision, recall, accuracy = exact_pra(examples, 0.35)
+        precision, recall, accuracy = exact_pra_curve(*examples, [0.35])[0]
         assert est.precision == precision
         assert est.recall == recall
         assert est.accuracy == accuracy
@@ -370,7 +358,7 @@ def test_pra_fixed_runs_or_names_the_epsilon(epsilon, regime, height, seed):
 
 
 def test_pra_fixed_empty_population_raises():
-    empty = fixed_split([])
+    empty = fixed_split((np.empty(0), np.empty(0, dtype=bool)))
     with pytest.raises(DegenerateEstimateError):
         pra_fixed(empty, 0.5, sa_spec(4))
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)

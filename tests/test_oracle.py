@@ -3,16 +3,37 @@
 import numpy as np
 import pytest
 
-from fedeval import Label, LabeledScore
-from fedeval.oracle import (
-    exact_auc,
-    exact_pra,
-    exact_pra_curve,
-)
+from fedeval.oracle import _auc_from_arrays, exact_pra_curve
 
 
 def make(pairs):
-    return [LabeledScore(float(s), Label(l)) for s, l in pairs]
+    """(scores, positive) columns of (score, label) pairs."""
+    scores = np.array([s for s, _ in pairs], dtype=np.float64)
+    return scores, np.array([l == 1 for _, l in pairs], dtype=bool)
+
+
+def exact_auc(columns):
+    return _auc_from_arrays(*columns)
+
+
+def exact_pra(columns, threshold):
+    return exact_pra_curve(*columns, [threshold])[0]
+
+
+def literal_pra(scores, positives, threshold):
+    """Literal per-example counts with prediction rule score > threshold."""
+    true_pos = pred_pos = correct = 0
+    for score, positive in zip(scores.tolist(), positives.tolist()):
+        predicted = score > threshold
+        true_pos += predicted and positive
+        pred_pos += predicted
+        correct += predicted == positive
+    num_pos = int(np.count_nonzero(positives))
+    return (
+        true_pos / pred_pos if pred_pos else None,
+        true_pos / num_pos if num_pos else None,
+        correct / scores.size,
+    )
 
 
 def brute_force_auc(scores, positives):
@@ -53,7 +74,7 @@ def test_exact_auc_rejects_single_class():
     with pytest.raises(ValueError):
         exact_auc(make([(0.5, 1), (0.6, 1)]))
     with pytest.raises(ValueError):
-        exact_auc([])
+        exact_auc(make([]))
 
 
 def test_exact_auc_matches_brute_force():
@@ -65,11 +86,7 @@ def test_exact_auc_matches_brute_force():
         positives = rng.random(num) < 0.5
         if positives.all() or not positives.any():
             positives[0] = not positives[0]
-        examples = [
-            LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-            for s, f in zip(scores, positives)
-        ]
-        assert exact_auc(examples) == brute_force_auc(scores, positives)
+        assert exact_auc((scores, positives)) == brute_force_auc(scores, positives)
 
 
 def test_exact_pra_hand_case():
@@ -97,7 +114,7 @@ def test_exact_pra_degenerate_denominators():
     precision, recall, accuracy = exact_pra(make([(0.9, 1)]), 0.5)
     assert precision == 1.0 and recall == 1.0 and accuracy == 1.0
     with pytest.raises(ValueError):
-        exact_pra([], 0.5)
+        exact_pra(make([]), 0.5)
 
 
 def test_exact_pra_curve_matches_pointwise():
@@ -105,14 +122,10 @@ def test_exact_pra_curve_matches_pointwise():
     num = 400
     scores = rng.integers(0, 32, size=num) / 32.0
     positives = rng.random(num) < 0.4
-    examples = [
-        LabeledScore(float(s), Label.POSITIVE if f else Label.NEGATIVE)
-        for s, f in zip(scores, positives)
-    ]
     thresholds = [0.0, 0.125, 0.5, 0.50001, 0.96875, 1.0]
     curve = exact_pra_curve(scores, positives, thresholds)
     for threshold, triple in zip(thresholds, curve):
-        assert triple == exact_pra(examples, threshold)
+        assert triple == literal_pra(scores, positives, threshold)
 
 
 def test_exact_metrics_bundle():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedeval import Regime
-from fedeval.io import write_data_file
+from fedeval.io import write_columns
 from fedeval.sweep import (
     SweepConfig,
     SweepConfigError,
@@ -194,15 +194,9 @@ def test_local_dp_with_tiny_population_degenerates():
 
 
 def test_data_file_overrides_generation(tmp_path):
-    from fedeval import Label, LabeledScore
-
     rng = np.random.default_rng(0)
-    examples = [
-        LabeledScore(float(s), Label.POSITIVE if i % 3 else Label.NEGATIVE)
-        for i, s in enumerate(rng.random(60))
-    ]
     path = tmp_path / "data.csv"
-    write_data_file(path, examples)
+    write_columns(path, rng.random(60), np.arange(60) % 3 != 0)
     config = tiny_config(
         data_path=str(path), num_examples=(999,), repetitions=1
     )
