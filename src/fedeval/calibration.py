@@ -138,10 +138,11 @@ def calibrate_histogram(
 
 
 def _candidate_bucket_counts(population: float) -> np.ndarray:
-    """Geometric grid of bucket counts around the cube-root heuristic."""
-    if population <= 0.0:
-        raise ValueError(f"population estimate must be positive, got {population}")
-    root = population ** (1.0 / 3.0)
+    """Geometric grid of bucket counts around the cube-root heuristic.
+
+    A noisy population estimate at or below 0 leaves the single count 1.
+    """
+    root = max(population, 0.0) ** (1.0 / 3.0)
     lo = max(1, math.ceil(root / 10.0 - 1e-9))
     hi = max(lo, math.floor(10.0 * root + 1e-9))
     grid = np.geomspace(lo, hi, MAX_CANDIDATES)

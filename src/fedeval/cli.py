@@ -189,7 +189,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    text = Path(args.config).read_text()
+    try:
+        text = Path(args.config).read_text()
+    except UnicodeDecodeError as exc:
+        raise SweepConfigError(f"{args.config}: not a UTF-8 text file: {exc}") from None
     config = parse_sweep_config(text)
     rows = run_sweep(config, timings=args.timings)
     print(result_header_line())

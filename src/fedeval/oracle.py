@@ -7,6 +7,12 @@ pairs as 0, the half-ties form as 1/2. Histogram estimators approximate
 the half-ties form on bucket-coarsened data, so harness error
 measurements use it. Precision, recall and accuracy predict positive
 when score > threshold.
+
+Cost: one value sort per class plus binary searches into the sorted
+classes, O(M log M) with no permutation. Every count is an exact
+integer (pairs, true and false positives) and each output divides
+those integers once, so the floats are the same bits a literal loop
+over examples or pairs gives.
 """
 
 from __future__ import annotations
@@ -20,64 +26,56 @@ __all__ = [
 ]
 
 
-def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
-    """(strict, half-ties) AUC of one labeled sample, by sorting.
+def _class_sorted(
+    scores: np.ndarray, positives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, negative) scores, each sorted by value."""
+    return np.sort(scores[positives]), np.sort(scores[~positives])
 
-    Strict counts a tied pair as 0; half-ties counts it as 1/2. Raises
-    when either class is empty.
+
+def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
+    """(strict, half-ties) AUC of one labeled sample.
+
+    Strict counts a tied pair as 0; half-ties counts it as 1/2. Each
+    positive counts the negatives below and equal to it by two binary
+    searches into the sorted negatives. Raises when either class is
+    empty.
     """
-    num_pos = int(positives.sum())
-    num_neg = positives.size - num_pos
-    if num_pos == 0 or num_neg == 0:
+    pos, neg = _class_sorted(scores, positives)
+    if pos.size == 0 or neg.size == 0:
         raise ValueError(
-            f"AUC needs both classes, got {num_pos} positives and {num_neg} negatives"
+            f"AUC needs both classes, got {pos.size} positives and {neg.size} negatives"
         )
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = positives[order]
-    group_start = np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
-    group_id = np.cumsum(group_start) - 1
-    num_groups = int(group_id[-1]) + 1
-    pos_per_group = np.bincount(group_id[sorted_pos], minlength=num_groups)
-    neg_per_group = np.bincount(group_id[~sorted_pos], minlength=num_groups)
-    neg_below = np.concatenate(([0], np.cumsum(neg_per_group)[:-1]))
-    # Pair counts stay integral, so the strict value divides exactly the
-    # same integers as a literal loop over all positive/negative pairs.
-    strict_pairs = int(np.dot(pos_per_group, neg_below))
-    tied_pairs = int(np.dot(pos_per_group, neg_per_group))
-    denom = num_pos * num_neg
+    below = np.searchsorted(neg, pos, side="left")
+    strict_pairs = int(below.sum())
+    tied_pairs = int((np.searchsorted(neg, pos, side="right") - below).sum())
+    denom = pos.size * neg.size
     return strict_pairs / denom, (strict_pairs + tied_pairs / 2) / denom
 
 
 def exact_pra_curve(
     scores: np.ndarray, positives: np.ndarray, thresholds: Iterable[float]
 ) -> list[tuple[float | None, float | None, float]]:
-    """(precision, recall, accuracy) at each threshold, from one sort.
+    """(precision, recall, accuracy) at each threshold.
 
     An example is predicted positive when its score exceeds the
-    threshold. Precision is None when nothing is predicted positive;
-    recall is None when there are no positives.
+    threshold, so a class's predicted positives are its size minus one
+    binary search per threshold. Precision is None when nothing is
+    predicted positive; recall is None when there are no positives.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     if scores.size == 0:
         raise ValueError("exact_pra_curve needs at least one example")
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    pos_suffix = np.concatenate(
-        ([0], np.cumsum(positives[order][::-1]))
-    )[::-1]
-    total = scores.size
-    num_pos = int(positives.sum())
-    out = []
-    for threshold in thresholds:
-        first_above = int(np.searchsorted(sorted_scores, threshold, side="right"))
-        pred_pos = total - first_above
-        true_pos = int(pos_suffix[first_above])
-        true_neg = first_above - (num_pos - true_pos)
-        out.append((
-            true_pos / pred_pos if pred_pos > 0 else None,
-            true_pos / num_pos if num_pos > 0 else None,
-            (true_pos + true_neg) / total,
-        ))
-    return out
+    pos, neg = _class_sorted(scores, positives)
+    cuts = np.asarray(list(thresholds), dtype=np.float64)
+    true_pos = (pos.size - np.searchsorted(pos, cuts, side="right")).tolist()
+    false_pos = (neg.size - np.searchsorted(neg, cuts, side="right")).tolist()
+    return [
+        (
+            tp / (tp + fp) if tp + fp > 0 else None,
+            tp / pos.size if pos.size > 0 else None,
+            (tp + neg.size - fp) / scores.size,
+        )
+        for tp, fp in zip(true_pos, false_pos)
+    ]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedeval import calibration, datagen, hierarchy
+from fedeval import calibration, datagen, hierarchy, oracle, sweep
 from fedeval import io as fio
 from fedeval.core import Label, PrivacySpec, Regime, as_generator
 
@@ -86,6 +86,32 @@ def test_bbq_op_list_calls_still_run(tmp_path):
     cal_map = calibration.calibrate_bbq(pos, neg)
     assert len(shards) == 200
     assert abs(float(cal_map.weights.sum()) - 1.0) < 1e-9
+
+
+def test_traced_oracle_spans_run_once_per_cell(monkeypatch):
+    # perfbench attributes exact-oracle time to these two functions as
+    # sweep binds them; a cell that bypassed them would leave its
+    # oracle.auc and oracle.exact_pra_curve spans empty.
+    calls = {}
+    for name in ("_auc_from_arrays", "exact_pra_curve"):
+        target = getattr(oracle, name)
+        assert getattr(sweep, name) is target
+
+        def counted(*args, _name=name, _target=target):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _target(*args)
+
+        monkeypatch.setattr(sweep, name, counted)
+    config = sweep.SweepConfig(
+        base_seed=3,
+        regimes=(Regime.SECURE_AGG,),
+        num_examples=(200,),
+        num_buckets=(5,),
+        heights=(4,),
+        thresholds=(0.3, 0.6),
+    )
+    sweep.run_sweep(config)
+    assert calls == {"_auc_from_arrays": 1, "exact_pra_curve": 1}
 
 
 def _list_names_outside(node, shims):

@@ -341,6 +341,25 @@ def test_calibrate_bbq_rejects_prior_outside_unit_interval(data_csv, capsys, pri
     )
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_calibrate_bbq_with_non_positive_noisy_population(tmp_path, capsys, seed):
+    # At epsilon 0.01 the noisy population total of six examples is often
+    # at or below 0; BBQ then keeps one bucket and falls back to the prior.
+    path = tmp_path / "six.csv"
+    assert main([
+        "gen-data", "--out", str(path), "--num-examples", "6", "--seed", "3",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "calibrate", "--data", str(path), "--regime", "dist_dp",
+        "--epsilon", "0.01", "--height", "4", "--bbq", "--seed", str(seed),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = json.loads(captured.out.splitlines()[1])["ece_report"]
+    assert 0.0 <= report["ece"] <= 1.0
+
+
 def test_calibrate_bbq_mixture_stays_a_probability(tmp_path, capsys):
     # On this seed the BBQ weights sum to 1 + 2**-52 and every binning
     # maps some held-out score to 1.0.
@@ -450,5 +469,6 @@ def test_failure_paths_exit_with_one_message(
     assert captured.err.splitlines()[-1].startswith("fedeval")
     if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
         assert "argument --seed" in captured.err
-    if "{binary}" in argv and argv[0] != "sweep":
-        assert f"data error: {binary}: " in captured.err
+    if "{binary}" in argv:
+        kind = "config" if argv[0] == "sweep" else "data"
+        assert f"{kind} error: {binary}: " in captured.err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedeval.oracle import _auc_from_arrays, exact_pra_curve
 
@@ -132,3 +134,31 @@ def test_exact_metrics_bundle():
     examples = make([(0.8, 1), (0.9, 1), (0.1, 0), (0.2, 0)])
     assert exact_auc(examples) == (1.0, 1.0)
     assert exact_pra(examples, 0.5) == (1.0, 1.0, 1.0)
+
+
+# Multiples of 1/8 tie heavily, and -0.0 ties with 0.0.
+TIED_SCORES = [-0.0, *(k / 8 for k in range(9))]
+# At scores, halfway between them, below 0 and above 1.
+THRESHOLDS = [-0.5, -0.0, *(k / 16 for k in range(17)), 1.5]
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(TIED_SCORES), st.booleans()),
+        min_size=1,
+        max_size=40,
+    ),
+    thresholds=st.lists(st.sampled_from(THRESHOLDS), max_size=6),
+)
+def test_oracles_equal_literal_loops_on_tied_samples(pairs, thresholds):
+    scores = np.array([s for s, _ in pairs], dtype=np.float64)
+    positives = np.array([p for _, p in pairs], dtype=bool)
+    curve = exact_pra_curve(scores, positives, thresholds)
+    assert curve == [literal_pra(scores, positives, t) for t in thresholds]
+    if positives.all() or not positives.any():
+        with pytest.raises(ValueError):
+            _auc_from_arrays(scores, positives)
+    else:
+        assert _auc_from_arrays(scores, positives) == brute_force_auc(
+            scores, positives
+        )
