@@ -190,7 +190,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SweepConfigError(f"{args.config}: not a UTF-8 text file: {exc}") from None
     config = parse_sweep_config(text)

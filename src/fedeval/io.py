@@ -1,10 +1,13 @@
 """File formats: labeled-score CSV and JSON-lines result streams.
 
 The CSV format is a strict two-column "score,label" file with scores in
-[0, 1] and labels 1/0. Result streams start with a schema-version
-header object followed by one JSON object per result row; floats are
-serialized at full precision so reruns with the same seed are byte
-identical.
+[0, 1] and labels 1/0, decoded as UTF-8 whatever the locale. Reading
+one costs about one split of its text plus one float() per score, as
+whole columns are accepted or rejected at once; rows are revisited one
+at a time only to report a rejected file. Result streams start with a
+schema-version header object followed by one JSON object per result
+row; floats are serialized at full precision so reruns with the same
+seed are byte identical.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
 DATA_HEADER = "score,label"
 SCHEMA_VERSION = "1"
 _MAX_REPORTED_LINES = 20
+# The line breaks of str.splitlines other than "\n".
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class DataFileError(ValueError):
@@ -55,34 +60,93 @@ def _parse_row(line: str) -> tuple[float, bool]:
 def read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a labeled-score CSV into (scores, positive) arrays.
 
-    The file is rejected on any bad row; all offending line numbers (up
-    to a cap) are reported in the raised DataFileError.
+    Whole columns are checked at once: numpy passes over the bytes for
+    the row structure (one comma per row) and the labels, and one
+    ``float()`` per score, so a file costs about one split of its text
+    plus the score conversions. The file is rejected on any bad row;
+    only then are the rows visited one by one, to report every
+    offending line number (up to a cap) in the raised DataFileError.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFileError(f"{path}: not a UTF-8 text file: {exc}") from None
-    if not lines or lines[0].strip() != DATA_HEADER:
+    header, body = _header_and_rows(text)
+    del text  # hold one copy of the rows
+    if header.strip() != DATA_HEADER:
         raise DataFileError(f"{path}:1: expected header {DATA_HEADER!r}")
-    scores: list[float] = []
-    positive: list[bool] = []
+    columns = _checked_columns(body)
+    if columns is None:
+        raise DataFileError(_bad_rows_report(path, body.splitlines()))
+    return columns
+
+
+def _header_and_rows(text: str) -> tuple[str, str]:
+    """The first line of text, and the other lines each ending in "\\n".
+
+    Lines are the ones str.splitlines finds; a text whose only break is
+    "\\n" is cut after its first line without being split.
+    """
+    if any(brk in text for brk in _OTHER_BREAKS):
+        lines = text.splitlines()
+        return (lines[0] if lines else ""), "".join(f"{line}\n" for line in lines[1:])
+    header, _, body = text.partition("\n")
+    if body and not body.endswith("\n"):
+        body += "\n"
+    return header, body
+
+
+def _checked_columns(body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns of rows that each end in a newline, or None if any is bad.
+
+    ``,`` and ``\\n`` never occur inside a multi-byte UTF-8 sequence, so
+    the structure check can run on the encoded bytes.
+    """
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    ends = np.flatnonzero(data == ord("\n"))
+    num_rows = ends.size
+    # Exactly one comma per row: the separators strictly alternate.
+    if commas.size != num_rows or not (
+        (commas < ends).all() and (ends[:-1] < commas[1:]).all()
+    ):
+        return None
+    # Labels that are each one byte are read from the bytes.
+    labels = data[commas + 1] if (ends - commas == 2).all() else None
+    del data, commas, ends  # hold one copy of the rows while splitting them
+    cells = body.replace(",", "\n").split("\n")
+    if labels is not None:
+        if not ((labels == ord("0")) | (labels == ord("1"))).all():
+            return None
+        positive = labels == ord("1")
+    else:
+        label_texts = [cell.strip() for cell in cells[1::2]]
+        if not set(label_texts) <= {"0", "1"}:
+            return None
+        positive = np.array(label_texts) == "1"
+    try:
+        scores = np.fromiter(map(float, cells[0:-1:2]), np.float64, num_rows)
+    except ValueError:
+        return None
+    if num_rows and not (0.0 <= scores.min() and scores.max() <= 1.0):
+        return None
+    return scores, positive
+
+
+def _bad_rows_report(path: str | Path, rows: list[str]) -> str:
+    """The DataFileError message for data rows that hold a bad one."""
     problems: list[str] = []
     bad_rows = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         try:
-            score, flag = _parse_row(line)
+            _parse_row(line)
         except ValueError as exc:
             bad_rows += 1
             if len(problems) < _MAX_REPORTED_LINES:
                 problems.append(f"{path}:{lineno}: {exc}")
-        else:
-            scores.append(score)
-            positive.append(flag)
-    if bad_rows:
-        omitted = bad_rows - len(problems)
-        suffix = f"\n({omitted} further bad rows omitted)" if omitted else ""
-        raise DataFileError("\n".join(problems) + suffix)
-    return np.array(scores, dtype=np.float64), np.array(positive, dtype=bool)
+    omitted = bad_rows - len(problems)
+    suffix = f"\n({omitted} further bad rows omitted)" if omitted else ""
+    return "\n".join(problems) + suffix
 
 
 def read_data_file(path: str | Path) -> list[LabeledScore]:
@@ -97,7 +161,7 @@ def write_columns(path: str | Path, scores: np.ndarray, positive: np.ndarray) ->
         f"{score!r},{int(flag)}"
         for score, flag in zip(scores.tolist(), positive.tolist())
     )
-    Path(path).write_text("\n".join(rows) + "\n")
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def write_data_file(path: str | Path, examples: Sequence[LabeledScore]) -> None:

@@ -1,9 +1,14 @@
 """Command line behavior: exit codes, output schema, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedeval
 from fedeval.cli import main
 
 
@@ -472,3 +477,32 @@ def test_failure_paths_exit_with_one_message(
     if "{binary}" in argv:
         kind = "config" if argv[0] == "sweep" else "data"
         assert f"{kind} error: {binary}: " in captured.err
+
+
+@pytest.mark.parametrize("kind", ["sweep-config", "data"])
+def test_utf8_inputs_are_read_whatever_the_locale(tmp_path, kind):
+    # Under the C locale without UTF-8 mode, Python's default text
+    # encoding is ASCII; files are documented as UTF-8 regardless.
+    if kind == "sweep-config":
+        config = tmp_path / "grid.cfg"
+        config.write_bytes(
+            "# café\nbase_seed = 3\nregimes = secure_agg\nnum_examples = 40\n"
+            "num_buckets = 4\nheights = 4\nrepetitions = 1\n".encode("utf-8")
+        )
+        argv = ["sweep", "--config", str(config)]
+    else:
+        data = tmp_path / "scores.csv"
+        data.write_bytes("score,label\n0.2,0\n\u30000.8\u3000,1\n".encode("utf-8"))
+        argv = ["evaluate", "--data", str(data), "--regime", "secure_agg",
+                "--buckets", "2", "--height", "4", "--seed", "1"]
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(fedeval.__file__).resolve().parent.parent),
+    )
+    env.pop("PYTHONIOENCODING", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "fedeval", *argv],
+        capture_output=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().splitlines()[0] == '{"schema_version": "1"}'
