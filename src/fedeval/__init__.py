@@ -13,7 +13,6 @@ from .calibration import (
     CalibrationMap,
     EceReport,
     apply_calibration_batch,
-    bbq_weights,
     calibrate_bbq,
     calibrate_histogram,
     ece_arrays,
@@ -35,17 +34,8 @@ from .hierarchy import (
     ScoreHistogram,
     build_hierarchy,
     build_score_histogram,
-    find_quantile,
-    prefix_count,
 )
 from .io import DataFileError, read_columns, write_columns
-from .mechanisms import (
-    OueParams,
-    PolyaShareParams,
-    aggregated_noise,
-    discrete_laplace_variance,
-    sample_polya,
-)
 from .metrics import AucEstimate, PraEstimate, auc_histogram, pra_fixed, pra_threshold
 from .sweep import (
     SweepConfig,
@@ -68,8 +58,6 @@ __all__ = [
     "InsufficientPopulationError",
     "Label",
     "NoisyCount",
-    "OueParams",
-    "PolyaShareParams",
     "PraEstimate",
     "PrivacySpec",
     "Regime",
@@ -79,24 +67,18 @@ __all__ = [
     "SweepConfig",
     "SweepConfigError",
     "SweepResultRow",
-    "aggregated_noise",
     "apply_calibration_batch",
     "auc_histogram",
-    "bbq_weights",
     "build_hierarchy",
     "build_score_histogram",
     "calibrate_bbq",
     "calibrate_histogram",
-    "discrete_laplace_variance",
     "ece_arrays",
-    "find_quantile",
     "parse_sweep_config",
     "pra_fixed",
     "pra_threshold",
-    "prefix_count",
     "read_columns",
     "run_sweep",
-    "sample_polya",
     "sample_population",
     "split_population",
     "write_columns",

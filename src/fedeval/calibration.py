@@ -28,7 +28,6 @@ __all__ = [
     "CalibrationMap",
     "EceReport",
     "calibrate_histogram",
-    "bbq_weights",
     "calibrate_bbq",
     "apply_calibration_batch",
     "ece_arrays",
@@ -167,35 +166,10 @@ def _log_marginal(hist: ScoreHistogram) -> float:
     return float(np.sum(betaln(alpha + pos, beta + neg) - betaln(alpha, beta)))
 
 
-def _scored_binnings(
-    pos: HierarchicalCounts, neg: HierarchicalCounts, population: float
-) -> list[tuple[int, ScoreHistogram, float]]:
-    out = []
-    combined = pos + neg
-    for count in _candidate_bucket_counts(population):
-        hist = _bucket_histogram(pos, neg, _cut_leaves(combined, int(count)))
-        out.append((int(count), hist, _log_marginal(hist)))
-    return out
-
-
 def _softmax(log_scores: np.ndarray) -> np.ndarray:
     shifted = log_scores - log_scores.max()
     raw = np.exp(shifted)
     return raw / raw.sum()
-
-
-def bbq_weights(
-    pos: HierarchicalCounts, neg: HierarchicalCounts, population: float
-) -> list[tuple[int, float]]:
-    """Posterior weight of each candidate bucket count.
-
-    Candidates form a geometric grid of at most 15 integers between
-    cbrt(population)/10 and 10*cbrt(population); weights are the softmax
-    of the Beta-binomial log evidence of each binning.
-    """
-    scored = _scored_binnings(pos, neg, population)
-    weights = _softmax(np.array([score for _, _, score in scored]))
-    return [(count, float(w)) for (count, _, _), w in zip(scored, weights)]
 
 
 def calibrate_bbq(
@@ -203,13 +177,21 @@ def calibrate_bbq(
     neg: HierarchicalCounts,
     prior: float | None = None,
 ) -> CalibrationMap:
-    """Model-averaged calibration over a grid of bucket counts."""
+    """Model-averaged calibration over a grid of bucket counts.
+
+    Candidates form a geometric grid of at most 15 integers between
+    cbrt(population)/10 and 10*cbrt(population); each binning's weight
+    is the softmax of its Beta-binomial log evidence.
+    """
     _check_prior(prior)
-    population = pos.population_total.value + neg.population_total.value
-    scored = _scored_binnings(pos, neg, population)
-    weights = _softmax(np.array([score for _, _, score in scored]))
+    combined = pos + neg
+    hists = [
+        _bucket_histogram(pos, neg, _cut_leaves(combined, int(count)))
+        for count in _candidate_bucket_counts(combined.population_total.value)
+    ]
+    weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
     binnings = []
-    for _, hist, _ in scored:
+    for hist in hists:
         bucket_prior = prior if prior is not None else _default_prior(hist)
         binnings.append(
             (hist.boundaries.copy(), _bucket_probabilities(hist, bucket_prior))

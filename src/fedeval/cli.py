@@ -175,7 +175,7 @@ def cmd_evaluate(args) -> int:
         if not 0.0 <= t <= 1.0:
             raise _UsageError(f"--threshold must lie in [0, 1], got {t}")
     started = time.perf_counter()
-    records, _ = evaluate_population(
+    records = evaluate_population(
         scores, positive, spec, args.buckets, args.split, thresholds,
         np.random.SeedSequence((args.seed,)).spawn(3),
     )
@@ -260,6 +260,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"fedeval: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"fedeval: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

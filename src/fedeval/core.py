@@ -163,10 +163,13 @@ class PrivacySpec:
             parts = self.height if self.regime is Regime.DIST_DP else 1
             use = f"{self.regime.value} at height {self.height}"
             check_epsilon_use(self.regime, eps, parts, use)
-        # Leaf arrays of every level must fit comfortably in memory.
-        if self.num_leaves > (1 << 26):
+        # Leaf arrays of every level must fit comfortably in memory. Any
+        # height above 26 is past 2**26 leaves, and is rejected before
+        # the power is formed.
+        if self.height > 26 or self.num_leaves > (1 << 26):
             raise ValueError(
-                f"fanout**height = {self.num_leaves} exceeds the supported resolution"
+                f"fanout {self.fanout} and height {self.height} give more than "
+                "2**26 leaves, past the supported resolution"
             )
 
     @property

@@ -17,7 +17,6 @@ estimates under local DP.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,8 +45,6 @@ __all__ = [
     "HierarchicalCounts",
     "ScoreHistogram",
     "build_hierarchy",
-    "prefix_count",
-    "find_quantile",
     "build_score_histogram",
 ]
 
@@ -234,9 +231,13 @@ def _build_local_dp(
         reporting = matches[members] & (member_leaves >= 0)
         nodes = member_leaves[reporting] // (spec.num_leaves // width)
         true_counts = np.bincount(nodes, minlength=width)
-        # One OUE invocation per client covers both class structures as
-        # the two halves of a doubled domain; bits are independent, so
-        # each half is simulated directly from its bit-sum distribution.
+        # p and q are those of one OUE report over a doubled domain whose
+        # halves are the two classes' level-k segments. The two trees do
+        # not share that report: each class is built by its own call,
+        # with its own group permutation and bit draws, so a client can
+        # sit in different level groups in the two trees. Bits are
+        # independent, so this tree's half is simulated directly from
+        # its bit-sum distribution.
         params = OueParams(spec.epsilon, 2 * width)
         p, q = params.p_keep, params.q_flip
         kept = rng.binomial(true_counts, p)
@@ -346,21 +347,6 @@ def _prefixes_at(counts: HierarchicalCounts, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def prefix_count(counts: HierarchicalCounts, r) -> NoisyCount:
-    """Estimated number of examples with leaf index < r, with variance.
-
-    The variance adds each level's node variance once per node read.
-    """
-    r = operator.index(r)
-    if not (0 <= r <= counts.num_leaves):
-        raise ValueError(f"r must be in [0, {counts.num_leaves}], got {r}")
-    leaf = np.array([r])
-    lo, hi = _level_runs(counts, leaf)
-    nodes_read = (hi - lo)[:, 0].tolist()
-    variance = sum(v * n for v, n in zip(counts.level_variances, nodes_read))
-    return NoisyCount(float(_prefixes_at(counts, leaf)[0]), float(variance))
-
-
 def _quantile_leaves(counts: HierarchicalCounts, targets: np.ndarray) -> np.ndarray:
     """Leaf boundary that bisection over prefix counts reaches for each target.
 
@@ -384,18 +370,6 @@ def _quantile_leaves(counts: HierarchicalCounts, targets: np.ndarray) -> np.ndar
         lo = np.where(active & ~reached, mid + 1, lo)
         active = lo < hi
     return lo
-
-
-def find_quantile(counts: HierarchicalCounts, target_rank: float) -> float:
-    """Leaf-aligned score boundary that bisection finds for the rank.
-
-    target_rank is clamped to [0, population total]. The boundary is the
-    first one whose prefix count reaches the rank when prefixes are
-    monotone (secure aggregation); under noise it is the crossing the
-    bisection converges to (see _quantile_leaves).
-    """
-    target = np.array([float(target_rank)])
-    return int(_quantile_leaves(counts, target)[0]) / counts.num_leaves
 
 
 def _bucket_variances(
@@ -447,6 +421,10 @@ def _cut_leaves(combined: HierarchicalCounts, num_buckets: int) -> np.ndarray:
     come back; splitting produces at most B - 1 extra ones.
     """
     n = combined.num_leaves
+    if num_buckets > n:
+        # The width cap is one leaf, so every leaf boundary is a cut
+        # whatever the quantiles; no B-sized target array is formed.
+        return np.arange(n + 1, dtype=np.int64)
     total = combined.population_total.value
     targets = np.arange(1, num_buckets) * total / num_buckets
     cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}

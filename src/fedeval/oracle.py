@@ -1,12 +1,12 @@
 """Exact centralized metrics for error measurement.
 
-Everything here reads the raw (scores, positive) columns, so results
-are ground truth for the federated estimators. AUC is computed under
-both tie conventions: the strict form counts tied positive/negative
-pairs as 0, the half-ties form as 1/2. Histogram estimators approximate
-the half-ties form on bucket-coarsened data, so harness error
-measurements use it. Precision, recall and accuracy predict positive
-when score > threshold.
+Everything here reads the raw (scores, positive) columns, sorted once
+per class by _class_sorted, so results are ground truth for the
+federated estimators. AUC is computed under both tie conventions: the
+strict form counts tied positive/negative pairs as 0, the half-ties
+form as 1/2. Histogram estimators approximate the half-ties form on
+bucket-coarsened data, so harness error measurements use it.
+Precision, recall and accuracy predict positive when score > threshold.
 
 Cost: one value sort per class plus binary searches into the sorted
 classes, O(M log M) with no permutation. Every count is an exact
@@ -29,19 +29,22 @@ __all__ = [
 def _class_sorted(
     scores: np.ndarray, positives: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, negative) scores, each sorted by value."""
+    """(positive, negative) scores, each sorted by value.
+
+    Both exact metrics below take this pair, so one population is
+    sorted once however many metrics read it.
+    """
     return np.sort(scores[positives]), np.sort(scores[~positives])
 
 
-def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, float]:
-    """(strict, half-ties) AUC of one labeled sample.
+def _auc_from_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
+    """(strict, half-ties) AUC of one labeled sample's sorted classes.
 
     Strict counts a tied pair as 0; half-ties counts it as 1/2. Each
     positive counts the negatives below and equal to it by two binary
     searches into the sorted negatives. Raises when either class is
     empty.
     """
-    pos, neg = _class_sorted(scores, positives)
     if pos.size == 0 or neg.size == 0:
         raise ValueError(
             f"AUC needs both classes, got {pos.size} positives and {neg.size} negatives"
@@ -54,20 +57,18 @@ def _auc_from_arrays(scores: np.ndarray, positives: np.ndarray) -> tuple[float, 
 
 
 def exact_pra_curve(
-    scores: np.ndarray, positives: np.ndarray, thresholds: Iterable[float]
+    pos: np.ndarray, neg: np.ndarray, thresholds: Iterable[float]
 ) -> list[tuple[float | None, float | None, float]]:
-    """(precision, recall, accuracy) at each threshold.
+    """(precision, recall, accuracy) at each threshold, from sorted classes.
 
     An example is predicted positive when its score exceeds the
     threshold, so a class's predicted positives are its size minus one
     binary search per threshold. Precision is None when nothing is
     predicted positive; recall is None when there are no positives.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    if scores.size == 0:
+    total = pos.size + neg.size
+    if total == 0:
         raise ValueError("exact_pra_curve needs at least one example")
-    pos, neg = _class_sorted(scores, positives)
     cuts = np.asarray(list(thresholds), dtype=np.float64)
     true_pos = (pos.size - np.searchsorted(pos, cuts, side="right")).tolist()
     false_pos = (neg.size - np.searchsorted(neg, cuts, side="right")).tolist()
@@ -75,7 +76,7 @@ def exact_pra_curve(
         (
             tp / (tp + fp) if tp + fp > 0 else None,
             tp / pos.size if pos.size > 0 else None,
-            (tp + neg.size - fp) / scores.size,
+            (tp + neg.size - fp) / total,
         )
         for tp, fp in zip(true_pos, false_pos)
     ]

@@ -32,7 +32,7 @@ from .core import (
 from .datagen import sample_population, split_population
 from .hierarchy import HierarchicalCounts, build_hierarchy, build_score_histogram
 from .metrics import auc_histogram, pra_threshold
-from .oracle import _auc_from_arrays, exact_pra_curve
+from .oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
 __all__ = [
     "SweepConfig",
@@ -155,8 +155,9 @@ def histogram_metric_records(
     run, and every estimate is then degenerate.
     """
     records = []
+    pos, neg = _class_sorted(scores, flags)
     try:
-        _, exact_value = _auc_from_arrays(scores, flags)
+        _, exact_value = _auc_from_arrays(pos, neg)
     except ValueError:
         exact_value = None
     est = _estimate_or_none(auc_histogram, hist)
@@ -169,7 +170,7 @@ def histogram_metric_records(
 
     if thresholds:
         if scores.size:
-            curve = exact_pra_curve(scores, flags, thresholds)
+            curve = exact_pra_curve(pos, neg, thresholds)
         else:
             curve = [(None, None, None)] * len(thresholds)
         for threshold, exact_triple in zip(thresholds, curve):
@@ -207,13 +208,13 @@ def evaluate_population(
     split_policy: str,
     thresholds: Sequence[float],
     seeds: Sequence,
-) -> tuple[list[tuple], bool]:
-    """Metric records of one population, and whether it was aggregated.
+) -> list[tuple]:
+    """Metric records of one population.
 
     The population is split into clients, both classes are aggregated
     under spec and the records come from their histogram; seeds are the
     split, positive and negative seeds. When the population is too small
-    for the mechanism the flag is False and every record is degenerate.
+    for the mechanism every record is degenerate.
     """
     split_ss, pos_ss, neg_ss = seeds
     try:
@@ -222,8 +223,7 @@ def evaluate_population(
         hist = build_score_histogram(pos, neg, num_buckets)
     except InsufficientPopulationError:
         hist = None
-    records = histogram_metric_records(hist, scores, positive, thresholds)
-    return records, hist is not None
+    return histogram_metric_records(hist, scores, positive, thresholds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +382,7 @@ def _run_cell(
     spec = PrivacySpec(
         regime=regime, epsilon=epsilon, height=height, fanout=config.fanout
     )
-    records, aggregated = evaluate_population(
+    records = evaluate_population(
         scores, positive, spec, num_buckets, config.split_policy,
         config.thresholds, (split_ss, pos_ss, neg_ss),
     )
@@ -392,8 +392,6 @@ def _run_cell(
                 scores, positive, spec, num_buckets, config.split_policy,
                 config.eval_bins, calib_ss,
             )
-            if aggregated
-            else _DEGENERATE_ECE
         )
 
     wall_ms = (time.perf_counter() - started) * 1000.0 if timings else None

@@ -33,7 +33,7 @@ from fedeval.mechanisms import (
     sample_polya,
 )
 from fedeval.metrics import auc_histogram, pra_threshold
-from fedeval.oracle import _auc_from_arrays, exact_pra_curve
+from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
 from reference_mechanisms import oue_aggregate, oue_decode, oue_encode
 
@@ -57,7 +57,7 @@ def histogram_auc_errors(clients, scores, flags, spec, bucket_counts, seed):
     """
     pos = build_hierarchy(clients, Label.POSITIVE, spec, (seed, 2))
     neg = build_hierarchy(clients, Label.NEGATIVE, spec, (seed, 3))
-    _, half = _auc_from_arrays(scores, flags)
+    _, half = _auc_from_arrays(*_class_sorted(scores, flags))
     return [
         abs(auc_histogram(build_score_histogram(pos, neg, b)).value - half)
         for b in bucket_counts
@@ -69,7 +69,7 @@ def pra_max_err(clients, scores, flags, spec, num_buckets, seed):
     pos = build_hierarchy(clients, Label.POSITIVE, spec, (seed, 2))
     neg = build_hierarchy(clients, Label.NEGATIVE, spec, (seed, 3))
     hist = build_score_histogram(pos, neg, num_buckets)
-    exact = exact_pra_curve(scores, flags, THRESHOLD_GRID)
+    exact = exact_pra_curve(*_class_sorted(scores, flags), THRESHOLD_GRID)
     worst = 0.0
     for threshold, (ep, er, ea) in zip(THRESHOLD_GRID, exact):
         est = pra_threshold(hist, threshold)
@@ -129,7 +129,7 @@ def test_criterion_01_secure_agg_auc_inside_advertised_halfwidth():
         clients = split_population(scores, flags, "one_per_client")
         pos = build_hierarchy(clients, Label.POSITIVE, spec)
         neg = build_hierarchy(clients, Label.NEGATIVE, spec)
-        strict, half = _auc_from_arrays(scores, flags)
+        strict, half = _auc_from_arrays(*_class_sorted(scores, flags))
         ties = int(np.bincount(leaf_indices(scores, height, 2)).max())
         num_pos = int(flags.sum())
         kappa = m * m / (4.0 * num_pos * (m - num_pos))
@@ -370,7 +370,7 @@ def test_criterion_10_fast_oracles_equal_literal_formulas():
         flags = rng.random(m) < 0.5
         if flags.all() or not flags.any():
             flags[0] = not flags[0]
-        strict, half = _auc_from_arrays(scores, flags)
+        strict, half = _auc_from_arrays(*_class_sorted(scores, flags))
         pos_scores = [s for s, f in zip(scores.tolist(), flags.tolist()) if f]
         neg_scores = [s for s, f in zip(scores.tolist(), flags.tolist()) if not f]
         wins = ties = 0

@@ -14,7 +14,6 @@ from fedeval.calibration import (
     CalibrationMap,
     _candidate_bucket_counts,
     apply_calibration_batch,
-    bbq_weights,
     calibrate_bbq,
     calibrate_histogram,
     ece_arrays,
@@ -165,12 +164,16 @@ def build_class_trees(num, dist, seed, height=6):
 
 def test_bbq_weights_form_a_distribution():
     pos, neg = build_class_trees(4000, ScoreDistribution(), seed=31)
-    weighted = bbq_weights(pos, neg, 4000.0)
-    weights = np.array([w for _, w in weighted])
-    assert weights.sum() == pytest.approx(1.0)
-    assert np.all(weights >= 0.0)
-    counts = [c for c, _ in weighted]
+    cal_map = calibrate_bbq(pos, neg)
+    assert cal_map.weights.sum() == pytest.approx(1.0)
+    assert np.all(cal_map.weights >= 0.0)
+    # One weight per candidate count, in the grid's increasing order.
+    counts = _candidate_bucket_counts(4000.0).tolist()
     assert counts == sorted(set(counts))
+    assert cal_map.weights.size == len(counts)
+    for count, (boundaries, _) in zip(counts, cal_map.binnings):
+        hist = build_score_histogram(pos, neg, count)
+        assert np.array_equal(boundaries, hist.boundaries)
 
 
 def test_calibrate_bbq_mixes_valid_binnings():

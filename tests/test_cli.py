@@ -233,6 +233,24 @@ def test_evaluate_is_byte_stable(data_csv, capsys):
     assert capsys.readouterr().out != first
 
 
+@pytest.mark.parametrize("command", ["evaluate", "calibrate"])
+def test_more_buckets_than_leaves_match_one_per_leaf(data_csv, capsys, command):
+    # 10**12 buckets on 2**6 leaves cut every leaf, as 2**6 + 1 do; no
+    # B-sized array may be formed on the way.
+    outputs = []
+    for buckets in (2**6 + 1, 10**12):
+        code = main([
+            command, "--data", data_csv, "--regime", "dist_dp",
+            "--height", "6", "--buckets", str(buckets), "--seed", "5",
+        ])
+        assert code == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for row in rows:
+            assert row.pop("B", buckets) == buckets
+        outputs.append(rows)
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_runs_config(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(
@@ -436,6 +454,8 @@ EVALUATE = ["evaluate", "--data", "{data}", *SECURE, "--buckets", "4"]
         pytest.param([*EVALUATE, "--height", "0"], 1, id="height-0"),
         pytest.param([*EVALUATE, "--fanout", "1"], 1, id="fanout-1"),
         pytest.param([*EVALUATE, "--height", "40"], 1, id="height-40"),
+        pytest.param([*EVALUATE, "--height", "5000"], 1, id="height-5000"),
+        pytest.param([*EVALUATE, "--height", "100000"], 1, id="height-100000"),
         pytest.param(["calibrate", "--data", "{data}", *SECURE, "--buckets", "4",
                       "--eval-bins", "0"], 1, id="eval-bins-0"),
         pytest.param([*EVALUATE, "--split", "banana"], 1, id="unknown-split"),
@@ -452,6 +472,9 @@ EVALUATE = ["evaluate", "--data", "{data}", *SECURE, "--buckets", "4"]
                       "--buckets", "4", "--seed", "-1"], 1,
                      id="calibrate-seed-negative"),
         pytest.param(["sweep", "--config", "{binary}"], 1, id="sweep-non-utf8-config"),
+        # An 8 PB request that fails at once, without touching memory.
+        pytest.param(["gen-data", "--out", "{out}", "--num-examples", str(10**15),
+                      "--seed", "1"], 1, id="gen-data-out-of-memory"),
     ],
 )
 def test_failure_paths_exit_with_one_message(
@@ -477,6 +500,11 @@ def test_failure_paths_exit_with_one_message(
     if "{binary}" in argv:
         kind = "config" if argv[0] == "sweep" else "data"
         assert f"{kind} error: {binary}: " in captured.err
+    if "--height" in argv:
+        # The message names the parameter, not the f**h it would form.
+        last = captured.err.splitlines()[-1]
+        assert "height" in last and argv[argv.index("--height") + 1] in last
+        assert len(last) < 200
 
 
 @pytest.mark.parametrize("kind", ["sweep-config", "data"])

@@ -7,7 +7,7 @@ import pytest
 
 from fedeval import ScoreDistribution, Spike
 from fedeval.datagen import sample_population, split_population
-from fedeval.oracle import _auc_from_arrays
+from fedeval.oracle import _auc_from_arrays, _class_sorted
 
 
 def test_sizes_and_extreme_balance():
@@ -99,11 +99,13 @@ def test_default_distribution_auc():
     # Opposing slopes of 2 give a population AUC of 5/6; slopes of 1
     # give 2/3.
     _, half = _auc_from_arrays(
-        *sample_population(40_000, ScoreDistribution(), seed=24)
+        *_class_sorted(*sample_population(40_000, ScoreDistribution(), seed=24))
     )
     assert abs(half - 5.0 / 6.0) < 0.01
     _, half = _auc_from_arrays(
-        *sample_population(40_000, ScoreDistribution(lipschitz=1.0), seed=25)
+        *_class_sorted(
+            *sample_population(40_000, ScoreDistribution(lipschitz=1.0), seed=25)
+        )
     )
     assert abs(half - 2.0 / 3.0) < 0.01
 

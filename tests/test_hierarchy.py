@@ -22,10 +22,11 @@ from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
     _bucket_variances,
+    _level_runs,
+    _prefixes_at,
+    _quantile_leaves,
     build_hierarchy,
     build_score_histogram,
-    find_quantile,
-    prefix_count,
 )
 from fedeval.mechanisms import discrete_laplace_variance
 
@@ -63,25 +64,15 @@ def test_other_class_tree_is_empty_but_same_shape():
 
 def test_prefix_values_cover_full_range():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    assert [prefix_count(pos, r).value for r in range(5)] == [0, 1, 2, 3, 4]
-    assert prefix_count(pos, 3) == NoisyCount(3.0, 0.0)
-    assert prefix_count(pos, 0) == NoisyCount(0.0, 0.0)
-    assert prefix_count(pos, 4) == NoisyCount(4.0, 0.0)
-    with pytest.raises(ValueError):
-        prefix_count(pos, -1)
-    with pytest.raises(ValueError):
-        prefix_count(pos, 5)
+    assert _prefixes_at(pos, np.arange(5)).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_find_quantile_first_crossing():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    assert find_quantile(pos, 1.0) == 0.25
-    assert find_quantile(pos, 2.0) == 0.5
-    assert find_quantile(pos, 0.0) == 0.0
-    assert find_quantile(pos, 4.0) == 1.0
+    targets = np.array([1.0, 2.0, 0.0, 4.0])
+    assert _quantile_leaves(pos, targets).tolist() == [1, 2, 0, 4]
     # Targets are clamped to [0, population total].
-    assert find_quantile(pos, 100.0) == 1.0
-    assert find_quantile(pos, -3.0) == 0.0
+    assert _quantile_leaves(pos, np.array([100.0, -3.0])).tolist() == [4, 0]
 
 
 def test_histogram_of_separated_classes():
@@ -117,6 +108,24 @@ def test_width_cap_splits_wide_buckets():
     hist = build_score_histogram(pos, neg, 4)
     assert hist.boundary_leaves.tolist() == [0, 1, 8, 16]
     assert hist.pos_values.tolist() == [8, 0, 0]
+
+
+@pytest.mark.parametrize("height,fanout", [(5, 2), (3, 3)])
+def test_more_buckets_than_leaves_cut_every_leaf(height, fanout):
+    # Past f**h buckets the width cap is one leaf, so any larger count
+    # gives the histogram of f**h + 1 buckets; 10**12 would not fit a
+    # B-sized array.
+    rng = np.random.default_rng(9)
+    shards = clients_of([(s, int(s > 0.4)) for s in rng.random(300)])
+    spec = dp_spec(height, 1.0, fanout)
+    pos = build_hierarchy(shards, Label.POSITIVE, spec, seed=1)
+    neg = build_hierarchy(shards, Label.NEGATIVE, spec, seed=2)
+    want = build_score_histogram(pos, neg, fanout**height + 1)
+    got = build_score_histogram(pos, neg, 10**12)
+    assert got.boundary_leaves.tolist() == list(range(fanout**height + 1))
+    for field in ("boundary_leaves", "pos_values", "neg_values",
+                  "pos_variances", "neg_variances", "pos_total", "neg_total"):
+        assert same_bits(getattr(got, field), getattr(want, field))
 
 
 def test_histogram_rejects_bad_inputs():
@@ -330,15 +339,16 @@ def fabricated_counts(height, fanout, level_variances, rng):
 
 @pytest.mark.parametrize("height,fanout", [(5, 2), (3, 3), (4, 2)])
 def test_prefix_variances_count_decomposition_nodes(height, fanout):
+    # Each node a prefix reads adds its level's variance once; the runs
+    # of _level_runs must be exactly the canonical decomposition.
     rng = np.random.default_rng(height * 10 + fanout)
-    level_vars = [float(v) for v in rng.uniform(0.5, 4.0, size=height)]
-    counts = fabricated_counts(height, fanout, level_vars, rng)
-    for r in range(fanout**height + 1):
-        expected = sum(
-            level_vars[k - 1] * len(prefix_run(r, k, height, fanout))
-            for k in range(1, height + 1)
-        )
-        assert prefix_count(counts, r).variance == pytest.approx(expected)
+    counts = fabricated_counts(height, fanout, [1.0] * height, rng)
+    leaves = np.arange(fanout**height + 1)
+    lo, hi = _level_runs(counts, leaves)
+    for k in range(1, height + 1):
+        for r in leaves.tolist():
+            run = set(range(lo[k - 1, r], hi[k - 1, r]))
+            assert run == prefix_run(r, k, height, fanout)
 
 
 @pytest.mark.parametrize("height,fanout", [(5, 2), (3, 3)])
@@ -379,7 +389,7 @@ def test_bucket_variance_empirically_calibrated():
     samples = np.zeros((builds, 3))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(77, i))
-        samples[i] = np.diff([prefix_count(hier, r).value for r in boundary])
+        samples[i] = np.diff(_prefixes_at(hier, boundary))
         advertised = _bucket_variances(hier, boundary)
     empirical = samples.var(axis=0, ddof=1)
     assert np.all(empirical > 0.6 * advertised)
@@ -400,14 +410,14 @@ def test_bucket_variance_empirically_calibrated():
 def test_prefixes_and_quantiles_consistent(items, target):
     shards = clients_of([((i + 0.5) / 16.0, f) for i, f in items])
     hier = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
-    prefix = np.array([prefix_count(hier, r).value for r in range(17)])
+    prefix = _prefixes_at(hier, np.arange(17))
     assert np.all(np.diff(prefix) >= 0)
     num_pos = sum(1 for _, f in items if f)
     assert prefix[-1] == num_pos
     for k in range(1, 5):
         assert hier.values[k - 1].sum() == num_pos
 
-    r = round(find_quantile(hier, target) * 16)
+    r = int(_quantile_leaves(hier, np.array([target]))[0])
     clamped = min(max(target, 0.0), float(num_pos))
     assert prefix[r] >= clamped
     if r > 0:
@@ -451,28 +461,24 @@ def test_histogram_counts_partition_the_data(items, num_buckets):
 
 
 def dense_prefixes(counts):
-    """Every prefix value and variance, for r = 0..f**h, by the dense formula.
+    """Every prefix value, for r = 0..f**h, by the dense formula.
 
     Prefix [0, r) is accumulated from zero in level order (int64 when
     every level is an integer array, else float64); level k contributes
     its nodes f*(r // f**(h-k+1)) .. r // f**(h-k) - 1, or 0 .. r // f**(h-1) - 1
-    at the top level, and their count times the level variance.
+    at the top level.
     """
     f, h, n = counts.fanout, counts.height, counts.num_leaves
     r = np.arange(n + 1, dtype=np.int64)
     exact = all(level.dtype.kind in "iu" for level in counts.values)
     values = np.zeros(n + 1, dtype=np.int64 if exact else np.float64)
-    variances = np.zeros(n + 1, dtype=np.float64)
     for k in range(1, h + 1):
         level = counts.values[k - 1]
         cum = np.concatenate(([level.dtype.type(0)], np.cumsum(level)))
         hi = r // f ** (h - k)
         lo = f * (r // f ** (h - k + 1)) if k > 1 else np.zeros_like(r)
         values += cum[hi] - cum[lo]
-        v = counts.level_variances[k - 1]
-        if v != 0.0:
-            variances += (hi - lo) * v
-    return values, variances
+    return values
 
 
 def bisect_leaf(prefix, target):
@@ -493,7 +499,7 @@ def clamped(target, counts):
 
 def reference_boundaries(combined, num_buckets):
     """Quantile cuts by scalar bisection, then the aligned width cap."""
-    prefix, _ = dense_prefixes(combined)
+    prefix = dense_prefixes(combined)
     total = combined.population_total.value
     n, f = combined.num_leaves, combined.fanout
     cuts = {0, n}
@@ -566,15 +572,11 @@ def test_prefix_queries_match_literal_reference(
         st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
     )
     for counts in (pos, neg, pos + neg):
-        values, variances = dense_prefixes(counts)
-        for r in leaves:
-            got = prefix_count(counts, r)
-            assert same_bits(
-                [got.value, got.variance], [float(values[r]), float(variances[r])]
-            )
-        for target in targets:
-            want = bisect_leaf(values, clamped(target, counts)) / n
-            assert same_bits(find_quantile(counts, target), want)
+        values = dense_prefixes(counts)
+        assert same_bits(_prefixes_at(counts, np.array(leaves)), values[leaves])
+        want = [bisect_leaf(values, clamped(t, counts)) for t in targets]
+        got = _quantile_leaves(counts, np.array(targets, dtype=np.float64))
+        assert same_bits(got, np.array(want, dtype=np.int64))
 
     hist = build_score_histogram(pos, neg, num_buckets)
     boundary = reference_boundaries(pos + neg, num_buckets)
@@ -583,7 +585,7 @@ def test_prefix_queries_match_literal_reference(
         (pos, hist.pos_values, hist.pos_variances, hist.pos_total),
         (neg, hist.neg_values, hist.neg_variances, hist.neg_total),
     ):
-        values, _ = dense_prefixes(counts)
+        values = dense_prefixes(counts)
         assert same_bits(got_values, np.diff(values[boundary]))
         assert same_bits(got_variances, reference_bucket_variances(counts, boundary))
         assert same_bits(

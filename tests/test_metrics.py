@@ -31,7 +31,7 @@ from fedeval.metrics import (
     pra_fixed,
     pra_threshold,
 )
-from fedeval.oracle import _auc_from_arrays, exact_pra_curve
+from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
 
 def sa_spec(height, fanout=2):
@@ -123,7 +123,7 @@ def test_auc_envelope_covers_exact_value():
         neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(6))
         num_buckets = int(rng.integers(1, 20))
         est = auc_histogram(build_score_histogram(pos, neg, num_buckets))
-        strict, half = _auc_from_arrays(scores, flags)
+        strict, half = _auc_from_arrays(*_class_sorted(scores, flags))
         hw = est.bucketization_halfwidth + 1e-12
         assert abs(est.value - half) <= hw
         assert abs(est.value - strict) <= hw
@@ -173,7 +173,7 @@ def test_auc_noise_variance_is_conservative():
         build_hierarchy(shards, Label.NEGATIVE, spec, seed=(11, 1)),
         16,
     ).boundary_leaves
-    strict, half = _auc_from_arrays(scores, flags)
+    strict, half = _auc_from_arrays(*_class_sorted(scores, flags))
     builds = 250
     values = np.zeros(builds)
     advertised_var = np.zeros(builds)
@@ -264,7 +264,8 @@ def test_pra_fixed_secure_agg_matches_oracle():
     examples = random_examples(rng, 200)
     for group in (1, 3):
         est = pra_fixed(fixed_split(examples, group), 0.35, sa_spec(4))
-        precision, recall, accuracy = exact_pra_curve(*examples, [0.35])[0]
+        classes = _class_sorted(*examples)
+        precision, recall, accuracy = exact_pra_curve(*classes, [0.35])[0]
         assert est.precision == precision
         assert est.recall == recall
         assert est.accuracy == accuracy

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedeval.oracle import _auc_from_arrays, exact_pra_curve
+from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
 
 def make(pairs):
@@ -15,11 +15,11 @@ def make(pairs):
 
 
 def exact_auc(columns):
-    return _auc_from_arrays(*columns)
+    return _auc_from_arrays(*_class_sorted(*columns))
 
 
 def exact_pra(columns, threshold):
-    return exact_pra_curve(*columns, [threshold])[0]
+    return exact_pra_curve(*_class_sorted(*columns), [threshold])[0]
 
 
 def literal_pra(scores, positives, threshold):
@@ -125,7 +125,7 @@ def test_exact_pra_curve_matches_pointwise():
     scores = rng.integers(0, 32, size=num) / 32.0
     positives = rng.random(num) < 0.4
     thresholds = [0.0, 0.125, 0.5, 0.50001, 0.96875, 1.0]
-    curve = exact_pra_curve(scores, positives, thresholds)
+    curve = exact_pra_curve(*_class_sorted(scores, positives), thresholds)
     for threshold, triple in zip(thresholds, curve):
         assert triple == literal_pra(scores, positives, threshold)
 
@@ -153,12 +153,13 @@ THRESHOLDS = [-0.5, -0.0, *(k / 16 for k in range(17)), 1.5]
 def test_oracles_equal_literal_loops_on_tied_samples(pairs, thresholds):
     scores = np.array([s for s, _ in pairs], dtype=np.float64)
     positives = np.array([p for _, p in pairs], dtype=bool)
-    curve = exact_pra_curve(scores, positives, thresholds)
+    classes = _class_sorted(scores, positives)
+    curve = exact_pra_curve(*classes, thresholds)
     assert curve == [literal_pra(scores, positives, t) for t in thresholds]
     if positives.all() or not positives.any():
         with pytest.raises(ValueError):
-            _auc_from_arrays(scores, positives)
+            _auc_from_arrays(*classes)
     else:
-        assert _auc_from_arrays(scores, positives) == brute_force_auc(
+        assert _auc_from_arrays(*classes) == brute_force_auc(
             scores, positives
         )
