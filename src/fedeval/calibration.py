@@ -22,6 +22,7 @@ from .hierarchy import (
     ScoreHistogram,
     _bucket_histogram,
     _cut_leaves,
+    _running_sums,
 )
 
 __all__ = [
@@ -172,6 +173,19 @@ def _softmax(log_scores: np.ndarray) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _candidate_cuts(
+    pos: HierarchicalCounts, neg: HierarchicalCounts
+) -> list[np.ndarray]:
+    """Leaf boundaries of every candidate binning, from one combined tree.
+
+    The combined tree and its running sums are built once for all the
+    candidates and dropped on return.
+    """
+    combined = _running_sums(pos + neg)
+    counts = _candidate_bucket_counts(combined.counts.population_total.value)
+    return [_cut_leaves(combined, int(count)) for count in counts]
+
+
 def calibrate_bbq(
     pos: HierarchicalCounts,
     neg: HierarchicalCounts,
@@ -184,11 +198,9 @@ def calibrate_bbq(
     is the softmax of its Beta-binomial log evidence.
     """
     _check_prior(prior)
-    combined = pos + neg
-    hists = [
-        _bucket_histogram(pos, neg, _cut_leaves(combined, int(count)))
-        for count in _candidate_bucket_counts(combined.population_total.value)
-    ]
+    cuts = _candidate_cuts(pos, neg)
+    pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
+    hists = [_bucket_histogram(pos_sums, neg_sums, leaves) for leaves in cuts]
     weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
     binnings = []
     for hist in hists:

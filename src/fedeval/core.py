@@ -286,8 +286,13 @@ def check_epsilon_use(regime: Regime, epsilon: float, parts: int, use: str) -> N
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:
     """Map scores in [0, 1] to leaf indices in [0, fanout**height - 1]."""
     num_leaves = fanout**height
-    idx = np.floor(np.asarray(scores, dtype=np.float64) * num_leaves).astype(np.int64)
-    return np.clip(idx, 0, num_leaves - 1)
+    scores = np.asarray(scores, dtype=np.float64)
+    # The product is cast to int64 a buffer at a time, so no float copy
+    # of the column is made. The cast truncates, which is the floor for
+    # every score >= 0; the clip sends every other value to leaf 0.
+    idx = np.empty(scores.shape, dtype=np.int64)
+    np.multiply(scores, num_leaves, out=idx, casting="unsafe")
+    return np.clip(idx, 0, num_leaves - 1, out=idx)
 
 
 def as_generator(seed) -> np.random.Generator:

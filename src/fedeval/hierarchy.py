@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,22 +116,6 @@ class HierarchicalCounts:
         )
         return HierarchicalCounts(self.spec, values, variances, total)
 
-    @cached_property
-    def _running_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every level's running sums in one buffer, and each level's offset.
-
-        buffer[offsets[k-1] + i] is the sum of the first i level-k nodes
-        (0 for i = 0), in int64 when every level is an integer array and
-        float64 otherwise.
-        """
-        exact = all(level.dtype.kind in "iu" for level in self.values)
-        sizes = [len(level) + 1 for level in self.values]
-        offsets = np.cumsum([0] + sizes[:-1])
-        buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
-        for off, level in zip(offsets, self.values):
-            buffer[off + 1 : off + len(level) + 1] = np.cumsum(level)
-        return buffer, offsets
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreHistogram:
@@ -207,16 +191,14 @@ def _build_exact(
 def _build_local_dp(
     clients: ClientSplit, class_filter: Label, spec: PrivacySpec, rng
 ) -> tuple[list[np.ndarray], list[float]]:
-    clients.check_one_per_client()
     num_clients = clients.num_clients
+    # Every client holds at most one example, so the occupied clients
+    # hold rows 0, 1, ... in client order and need no gather.
     occupied = clients.sizes() == 1
-    rows = clients.offsets[:-1][occupied]
     leaf_of_client = np.full(num_clients, -1, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
-    leaf_of_client[occupied] = leaf_indices(
-        clients.scores[rows], spec.height, spec.fanout
-    )
-    matches[occupied] = _class_rows(clients, class_filter)[rows]
+    leaf_of_client[occupied] = leaf_indices(clients.scores, spec.height, spec.fanout)
+    matches[occupied] = _class_rows(clients, class_filter)
 
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
@@ -275,6 +257,9 @@ def build_hierarchy(
     rng = as_generator(seed)
 
     if spec.regime is Regime.LOCAL_DP:
+        # The shard check comes first, so a multi-example split fails
+        # whatever its client count.
+        clients.check_one_per_client()
         if num_clients == 0:
             levels = [
                 np.zeros(spec.fanout**k, dtype=np.float64)
@@ -332,22 +317,45 @@ def _level_runs(
     return lo, hi
 
 
-def _prefixes_at(counts: HierarchicalCounts, r: np.ndarray) -> np.ndarray:
+class _RunningSums(NamedTuple):
+    """Every level's running sums of one tree, in one buffer.
+
+    buffer[offsets[k-1] + i] is the sum of the first i level-k nodes
+    (0 for i = 0), in int64 when every level is an integer array and
+    float64 otherwise. A query builds them once, reads the prefixes it
+    needs and drops them; nothing caches them on the tree.
+    """
+
+    counts: HierarchicalCounts
+    buffer: np.ndarray
+    offsets: np.ndarray
+
+
+def _running_sums(counts: HierarchicalCounts) -> _RunningSums:
+    exact = all(level.dtype.kind in "iu" for level in counts.values)
+    sizes = [len(level) + 1 for level in counts.values]
+    offsets = np.cumsum([0] + sizes[:-1])
+    buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
+    for off, level in zip(offsets, counts.values):
+        buffer[off + 1 : off + len(level) + 1] = np.cumsum(level)
+    return _RunningSums(counts, buffer, offsets)
+
+
+def _prefixes_at(sums: _RunningSums, r: np.ndarray) -> np.ndarray:
     """Estimated count of examples with leaf index < r, for each r.
 
     Level contributions are accumulated from zero in level order, so a
     prefix has the same bits whichever queries it is read with.
     """
-    buffer, offsets = counts._running_sums
-    lo, hi = _level_runs(counts, r)
-    base = offsets[:, None]
-    out = np.zeros(r.shape, dtype=buffer.dtype)
-    for level_sum in buffer[base + hi] - buffer[base + lo]:
+    lo, hi = _level_runs(sums.counts, r)
+    base = sums.offsets[:, None]
+    out = np.zeros(r.shape, dtype=sums.buffer.dtype)
+    for level_sum in sums.buffer[base + hi] - sums.buffer[base + lo]:
         out += level_sum
     return out
 
 
-def _quantile_leaves(counts: HierarchicalCounts, targets: np.ndarray) -> np.ndarray:
+def _quantile_leaves(sums: _RunningSums, targets: np.ndarray) -> np.ndarray:
     """Leaf boundary that bisection over prefix counts reaches for each target.
 
     Targets are clamped to [0, population total]. Every target runs the
@@ -358,14 +366,14 @@ def _quantile_leaves(counts: HierarchicalCounts, targets: np.ndarray) -> np.ndar
     prefixes may be non-monotone, and the bisection then returns the
     crossing it converges to, without post-processing.
     """
-    total = max(counts.population_total.value, 0.0)
+    total = max(sums.counts.population_total.value, 0.0)
     targets = np.minimum(np.maximum(targets, 0.0), total)
     lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, counts.num_leaves, dtype=np.int64)
+    hi = np.full(targets.shape, sums.counts.num_leaves, dtype=np.int64)
     active = lo < hi
     while active.any():
         mid = (lo + hi) // 2
-        reached = _prefixes_at(counts, mid) >= targets
+        reached = _prefixes_at(sums, mid) >= targets
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
         active = lo < hi
@@ -394,24 +402,28 @@ def _bucket_variances(
 
 
 def _bucket_histogram(
-    pos: HierarchicalCounts, neg: HierarchicalCounts, boundary_leaves: np.ndarray
+    pos: _RunningSums, neg: _RunningSums, boundary_leaves: np.ndarray
 ) -> ScoreHistogram:
     """Bucket counts of both classes between the given leaf boundaries."""
     pos_prefix = _prefixes_at(pos, boundary_leaves)
     neg_prefix = _prefixes_at(neg, boundary_leaves)
     return ScoreHistogram(
-        spec=pos.spec,
+        spec=pos.counts.spec,
         boundary_leaves=boundary_leaves,
         pos_values=np.diff(pos_prefix),
         neg_values=np.diff(neg_prefix),
-        pos_variances=_bucket_variances(pos, boundary_leaves),
-        neg_variances=_bucket_variances(neg, boundary_leaves),
-        pos_total=NoisyCount(float(pos_prefix[-1]), pos.population_total.variance),
-        neg_total=NoisyCount(float(neg_prefix[-1]), neg.population_total.variance),
+        pos_variances=_bucket_variances(pos.counts, boundary_leaves),
+        neg_variances=_bucket_variances(neg.counts, boundary_leaves),
+        pos_total=NoisyCount(
+            float(pos_prefix[-1]), pos.counts.population_total.variance
+        ),
+        neg_total=NoisyCount(
+            float(neg_prefix[-1]), neg.counts.population_total.variance
+        ),
     )
 
 
-def _cut_leaves(combined: HierarchicalCounts, num_buckets: int) -> np.ndarray:
+def _cut_leaves(combined: _RunningSums, num_buckets: int) -> np.ndarray:
     """Leaf boundaries of the equi-depth histogram of one combined tree.
 
     Boundaries are the B-quantiles of combined (found by bisection, see
@@ -420,17 +432,18 @@ def _cut_leaves(combined: HierarchicalCounts, num_buckets: int) -> np.ndarray:
     O(1/B). Duplicate quantiles are merged, so fewer than B buckets may
     come back; splitting produces at most B - 1 extra ones.
     """
-    n = combined.num_leaves
+    tree = combined.counts
+    n = tree.num_leaves
     if num_buckets > n:
         # The width cap is one leaf, so every leaf boundary is a cut
         # whatever the quantiles; no B-sized target array is formed.
         return np.arange(n + 1, dtype=np.int64)
-    total = combined.population_total.value
+    total = tree.population_total.value
     targets = np.arange(1, num_buckets) * total / num_buckets
     cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}
 
-    f = combined.fanout
-    cap_level = min(combined.height, max(0, _ceil_log(num_buckets, f) - 1))
+    f = tree.fanout
+    cap_level = min(tree.height, max(0, _ceil_log(num_buckets, f) - 1))
     stride = n // f**cap_level
     bounds = sorted(cuts)
     final: list[int] = [0]
@@ -447,10 +460,12 @@ def build_score_histogram(
     """Equi-depth histogram over both classes.
 
     Boundaries are the B-quantiles of the combined population, with
-    over-wide buckets split (see _cut_leaves).
+    over-wide buckets split (see _cut_leaves). The combined tree and
+    every running sum live only for this call.
     """
     if num_buckets < 1:
         raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
     if pos.spec != neg.spec:
         raise ValueError("pos and neg hierarchies must share one privacy spec")
-    return _bucket_histogram(pos, neg, _cut_leaves(pos + neg, num_buckets))
+    boundary_leaves = _cut_leaves(_running_sums(pos + neg), num_buckets)
+    return _bucket_histogram(_running_sums(pos), _running_sums(neg), boundary_leaves)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -266,15 +268,16 @@ def fit_held_out(
 
 
 def _held_out_ece(
-    fit: HeldOutFit,
     pos: HierarchicalCounts,
     neg: HierarchicalCounts,
+    eval_scores: np.ndarray,
+    eval_positive: np.ndarray,
     num_buckets: int,
     eval_bins: int,
 ) -> float:
     cal_map = calibrate_histogram(build_score_histogram(pos, neg, num_buckets))
-    probs = apply_calibration_batch(cal_map, fit.eval_scores)
-    return ece_arrays(probs, fit.eval_positive, eval_bins).ece
+    probs = apply_calibration_batch(cal_map, eval_scores)
+    return ece_arrays(probs, eval_positive, eval_bins).ece
 
 
 def _ece_record(
@@ -292,21 +295,24 @@ def _ece_record(
     aggregated counts of the first half and scored by ECE on the second.
     The exact reference repeats the pipeline with exact aggregation on
     the same halves, so for exact regimes the error is zero by
-    construction.
+    construction. The noisy trees are dropped before the exact ones are
+    built, so the two pairs are never held at once.
     """
     if scores.size < 4:
         return _DEGENERATE_ECE
     try:
         fit = fit_held_out(scores, positive, spec, split_policy, calib_seed)
-        estimate = _held_out_ece(fit, fit.pos, fit.neg, num_buckets, eval_bins)
+        clients, held_out = fit.clients, (fit.eval_scores, fit.eval_positive)
+        estimate = _held_out_ece(fit.pos, fit.neg, *held_out, num_buckets, eval_bins)
+        del fit
         if spec.regime is Regime.SECURE_AGG:
             exact = estimate
         else:
             exact_spec = PrivacySpec(
                 regime=Regime.SECURE_AGG, height=spec.height, fanout=spec.fanout
             )
-            pos, neg = _aggregate_classes(fit.clients, exact_spec, None, None)
-            exact = _held_out_ece(fit, pos, neg, num_buckets, eval_bins)
+            pos, neg = _aggregate_classes(clients, exact_spec, None, None)
+            exact = _held_out_ece(pos, neg, *held_out, num_buckets, eval_bins)
     except (InsufficientPopulationError, DegenerateEstimateError):
         return _DEGENERATE_ECE
     return ("ece", None, estimate, exact, None, False)
@@ -358,6 +364,7 @@ def _run_cell(
     rep: int,
     file_columns: tuple[np.ndarray, np.ndarray] | None,
     timings: bool,
+    helper: ThreadPoolExecutor,
 ) -> list[SweepResultRow]:
     entropy = (
         config.base_seed,
@@ -382,17 +389,21 @@ def _run_cell(
     spec = PrivacySpec(
         regime=regime, epsilon=epsilon, height=height, fanout=config.fanout
     )
+    # The held-out ECE fit runs on the helper thread while this thread
+    # evaluates. The stages share only the read-only columns and each
+    # draws from its own seed, so the rows do not depend on the overlap.
+    ece = None
+    if config.measure_ece:
+        ece = helper.submit(
+            _ece_record, scores, positive, spec, num_buckets,
+            config.split_policy, config.eval_bins, calib_ss,
+        )
     records = evaluate_population(
         scores, positive, spec, num_buckets, config.split_policy,
         config.thresholds, (split_ss, pos_ss, neg_ss),
     )
-    if config.measure_ece:
-        records.append(
-            _ece_record(
-                scores, positive, spec, num_buckets, config.split_policy,
-                config.eval_bins, calib_ss,
-            )
-        )
+    if ece is not None:
+        records.append(ece.result())
 
     wall_ms = (time.perf_counter() - started) * 1000.0 if timings else None
     return result_rows(records, spec, num_examples, num_buckets, cell_seed, wall_ms)
@@ -404,7 +415,9 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
     Cells iterate regimes, then population sizes, bucket counts,
     heights, epsilons (exact aggregation takes a single None epsilon),
     then repetitions. Within a cell the rows are AUC, then
-    precision/recall/accuracy per threshold, then ECE.
+    precision/recall/accuracy per threshold, then ECE. Each cell's
+    held-out ECE fit runs on one helper thread beside its evaluation;
+    the helper lives only for this call.
     """
     file_columns = None
     if config.data_path is not None:
@@ -416,23 +429,24 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
         m_grid = config.num_examples
 
     rows = []
-    for regime in config.regimes:
-        eps_values: tuple[float | None, ...]
-        if regime is Regime.SECURE_AGG:
-            eps_values = (None,)
-        else:
-            eps_values = config.epsilons
-        for num_examples in m_grid:
-            for num_buckets in config.num_buckets:
-                for height in config.heights:
-                    for epsilon in eps_values:
-                        for rep in range(config.repetitions):
-                            rows.extend(
-                                _run_cell(
-                                    config, regime, num_examples, num_buckets,
-                                    height, epsilon, rep, file_columns, timings,
-                                )
-                            )
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for regime in config.regimes:
+            eps_values: tuple[float | None, ...]
+            if regime is Regime.SECURE_AGG:
+                eps_values = (None,)
+            else:
+                eps_values = config.epsilons
+            grid = product(
+                m_grid, config.num_buckets, config.heights, eps_values,
+                range(config.repetitions),
+            )
+            for num_examples, num_buckets, height, epsilon, rep in grid:
+                rows.extend(
+                    _run_cell(
+                        config, regime, num_examples, num_buckets, height,
+                        epsilon, rep, file_columns, timings, helper,
+                    )
+                )
     return rows
 
 

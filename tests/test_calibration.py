@@ -10,6 +10,7 @@ from fedeval import (
     Regime,
     ScoreDistribution,
 )
+from fedeval import calibration
 from fedeval.calibration import (
     CalibrationMap,
     _candidate_bucket_counts,
@@ -19,7 +20,12 @@ from fedeval.calibration import (
     ece_arrays,
 )
 from fedeval.datagen import sample_population, split_population
-from fedeval.hierarchy import ScoreHistogram, build_hierarchy, build_score_histogram
+from fedeval.hierarchy import (
+    ScoreHistogram,
+    _running_sums,
+    build_hierarchy,
+    build_score_histogram,
+)
 
 
 def sa_spec(height, fanout=2):
@@ -294,3 +300,24 @@ def test_ece_input_validation():
         ece_arrays(np.array([0.5]), np.array([True]), 0)
     with pytest.raises(ValueError):
         ece_arrays(np.array([0.5, 0.5]), np.array([True]), 10)
+
+
+def test_bbq_builds_each_trees_running_sums_once(monkeypatch):
+    pos, neg = build_class_trees(4000, ScoreDistribution(), seed=35)
+    built = []
+
+    def counting(counts):
+        built.append(counts)
+        return _running_sums(counts)
+
+    monkeypatch.setattr(calibration, "_running_sums", counting)
+    cal_map = calibrate_bbq(pos, neg)
+    assert len(cal_map.binnings) > 1
+    # One build each for pos and neg, and one for their sum, which all
+    # the candidate cuts read.
+    assert len(built) == 3
+    assert sum(tree is pos for tree in built) == 1
+    assert sum(tree is neg for tree in built) == 1
+    (combined,) = [tree for tree in built if tree is not pos and tree is not neg]
+    for got, a, b in zip(combined.values, pos.values, neg.values):
+        assert np.array_equal(got, a + b)

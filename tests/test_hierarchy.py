@@ -1,6 +1,9 @@
 """Hierarchical counts, prefix queries, quantiles, and histograms."""
 
+import hashlib
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from fedeval import (
     Regime,
     ScoreDistribution,
 )
+from fedeval import calibration, hierarchy
 from fedeval.calibration import calibrate_bbq
 from fedeval.core import leaf_indices
 from fedeval.datagen import sample_population, split_population
@@ -25,6 +29,7 @@ from fedeval.hierarchy import (
     _level_runs,
     _prefixes_at,
     _quantile_leaves,
+    _running_sums,
     build_hierarchy,
     build_score_histogram,
 )
@@ -64,15 +69,16 @@ def test_other_class_tree_is_empty_but_same_shape():
 
 def test_prefix_values_cover_full_range():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    assert _prefixes_at(pos, np.arange(5)).tolist() == [0, 1, 2, 3, 4]
+    assert _prefixes_at(_running_sums(pos), np.arange(5)).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_find_quantile_first_crossing():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
+    sums = _running_sums(pos)
     targets = np.array([1.0, 2.0, 0.0, 4.0])
-    assert _quantile_leaves(pos, targets).tolist() == [1, 2, 0, 4]
+    assert _quantile_leaves(sums, targets).tolist() == [1, 2, 0, 4]
     # Targets are clamped to [0, population total].
-    assert _quantile_leaves(pos, np.array([100.0, -3.0])).tolist() == [4, 0]
+    assert _quantile_leaves(sums, np.array([100.0, -3.0])).tolist() == [4, 0]
 
 
 def test_histogram_of_separated_classes():
@@ -389,7 +395,7 @@ def test_bucket_variance_empirically_calibrated():
     samples = np.zeros((builds, 3))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(77, i))
-        samples[i] = np.diff(_prefixes_at(hier, boundary))
+        samples[i] = np.diff(_prefixes_at(_running_sums(hier), boundary))
         advertised = _bucket_variances(hier, boundary)
     empirical = samples.var(axis=0, ddof=1)
     assert np.all(empirical > 0.6 * advertised)
@@ -410,14 +416,15 @@ def test_bucket_variance_empirically_calibrated():
 def test_prefixes_and_quantiles_consistent(items, target):
     shards = clients_of([((i + 0.5) / 16.0, f) for i, f in items])
     hier = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
-    prefix = _prefixes_at(hier, np.arange(17))
+    sums = _running_sums(hier)
+    prefix = _prefixes_at(sums, np.arange(17))
     assert np.all(np.diff(prefix) >= 0)
     num_pos = sum(1 for _, f in items if f)
     assert prefix[-1] == num_pos
     for k in range(1, 5):
         assert hier.values[k - 1].sum() == num_pos
 
-    r = int(_quantile_leaves(hier, np.array([target]))[0])
+    r = int(_quantile_leaves(sums, np.array([target]))[0])
     clamped = min(max(target, 0.0), float(num_pos))
     assert prefix[r] >= clamped
     if r > 0:
@@ -573,9 +580,10 @@ def test_prefix_queries_match_literal_reference(
     )
     for counts in (pos, neg, pos + neg):
         values = dense_prefixes(counts)
-        assert same_bits(_prefixes_at(counts, np.array(leaves)), values[leaves])
+        sums = _running_sums(counts)
+        assert same_bits(_prefixes_at(sums, np.array(leaves)), values[leaves])
         want = [bisect_leaf(values, clamped(t, counts)) for t in targets]
-        got = _quantile_leaves(counts, np.array(targets, dtype=np.float64))
+        got = _quantile_leaves(sums, np.array(targets, dtype=np.float64))
         assert same_bits(got, np.array(want, dtype=np.int64))
 
     hist = build_score_histogram(pos, neg, num_buckets)
@@ -637,3 +645,80 @@ def test_every_accepted_epsilon_runs(
     assert abs(float(cal_map.weights.sum()) - 1.0) < 1e-9
     for _, values in cal_map.binnings:
         assert np.all((0.0 <= values) & (values <= 1.0))
+
+
+# -- prefix-sum lifetime and local-DP temporaries ----------------------------
+
+TREE_FIELDS = {"spec", "values", "level_variances", "population_total"}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sa_spec(8), dp_spec(8, 1.0), ldp_spec(8, 5.0)],
+    ids=lambda spec: spec.regime.value,
+)
+def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
+    # Running sums are built per query and dropped with it: the trees
+    # gain no attribute, and no buffer outlives the call that built it.
+    buffers = []
+
+    def tracked(counts):
+        sums = _running_sums(counts)
+        buffers.append(weakref.ref(sums.buffer))
+        return sums
+
+    monkeypatch.setattr(hierarchy, "_running_sums", tracked)
+    monkeypatch.setattr(calibration, "_running_sums", tracked)
+    assert not hasattr(HierarchicalCounts, "_running_sums")
+    scores, positive = sample_population(3000, ScoreDistribution(), 0.5, 5)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, 6)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, 7)
+    hist = build_score_histogram(pos, neg, 20)
+    cal_map = calibrate_bbq(pos, neg)
+    assert hist.num_buckets > 1 and len(cal_map.binnings) > 1
+    assert len(buffers) == 6
+    assert all(ref() is None for ref in buffers)
+    for tree in (pos, neg):
+        assert set(vars(tree)) == TREE_FIELDS
+
+
+def test_local_dp_tree_temporaries_stay_small():
+    # About 20 bytes per client: the leaf column is floored and clipped
+    # in place and the scores are read without a gather.
+    scores, positive = sample_population(100_000, ScoreDistribution(), 0.5, 8)
+    clients = split_population(scores, positive, "one_per_client")
+    spec = ldp_spec(10, 5.0)
+    tracemalloc.start()
+    try:
+        build_hierarchy(clients, Label.NEGATIVE, spec, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
+
+
+def test_local_dp_trees_with_empty_clients_are_byte_stable():
+    # Every third client is empty. The digest was recorded with the code
+    # that gathered each occupied client's row before taking its leaf.
+    rng = np.random.default_rng(10)
+    scores, positive = rng.random(40), rng.random(40) < 0.4
+    offsets = np.concatenate(([0], np.cumsum(np.arange(60) % 3 != 1)))
+    clients = ClientSplit(scores, positive, offsets)
+    digest = hashlib.sha256()
+    for label in Label:
+        tree = build_hierarchy(clients, label, ldp_spec(4, 4.0), 11)
+        for level in tree.values:
+            digest.update(level.tobytes())
+        digest.update(np.array(tree.level_variances).tobytes())
+    assert digest.hexdigest() == (
+        "e0fe4dc4106b3527d83f6002b895721d443cfe922c1dae8605c3d8b215814ca4"
+    )
+
+
+def test_local_dp_rejects_multi_example_shards_before_counting_clients():
+    # Two clients, one holding two examples: fewer clients than levels,
+    # yet the shard check fires first.
+    clients = clients_of(FOUR[:3], offsets=[0, 2, 3])
+    with pytest.raises(ValueError, match="at most one example per client shard"):
+        build_hierarchy(clients, Label.POSITIVE, ldp_spec(4, 5.0), 0)

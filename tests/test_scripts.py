@@ -24,3 +24,14 @@ def test_quick_scaling_grid_then_error_curves(tmp_path, capsys):
     summary = capsys.readouterr().out
     for label in ("secure_agg", "dist_dp eps=1", "local_dp eps=5"):
         assert f"\n{label}  (auc vs M)" in summary
+
+
+def test_quick_scaling_grid_is_byte_stable(tmp_path, capsys):
+    # Many cells run back to back, each with its ECE fit on the sweep's
+    # helper thread; two runs must still write the same bytes.
+    run = load_script("run_scaling_experiments")
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert run.main(["--quick", "--out", str(first)]) == 0
+    assert run.main(["--quick", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
