@@ -173,19 +173,6 @@ def _softmax(log_scores: np.ndarray) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _candidate_cuts(
-    pos: HierarchicalCounts, neg: HierarchicalCounts
-) -> list[np.ndarray]:
-    """Leaf boundaries of every candidate binning, from one combined tree.
-
-    The combined tree and its running sums are built once for all the
-    candidates and dropped on return.
-    """
-    combined = _running_sums(pos + neg)
-    counts = _candidate_bucket_counts(combined.counts.population_total.value)
-    return [_cut_leaves(combined, int(count)) for count in counts]
-
-
 def calibrate_bbq(
     pos: HierarchicalCounts,
     neg: HierarchicalCounts,
@@ -198,7 +185,12 @@ def calibrate_bbq(
     is the softmax of its Beta-binomial log evidence.
     """
     _check_prior(prior)
-    cuts = _candidate_cuts(pos, neg)
+    # Every candidate cuts the one combined tree; its running sums are
+    # dropped before each class's are built.
+    combined = _running_sums(pos + neg)
+    counts = _candidate_bucket_counts(combined.counts.population_total.value)
+    cuts = [_cut_leaves(combined, int(count)) for count in counts]
+    del combined
     pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
     hists = [_bucket_histogram(pos_sums, neg_sums, leaves) for leaves in cuts]
     weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
@@ -211,10 +203,31 @@ def calibrate_bbq(
     return CalibrationMap(binnings=tuple(binnings), weights=weights)
 
 
+# Cells per unit of the lookup grid in _count_below; a power of two.
+SEARCH_GRID = 4096
+
+
+def _count_below(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, values, side="left") for values in [0, 1].
+
+    A value in grid cell [c/G, (c+1)/G) has as many edges below it as
+    lie below c/G, unless an edge falls inside its cell; only the
+    values in such cells are searched. G is a power of two, so value*G
+    and c/G are exact and the cell a value lands in is its true cell.
+    """
+    cells = np.arange(SEARCH_GRID + 1) / SEARCH_GRID
+    below = np.searchsorted(edges, cells, side="left")
+    inside = np.searchsorted(edges, cells + 1.0 / SEARCH_GRID, side="left") != below
+    below[inside] = -1
+    out = below[(values * SEARCH_GRID).astype(np.intp)]
+    unsure = np.flatnonzero(out < 0)
+    out[unsure] = np.searchsorted(edges, values[unsure], side="left")
+    return out
+
+
 def _bucket_of(boundaries: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Right-closed bucket index per score, with 0 folded into bucket 1."""
-    idx = np.searchsorted(boundaries, scores, side="left")
-    return np.maximum(idx, 1) - 1
+    return np.maximum(_count_below(boundaries, scores), 1) - 1
 
 
 def apply_calibration_batch(
@@ -246,7 +259,7 @@ def ece_arrays(
     if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ValueError("predicted probabilities must lie in [0, 1]")
     edges = np.arange(1, num_bins + 1) / num_bins
-    idx = np.searchsorted(edges, probs, side="left")
+    idx = _count_below(edges, probs)
     counts = np.bincount(idx, minlength=num_bins).astype(np.float64)
     pos_counts = np.bincount(idx, weights=flags.astype(np.float64), minlength=num_bins)
     prob_sums = np.bincount(idx, weights=probs, minlength=num_bins)

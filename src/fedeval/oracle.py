@@ -41,8 +41,9 @@ def _auc_from_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
     """(strict, half-ties) AUC of one labeled sample's sorted classes.
 
     Strict counts a tied pair as 0; half-ties counts it as 1/2. Each
-    positive counts the negatives below and equal to it by two binary
-    searches into the sorted negatives. Raises when either class is
+    positive counts the negatives below it by a binary search into the
+    sorted negatives; only the positives that equal a negative search
+    again for the negatives equal to them. Raises when either class is
     empty.
     """
     if pos.size == 0 or neg.size == 0:
@@ -51,7 +52,10 @@ def _auc_from_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:
         )
     below = np.searchsorted(neg, pos, side="left")
     strict_pairs = int(below.sum())
-    tied_pairs = int((np.searchsorted(neg, pos, side="right") - below).sum())
+    # Only a positive equal to the first negative not below it has ties.
+    tied = np.flatnonzero(neg[np.minimum(below, neg.size - 1)] == pos)
+    above = np.searchsorted(neg, pos[tied], side="right")
+    tied_pairs = int((above - below[tied]).sum())
     denom = pos.size * neg.size
     return strict_pairs / denom, (strict_pairs + tied_pairs / 2) / denom
 

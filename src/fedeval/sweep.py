@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -364,7 +363,6 @@ def _run_cell(
     rep: int,
     file_columns: tuple[np.ndarray, np.ndarray] | None,
     timings: bool,
-    helper: ThreadPoolExecutor,
 ) -> list[SweepResultRow]:
     entropy = (
         config.base_seed,
@@ -389,21 +387,17 @@ def _run_cell(
     spec = PrivacySpec(
         regime=regime, epsilon=epsilon, height=height, fanout=config.fanout
     )
-    # The held-out ECE fit runs on the helper thread while this thread
-    # evaluates. The stages share only the read-only columns and each
-    # draws from its own seed, so the rows do not depend on the overlap.
-    ece = None
-    if config.measure_ece:
-        ece = helper.submit(
-            _ece_record, scores, positive, spec, num_buckets,
-            config.split_policy, config.eval_bins, calib_ss,
-        )
     records = evaluate_population(
         scores, positive, spec, num_buckets, config.split_policy,
         config.thresholds, (split_ss, pos_ss, neg_ss),
     )
-    if ece is not None:
-        records.append(ece.result())
+    if config.measure_ece:
+        records.append(
+            _ece_record(
+                scores, positive, spec, num_buckets, config.split_policy,
+                config.eval_bins, calib_ss,
+            )
+        )
 
     wall_ms = (time.perf_counter() - started) * 1000.0 if timings else None
     return result_rows(records, spec, num_examples, num_buckets, cell_seed, wall_ms)
@@ -415,9 +409,7 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
     Cells iterate regimes, then population sizes, bucket counts,
     heights, epsilons (exact aggregation takes a single None epsilon),
     then repetitions. Within a cell the rows are AUC, then
-    precision/recall/accuracy per threshold, then ECE. Each cell's
-    held-out ECE fit runs on one helper thread beside its evaluation;
-    the helper lives only for this call.
+    precision/recall/accuracy per threshold, then ECE.
     """
     file_columns = None
     if config.data_path is not None:
@@ -429,24 +421,23 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
         m_grid = config.num_examples
 
     rows = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        for regime in config.regimes:
-            eps_values: tuple[float | None, ...]
-            if regime is Regime.SECURE_AGG:
-                eps_values = (None,)
-            else:
-                eps_values = config.epsilons
-            grid = product(
-                m_grid, config.num_buckets, config.heights, eps_values,
-                range(config.repetitions),
-            )
-            for num_examples, num_buckets, height, epsilon, rep in grid:
-                rows.extend(
-                    _run_cell(
-                        config, regime, num_examples, num_buckets, height,
-                        epsilon, rep, file_columns, timings, helper,
-                    )
+    for regime in config.regimes:
+        eps_values: tuple[float | None, ...]
+        if regime is Regime.SECURE_AGG:
+            eps_values = (None,)
+        else:
+            eps_values = config.epsilons
+        grid = product(
+            m_grid, config.num_buckets, config.heights, eps_values,
+            range(config.repetitions),
+        )
+        for num_examples, num_buckets, height, epsilon, rep in grid:
+            rows.extend(
+                _run_cell(
+                    config, regime, num_examples, num_buckets, height,
+                    epsilon, rep, file_columns, timings,
                 )
+            )
     return rows
 
 

@@ -12,8 +12,10 @@ from fedeval import (
 )
 from fedeval import calibration
 from fedeval.calibration import (
+    SEARCH_GRID,
     CalibrationMap,
     _candidate_bucket_counts,
+    _count_below,
     apply_calibration_batch,
     calibrate_bbq,
     calibrate_histogram,
@@ -321,3 +323,28 @@ def test_bbq_builds_each_trees_running_sums_once(monkeypatch):
     (combined,) = [tree for tree in built if tree is not pos and tree is not neg]
     for got, a, b in zip(combined.values, pos.values, neg.values):
         assert np.array_equal(got, a + b)
+
+
+def test_grid_search_equals_searchsorted_bitwise():
+    rng = np.random.default_rng(77)
+    cell = 1.0 / SEARCH_GRID
+    edge_sets = [
+        np.arange(1, 21) / 20,
+        np.arange(0, 1025, 8) / 1024,
+        np.unique(np.r_[0, rng.integers(1, 3**7, 60), 3**7]) / 3**7,
+        np.unique(np.r_[0.0, rng.random(300), 1.0]),
+        np.arange(SEARCH_GRID + 1) * cell,
+        np.array([0.0, np.nextafter(cell, 0.0), cell, 1.0]),
+        np.array([0.5]),
+    ]
+    for edges in edge_sets:
+        near = np.r_[edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]
+        values = np.r_[
+            rng.random(2000),
+            near[(near >= 0.0) & (near <= 1.0)],
+            np.arange(SEARCH_GRID + 1) * cell,
+            [0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0)],
+        ]
+        got = _count_below(edges, values)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(edges, values, side="left"))

@@ -27,8 +27,8 @@ def test_quick_scaling_grid_then_error_curves(tmp_path, capsys):
 
 
 def test_quick_scaling_grid_is_byte_stable(tmp_path, capsys):
-    # Many cells run back to back, each with its ECE fit on the sweep's
-    # helper thread; two runs must still write the same bytes.
+    # Many cells run back to back, each on its own seeds; two runs must
+    # write the same bytes.
     run = load_script("run_scaling_experiments")
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     assert run.main(["--quick", "--out", str(first)]) == 0

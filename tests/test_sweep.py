@@ -3,12 +3,11 @@
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedeval import PrivacySpec, Regime, ScoreDistribution, sweep
+from fedeval import PrivacySpec, Regime, ScoreDistribution
 from fedeval.datagen import sample_population, split_population
 from fedeval.io import write_columns
 from fedeval.sweep import (
@@ -228,7 +227,7 @@ def test_config_validation():
         SweepConfig(base_seed=1, eval_bins=0)
 
 
-# -- the helper thread: same rows, same errors, no thread left behind -------
+# -- concurrent callers and the local-DP shard check -----------------------
 
 SHARD_ERROR = "local DP accepts at most one example per client shard"
 
@@ -246,62 +245,10 @@ def local_multi_config(base_seed):
     )
 
 
-class DeferredExecutor:
-    """An executor whose task runs on the calling thread when its result is read.
-
-    Standing in for the sweep's helper, it runs each cell's evaluation
-    and then its ECE fit in sequence.
-    """
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def submit(self, fn, *args):
-        return SimpleNamespace(result=lambda: fn(*args))
-
-
-def serial_sweep(config, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(sweep, "ThreadPoolExecutor", DeferredExecutor)
-        return run_sweep(config)
-
-
-@pytest.mark.parametrize(
-    "regime,split_policy",
-    [
-        (Regime.SECURE_AGG, "one_per_client"),
-        (Regime.SECURE_AGG, "skewed:0.3"),
-        (Regime.SECURE_AGG, "variable:16"),
-        (Regime.DIST_DP, "one_per_client"),
-        (Regime.DIST_DP, "skewed:0.3"),
-        (Regime.DIST_DP, "variable:16"),
-        (Regime.LOCAL_DP, "one_per_client"),
-    ],
-)
-def test_overlapped_rows_equal_serial_rows(regime, split_policy, monkeypatch):
-    config = tiny_config(
-        regimes=(regime,),
-        num_examples=(300, 2000),
-        num_buckets=(5, 20),
-        heights=(4, 8),
-        epsilons=(1.0,),
-        split_policy=split_policy,
-        repetitions=1,
-    )
-    rows = run_sweep(config)
-    assert len(rows) == 2 * 2 * 2 * 8
-    assert rows == serial_sweep(config, monkeypatch)
-
-
 def test_concurrent_sweeps_return_identical_rows():
-    # Four sweeps at once, each with its helper, on a short switch
-    # interval: any state the stages shared would show in the rows.
+    # Four sweeps at once on a short switch interval: any state that
+    # calls shared, such as a buffer cached on a tree, would show in
+    # the rows.
     config = tiny_config(
         regimes=(Regime.SECURE_AGG, Regime.DIST_DP, Regime.LOCAL_DP),
         num_examples=(2000,),
@@ -326,51 +273,6 @@ def test_concurrent_sweeps_return_identical_rows():
     assert all(rows == expected for rows in results)
 
 
-def test_sweep_leaves_no_thread_behind():
-    before = threading.active_count()
-    assert run_sweep(tiny_config())
-    assert threading.active_count() == before
-    with pytest.raises(ValueError, match=SHARD_ERROR):
-        run_sweep(local_multi_config(0))
-    assert threading.active_count() == before
-
-
-def test_evaluation_error_wins_over_an_inflight_ece_fit(monkeypatch):
-    # The ECE fit is held until the evaluation has raised, so it is in
-    # flight at that moment; the sweep must raise the evaluation's error
-    # exactly as evaluate_population raises it alone.
-    evaluation_done = threading.Event()
-    calls = []
-    evaluate, ece_record = sweep.evaluate_population, sweep._ece_record
-
-    def recording_evaluate(*args):
-        calls.append(args)
-        try:
-            return evaluate(*args)
-        finally:
-            evaluation_done.set()
-
-    def held_ece_record(*args):
-        assert evaluation_done.wait(timeout=60)
-        return ece_record(*args)
-
-    monkeypatch.setattr(sweep, "evaluate_population", recording_evaluate)
-    monkeypatch.setattr(sweep, "_ece_record", held_ece_record)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as in_sweep:
-        run_sweep(local_multi_config(0))
-    assert threading.active_count() == before
-    (args,) = calls
-    *head, seeds = args
-    # Fresh copies of the seeds: spawning children advances a SeedSequence.
-    seeds = [np.random.SeedSequence(s.entropy, spawn_key=s.spawn_key) for s in seeds]
-    with pytest.raises(ValueError) as alone:
-        evaluate(*head, seeds)
-    assert type(in_sweep.value) is type(alone.value)
-    assert str(in_sweep.value) == str(alone.value)
-    assert SHARD_ERROR in str(alone.value)
-
-
 def test_local_dp_multi_example_split_raises_whatever_its_client_count():
     spec = PrivacySpec(Regime.LOCAL_DP, 5.0, height=10)
     scores, positive = sample_population(16, ScoreDistribution(), 0.5, 0)
@@ -390,7 +292,8 @@ def test_local_dp_multi_example_split_raises_whatever_its_client_count():
     assert few_clients > 0
 
 
-def test_local_dp_multi_example_sweeps_raise_on_every_seed():
-    for base_seed in range(300):
-        with pytest.raises(ValueError, match=SHARD_ERROR):
-            run_sweep(local_multi_config(base_seed))
+@pytest.mark.parametrize("base_seed", [0, 9, 20, 27])
+def test_local_dp_multi_example_sweep_raises(base_seed):
+    # Seeds 9, 20 and 27 used to return all-degenerate rows.
+    with pytest.raises(ValueError, match=SHARD_ERROR):
+        run_sweep(local_multi_config(base_seed))
