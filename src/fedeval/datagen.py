@@ -44,6 +44,9 @@ def _linear_inverse_cdf(slope: float, u: np.ndarray) -> np.ndarray:
 def _class_scores(
     dist: ScoreDistribution, label: Label, count: int, rng: np.random.Generator
 ) -> np.ndarray:
+    u = rng.random(count)
+    if not dist.spikes:
+        return _linear_inverse_cdf(dist.class_slope(label), u)
     masses = np.array(
         [
             spike.positive_mass if label is Label.POSITIVE else spike.negative_mass
@@ -52,17 +55,13 @@ def _class_scores(
         dtype=np.float64,
     )
     locations = np.array([spike.location for spike in dist.spikes])
-    total_spike = float(masses.sum()) if masses.size else 0.0
-    u = rng.random(count)
+    total_spike = float(masses.sum())
     out = np.empty(count, dtype=np.float64)
-    if masses.size:
-        cum = np.cumsum(masses)
-        which = np.searchsorted(cum, u, side="right")
-        smooth = which == masses.size
-        spiked = ~smooth
-        out[spiked] = locations[which[spiked]]
-    else:
-        smooth = np.ones(count, dtype=bool)
+    cum = np.cumsum(masses)
+    which = np.searchsorted(cum, u, side="right")
+    smooth = which == masses.size
+    spiked = ~smooth
+    out[spiked] = locations[which[spiked]]
     if total_spike < 1.0:
         v = (u[smooth] - total_spike) / (1.0 - total_spike)
         out[smooth] = _linear_inverse_cdf(dist.class_slope(label), v)
