@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln
 
-from .hierarchy import (
-    HierarchicalCounts,
-    ScoreHistogram,
-    _bucket_histogram,
-    _cut_leaves,
-    _running_sums,
-)
+from .hierarchy import HierarchicalCounts, ScoreHistogram, build_score_histograms
 
 __all__ = [
     "CalibrationMap",
@@ -185,14 +179,10 @@ def calibrate_bbq(
     is the softmax of its Beta-binomial log evidence.
     """
     _check_prior(prior)
-    # Every candidate cuts the one combined tree; its running sums are
-    # dropped before each class's are built.
-    combined = _running_sums(pos + neg)
-    counts = _candidate_bucket_counts(combined.counts.population_total.value)
-    cuts = [_cut_leaves(combined, int(count)) for count in counts]
-    del combined
-    pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
-    hists = [_bucket_histogram(pos_sums, neg_sums, leaves) for leaves in cuts]
+    counts = _candidate_bucket_counts(
+        pos.population_total.value + neg.population_total.value
+    )
+    hists = build_score_histograms(pos, neg, counts.tolist())
     weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
     binnings = []
     for hist in hists:

@@ -17,8 +17,9 @@ estimates under local DP.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "ScoreHistogram",
     "build_hierarchy",
     "build_score_histogram",
+    "build_score_histograms",
 ]
 
 
@@ -90,31 +92,8 @@ class HierarchicalCounts:
                 )
 
     @property
-    def height(self) -> int:
-        return self.spec.height
-
-    @property
-    def fanout(self) -> int:
-        return self.spec.fanout
-
-    @property
     def num_leaves(self) -> int:
         return self.spec.num_leaves
-
-    def __add__(self, other: "HierarchicalCounts") -> "HierarchicalCounts":
-        if not isinstance(other, HierarchicalCounts):
-            return NotImplemented
-        if self.spec != other.spec:
-            raise ValueError("cannot add hierarchies built under different specs")
-        values = tuple(a + b for a, b in zip(self.values, other.values))
-        variances = tuple(
-            a + b for a, b in zip(self.level_variances, other.level_variances)
-        )
-        total = NoisyCount(
-            self.population_total.value + other.population_total.value,
-            self.population_total.variance + other.population_total.variance,
-        )
-        return HierarchicalCounts(self.spec, values, variances, total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,9 +278,7 @@ def build_hierarchy(
     )
 
 
-def _level_runs(
-    counts: HierarchicalCounts, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _level_runs(spec: PrivacySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Node runs of the prefixes [0, r): lo and hi of shape (h, len(r)).
 
     Prefix [0, r) holds level-k nodes lo[k-1]..hi[k-1]-1, with
@@ -309,8 +286,8 @@ def _level_runs(
     nodes per level. The top level has no stored parent, so its run
     starts at 0; this also covers the full prefix r = f**h.
     """
-    f = counts.fanout
-    seg = np.array([f ** (counts.height - k) for k in range(1, counts.height + 1)])
+    f = spec.fanout
+    seg = np.array([f ** (spec.height - k) for k in range(1, spec.height + 1)])
     hi = r[None, :] // seg[:, None]
     lo = np.zeros_like(hi)
     lo[1:] = f * hi[:-1]
@@ -318,27 +295,35 @@ def _level_runs(
 
 
 class _RunningSums(NamedTuple):
-    """Every level's running sums of one tree, in one buffer.
+    """Every level's running sums of the node-wise sum of trees, in one buffer.
 
     buffer[offsets[k-1] + i] is the sum of the first i level-k nodes
     (0 for i = 0), in int64 when every level is an integer array and
-    float64 otherwise. A query builds them once, reads the prefixes it
-    needs and drops them; nothing caches them on the tree.
+    float64 otherwise; total is the trees' summed population total. A
+    query builds them once, reads the prefixes it needs and drops them;
+    nothing caches them on a tree.
     """
 
-    counts: HierarchicalCounts
+    spec: PrivacySpec
+    total: float
     buffer: np.ndarray
     offsets: np.ndarray
 
 
-def _running_sums(counts: HierarchicalCounts) -> _RunningSums:
-    exact = all(level.dtype.kind in "iu" for level in counts.values)
-    sizes = [len(level) + 1 for level in counts.values]
+def _running_sums(*trees: HierarchicalCounts) -> _RunningSums:
+    """Running sums of one tree, or of several trees built under one spec.
+
+    Levels and totals are added tree by tree, one level at a time, so
+    two trees give the bits of a + b.
+    """
+    exact = all(level.dtype.kind in "iu" for tree in trees for level in tree.values)
+    sizes = [len(level) + 1 for level in trees[0].values]
     offsets = np.cumsum([0] + sizes[:-1])
     buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
-    for off, level in zip(offsets, counts.values):
-        buffer[off + 1 : off + len(level) + 1] = np.cumsum(level)
-    return _RunningSums(counts, buffer, offsets)
+    for off, size, levels in zip(offsets, sizes, zip(*(t.values for t in trees))):
+        buffer[off + 1 : off + size] = np.cumsum(reduce(operator.add, levels))
+    total = reduce(operator.add, (t.population_total.value for t in trees))
+    return _RunningSums(trees[0].spec, total, buffer, offsets)
 
 
 def _prefixes_at(sums: _RunningSums, r: np.ndarray) -> np.ndarray:
@@ -347,7 +332,7 @@ def _prefixes_at(sums: _RunningSums, r: np.ndarray) -> np.ndarray:
     Level contributions are accumulated from zero in level order, so a
     prefix has the same bits whichever queries it is read with.
     """
-    lo, hi = _level_runs(sums.counts, r)
+    lo, hi = _level_runs(sums.spec, r)
     base = sums.offsets[:, None]
     out = np.zeros(r.shape, dtype=sums.buffer.dtype)
     for level_sum in sums.buffer[base + hi] - sums.buffer[base + lo]:
@@ -366,10 +351,10 @@ def _quantile_leaves(sums: _RunningSums, targets: np.ndarray) -> np.ndarray:
     prefixes may be non-monotone, and the bisection then returns the
     crossing it converges to, without post-processing.
     """
-    total = max(sums.counts.population_total.value, 0.0)
+    total = max(sums.total, 0.0)
     targets = np.minimum(np.maximum(targets, 0.0), total)
     lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, sums.counts.num_leaves, dtype=np.int64)
+    hi = np.full(targets.shape, sums.spec.num_leaves, dtype=np.int64)
     active = lo < hi
     while active.any():
         mid = (lo + hi) // 2
@@ -389,7 +374,7 @@ def _bucket_variances(
     difference; every other node either prefix reads adds its level's
     variance.
     """
-    lo, hi = _level_runs(counts, boundary_leaves)
+    lo, hi = _level_runs(counts.spec, boundary_leaves)
     # Runs under one parent start at the same node and differ by their
     # ends; runs under different parents are disjoint, so both count.
     nodes = np.where(
@@ -402,29 +387,32 @@ def _bucket_variances(
 
 
 def _bucket_histogram(
-    pos: _RunningSums, neg: _RunningSums, boundary_leaves: np.ndarray
+    pos: HierarchicalCounts,
+    neg: HierarchicalCounts,
+    pos_sums: _RunningSums,
+    neg_sums: _RunningSums,
+    boundary_leaves: np.ndarray,
 ) -> ScoreHistogram:
-    """Bucket counts of both classes between the given leaf boundaries."""
-    pos_prefix = _prefixes_at(pos, boundary_leaves)
-    neg_prefix = _prefixes_at(neg, boundary_leaves)
+    """Bucket counts of both classes between the given leaf boundaries.
+
+    pos_sums and neg_sums are the running sums of pos and of neg.
+    """
+    pos_prefix = _prefixes_at(pos_sums, boundary_leaves)
+    neg_prefix = _prefixes_at(neg_sums, boundary_leaves)
     return ScoreHistogram(
-        spec=pos.counts.spec,
+        spec=pos.spec,
         boundary_leaves=boundary_leaves,
         pos_values=np.diff(pos_prefix),
         neg_values=np.diff(neg_prefix),
-        pos_variances=_bucket_variances(pos.counts, boundary_leaves),
-        neg_variances=_bucket_variances(neg.counts, boundary_leaves),
-        pos_total=NoisyCount(
-            float(pos_prefix[-1]), pos.counts.population_total.variance
-        ),
-        neg_total=NoisyCount(
-            float(neg_prefix[-1]), neg.counts.population_total.variance
-        ),
+        pos_variances=_bucket_variances(pos, boundary_leaves),
+        neg_variances=_bucket_variances(neg, boundary_leaves),
+        pos_total=NoisyCount(float(pos_prefix[-1]), pos.population_total.variance),
+        neg_total=NoisyCount(float(neg_prefix[-1]), neg.population_total.variance),
     )
 
 
 def _cut_leaves(combined: _RunningSums, num_buckets: int) -> np.ndarray:
-    """Leaf boundaries of the equi-depth histogram of one combined tree.
+    """Leaf boundaries of the equi-depth histogram of the combined trees.
 
     Boundaries are the B-quantiles of combined (found by bisection, see
     _quantile_leaves), then any bucket wider than f**(-ceil(log_f B) + 1)
@@ -432,18 +420,17 @@ def _cut_leaves(combined: _RunningSums, num_buckets: int) -> np.ndarray:
     O(1/B). Duplicate quantiles are merged, so fewer than B buckets may
     come back; splitting produces at most B - 1 extra ones.
     """
-    tree = combined.counts
-    n = tree.num_leaves
+    spec = combined.spec
+    n = spec.num_leaves
     if num_buckets > n:
         # The width cap is one leaf, so every leaf boundary is a cut
         # whatever the quantiles; no B-sized target array is formed.
         return np.arange(n + 1, dtype=np.int64)
-    total = tree.population_total.value
-    targets = np.arange(1, num_buckets) * total / num_buckets
+    targets = np.arange(1, num_buckets) * combined.total / num_buckets
     cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}
 
-    f = tree.fanout
-    cap_level = min(tree.height, max(0, _ceil_log(num_buckets, f) - 1))
+    f = spec.fanout
+    cap_level = min(spec.height, max(0, _ceil_log(num_buckets, f) - 1))
     stride = n // f**cap_level
     bounds = sorted(cuts)
     final: list[int] = [0]
@@ -454,18 +441,34 @@ def _cut_leaves(combined: _RunningSums, num_buckets: int) -> np.ndarray:
     return np.asarray(final, dtype=np.int64)
 
 
+def build_score_histograms(
+    pos: HierarchicalCounts,
+    neg: HierarchicalCounts,
+    bucket_counts: Sequence[int],
+) -> list[ScoreHistogram]:
+    """Equi-depth histograms over both classes, one per bucket count.
+
+    Boundaries are the B-quantiles of the combined population, with
+    over-wide buckets split (see _cut_leaves). Every count is cut from
+    one build of the combined running sums, which is dropped before
+    each class's sums are built once for all the histograms; no running
+    sum outlives the call.
+    """
+    for num_buckets in bucket_counts:
+        if num_buckets < 1:
+            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
+    if pos.spec != neg.spec:
+        raise ValueError("pos and neg hierarchies must share one privacy spec")
+    combined = _running_sums(pos, neg)
+    cuts = [_cut_leaves(combined, num_buckets) for num_buckets in bucket_counts]
+    del combined
+    pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
+    return [_bucket_histogram(pos, neg, pos_sums, neg_sums, cut) for cut in cuts]
+
+
 def build_score_histogram(
     pos: HierarchicalCounts, neg: HierarchicalCounts, num_buckets: int
 ) -> ScoreHistogram:
-    """Equi-depth histogram over both classes.
-
-    Boundaries are the B-quantiles of the combined population, with
-    over-wide buckets split (see _cut_leaves). The combined tree and
-    every running sum live only for this call.
-    """
-    if num_buckets < 1:
-        raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-    if pos.spec != neg.spec:
-        raise ValueError("pos and neg hierarchies must share one privacy spec")
-    boundary_leaves = _cut_leaves(_running_sums(pos + neg), num_buckets)
-    return _bucket_histogram(_running_sums(pos), _running_sums(neg), boundary_leaves)
+    """Equi-depth histogram over both classes (build_score_histograms of one count)."""
+    (hist,) = build_score_histograms(pos, neg, [num_buckets])
+    return hist

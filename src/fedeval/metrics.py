@@ -128,28 +128,23 @@ def auc_histogram(hist: ScoreHistogram) -> AucEstimate:
 
     vp = np.asarray(hist.pos_variances, dtype=np.float64)
     vn = np.asarray(hist.neg_variances, dtype=np.float64)
-    if not (np.any(vp > 0.0) or np.any(vn > 0.0)):
-        noise_variance = 0.0
-    else:
-        # Conditional on the negative counts, the numerator is linear in
-        # the positive counts with coefficients pair_weight; the variance
-        # of pair_weight itself adds the prefix of vn plus vn/4. Folding
-        # the conditional expectation over negative noise gives an exact
-        # second term with weights = positives strictly above + half the
-        # own bucket.
-        vn_below = np.concatenate(([0.0], np.cumsum(vn)))[:-1]
-        pair_weight_var = vn_below + 0.25 * vn
-        pos_above = np.cumsum(pos[::-1])[::-1] - pos
-        neg_weight = pos_above + 0.5 * pos
-        numerator_var = float(
-            np.dot(vp, pair_weight**2 + pair_weight_var)
-            + np.dot(vn, neg_weight**2)
-        )
-        noise_variance = numerator_var / denom**2
+    # Conditional on the negative counts, the numerator is linear in the
+    # positive counts with coefficients pair_weight; the variance of
+    # pair_weight itself adds the prefix of vn plus vn/4. Folding the
+    # conditional expectation over negative noise gives an exact second
+    # term with weights = positives strictly above + half the own bucket.
+    # Exact counts have zero variances, and every product is then +0.0.
+    vn_below = np.concatenate(([0.0], np.cumsum(vn)))[:-1]
+    pair_weight_var = vn_below + 0.25 * vn
+    pos_above = np.cumsum(pos[::-1])[::-1] - pos
+    neg_weight = pos_above + 0.5 * pos
+    numerator_var = float(
+        np.dot(vp, pair_weight**2 + pair_weight_var) + np.dot(vn, neg_weight**2)
+    )
     return AucEstimate(
         value=value,
         bucketization_halfwidth=halfwidth,
-        noise_variance=noise_variance,
+        noise_variance=numerator_var / denom**2,
     )
 
 

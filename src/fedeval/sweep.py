@@ -122,6 +122,21 @@ class SweepConfig:
         for h in self.heights:
             if h < 1:
                 raise SweepConfigError("heights entries must be at least 1")
+        # Every spec run_sweep will build is built here first, so a grid
+        # value that PrivacySpec rejects fails before the first cell.
+        for regime in self.regimes:
+            for height, epsilon in product(self.heights, self._epsilon_grid(regime)):
+                try:
+                    PrivacySpec(
+                        regime=regime, epsilon=epsilon, height=height,
+                        fanout=self.fanout,
+                    )
+                except ValueError as exc:
+                    raise SweepConfigError(str(exc)) from None
+
+    def _epsilon_grid(self, regime: Regime) -> tuple[float | None, ...]:
+        """Epsilons of regime's cells: exact aggregation takes a single None."""
+        return (None,) if regime is Regime.SECURE_AGG else self.epsilons
 
 
 def _float_bits(value: float | None) -> int:
@@ -422,14 +437,9 @@ def run_sweep(config: SweepConfig, timings: bool = False) -> list[SweepResultRow
 
     rows = []
     for regime in config.regimes:
-        eps_values: tuple[float | None, ...]
-        if regime is Regime.SECURE_AGG:
-            eps_values = (None,)
-        else:
-            eps_values = config.epsilons
         grid = product(
-            m_grid, config.num_buckets, config.heights, eps_values,
-            range(config.repetitions),
+            m_grid, config.num_buckets, config.heights,
+            config._epsilon_grid(regime), range(config.repetitions),
         )
         for num_examples, num_buckets, height, epsilon, rep in grid:
             rows.extend(

@@ -150,3 +150,37 @@ def test_list_forms_stay_inside_the_shims():
             for line, name in _list_names_outside(tree, shims)
         ]
     assert offenders == []
+
+
+# The private names one module may import from another, as
+# (importer, home, name). perfbench traces the exact AUC through
+# sweep's binding of _auc_from_arrays (see the test above).
+SHARED_PRIVATE_NAMES = {
+    ("sweep", "oracle", "_auc_from_arrays"),
+    ("sweep", "oracle", "_class_sorted"),
+}
+
+
+def test_private_names_stay_in_their_module():
+    # Each module reads its own internals; another module, or a script,
+    # goes through the public names.
+    paths = sorted((ROOT / "src" / "fedeval").glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    assert len(paths) >= 12
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] != "fedeval":
+                continue
+            home = module.rpartition(".")[2] or "fedeval"
+            offenders += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {home}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+                and home != path.stem
+                and (path.stem, home, alias.name) not in SHARED_PRIVATE_NAMES
+            ]
+    assert offenders == []

@@ -1,5 +1,7 @@
 """Calibration maps, BBQ model averaging, and calibration error."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fedeval import (
     Regime,
     ScoreDistribution,
 )
-from fedeval import calibration
+from fedeval import hierarchy
 from fedeval.calibration import (
     SEARCH_GRID,
     CalibrationMap,
@@ -308,21 +310,42 @@ def test_bbq_builds_each_trees_running_sums_once(monkeypatch):
     pos, neg = build_class_trees(4000, ScoreDistribution(), seed=35)
     built = []
 
-    def counting(counts):
-        built.append(counts)
-        return _running_sums(counts)
+    def counting(*trees):
+        built.append(trees)
+        return _running_sums(*trees)
 
-    monkeypatch.setattr(calibration, "_running_sums", counting)
+    monkeypatch.setattr(hierarchy, "_running_sums", counting)
     cal_map = calibrate_bbq(pos, neg)
     assert len(cal_map.binnings) > 1
-    # One build each for pos and neg, and one for their sum, which all
-    # the candidate cuts read.
-    assert len(built) == 3
-    assert sum(tree is pos for tree in built) == 1
-    assert sum(tree is neg for tree in built) == 1
-    (combined,) = [tree for tree in built if tree is not pos and tree is not neg]
-    for got, a, b in zip(combined.values, pos.values, neg.values):
-        assert np.array_equal(got, a + b)
+    # One build for the sum of pos and neg, which all the candidate cuts
+    # read, then one each for pos and neg.
+    assert built == [(pos, neg), (pos,), (neg,)]
+
+
+# Local-DP BBQ map digests: noisy float trees, so a change in the bits
+# of the candidate counts, the cuts or the per-class reads shows here.
+BBQ_LOCAL_DP_DIGESTS = {
+    (2, 8): "b4d52d82b17c64f7b0bddd5ad00c413afe74f11d5204814ef9b25bf85dc8fb9c",
+    (3, 5): "31fc67d898d1aa222dc121c98641ce01db51e368d722aae391cd09827588b820",
+}
+
+
+@pytest.mark.parametrize("fanout,height", sorted(BBQ_LOCAL_DP_DIGESTS))
+def test_bbq_local_dp_map_matches_recorded_digest(fanout, height):
+    spec = PrivacySpec(
+        regime=Regime.LOCAL_DP, epsilon=5.0, height=height, fanout=fanout
+    )
+    scores, positive = sample_population(3000, ScoreDistribution(), 0.4, 41)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, 42)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, 43)
+    cal_map = calibrate_bbq(pos, neg)
+    digest = hashlib.sha256(cal_map.weights.tobytes())
+    for boundaries, values in cal_map.binnings:
+        digest.update(boundaries.tobytes())
+        digest.update(values.tobytes())
+    assert len(cal_map.binnings) == 15
+    assert digest.hexdigest() == BBQ_LOCAL_DP_DIGESTS[fanout, height]
 
 
 def test_grid_search_equals_searchsorted_bitwise():

@@ -19,7 +19,7 @@ from fedeval import (
     Regime,
     ScoreDistribution,
 )
-from fedeval import calibration, hierarchy
+from fedeval import hierarchy
 from fedeval.calibration import calibrate_bbq
 from fedeval.core import leaf_indices
 from fedeval.datagen import sample_population, split_population
@@ -32,6 +32,7 @@ from fedeval.hierarchy import (
     _running_sums,
     build_hierarchy,
     build_score_histogram,
+    build_score_histograms,
 )
 from fedeval.mechanisms import discrete_laplace_variance
 
@@ -50,6 +51,11 @@ def clients_of(pairs, offsets=None):
 
 
 FOUR = [(0.1, 1), (0.3, 1), (0.6, 1), (0.9, 1)]
+
+HISTOGRAM_FIELDS = (
+    "boundary_leaves", "pos_values", "neg_values",
+    "pos_variances", "neg_variances", "pos_total", "neg_total",
+)
 
 
 def test_levels_of_four_spread_scores():
@@ -129,8 +135,7 @@ def test_more_buckets_than_leaves_cut_every_leaf(height, fanout):
     want = build_score_histogram(pos, neg, fanout**height + 1)
     got = build_score_histogram(pos, neg, 10**12)
     assert got.boundary_leaves.tolist() == list(range(fanout**height + 1))
-    for field in ("boundary_leaves", "pos_values", "neg_values",
-                  "pos_variances", "neg_variances", "pos_total", "neg_total"):
+    for field in HISTOGRAM_FIELDS:
         assert same_bits(getattr(got, field), getattr(want, field))
 
 
@@ -145,18 +150,9 @@ def test_histogram_rejects_bad_inputs():
         build_score_histogram(pos, other, 2)
     with pytest.raises(ValueError):
         build_score_histogram(other, neg, 2)
-
-
-def test_hierarchy_addition():
-    shards = clients_of([(0.6, 1), (0.9, 1), (0.1, 0), (0.3, 0)])
-    pos = build_hierarchy(shards, Label.POSITIVE, sa_spec(2))
-    neg = build_hierarchy(shards, Label.NEGATIVE, sa_spec(2))
-    combined = pos + neg
-    assert combined.values[0].tolist() == [2, 2]
-    assert combined.population_total.value == 4.0
-    other = build_hierarchy(shards, Label.NEGATIVE, sa_spec(3))
-    with pytest.raises(ValueError):
-        pos + other
+    # Every count is checked before the spec.
+    with pytest.raises(ValueError, match="num_buckets must be >= 1, got 0"):
+        build_score_histograms(pos, other, [4, 0])
 
 
 def test_secure_agg_ignores_sharding():
@@ -350,7 +346,7 @@ def test_prefix_variances_count_decomposition_nodes(height, fanout):
     rng = np.random.default_rng(height * 10 + fanout)
     counts = fabricated_counts(height, fanout, [1.0] * height, rng)
     leaves = np.arange(fanout**height + 1)
-    lo, hi = _level_runs(counts, leaves)
+    lo, hi = _level_runs(counts.spec, leaves)
     for k in range(1, height + 1):
         for r in leaves.tolist():
             run = set(range(lo[k - 1, r], hi[k - 1, r]))
@@ -475,7 +471,7 @@ def dense_prefixes(counts):
     its nodes f*(r // f**(h-k+1)) .. r // f**(h-k) - 1, or 0 .. r // f**(h-1) - 1
     at the top level.
     """
-    f, h, n = counts.fanout, counts.height, counts.num_leaves
+    f, h, n = counts.spec.fanout, counts.spec.height, counts.num_leaves
     r = np.arange(n + 1, dtype=np.int64)
     exact = all(level.dtype.kind in "iu" for level in counts.values)
     values = np.zeros(n + 1, dtype=np.int64 if exact else np.float64)
@@ -508,14 +504,14 @@ def reference_boundaries(combined, num_buckets):
     """Quantile cuts by scalar bisection, then the aligned width cap."""
     prefix = dense_prefixes(combined)
     total = combined.population_total.value
-    n, f = combined.num_leaves, combined.fanout
+    n, f = combined.num_leaves, combined.spec.fanout
     cuts = {0, n}
     for j in range(1, num_buckets):
         cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, combined)))
     cap_level = 0
     while f**cap_level < num_buckets:
         cap_level += 1
-    stride = n // f ** min(combined.height, max(0, cap_level - 1))
+    stride = n // f ** min(combined.spec.height, max(0, cap_level - 1))
     bounds = sorted(cuts)
     final = [0]
     for left, right in zip(bounds, bounds[1:]):
@@ -527,7 +523,7 @@ def reference_boundaries(combined, num_buckets):
 
 def reference_bucket_variances(counts, boundary):
     """Level variance times the nodes of one prefix run but not the other."""
-    h, f = counts.height, counts.fanout
+    h, f = counts.spec.height, counts.spec.fanout
     return np.array(
         [
             sum(
@@ -538,6 +534,21 @@ def reference_bucket_variances(counts, boundary):
             for a, b in zip(boundary.tolist(), boundary[1:].tolist())
         ],
         dtype=np.float64,
+    )
+
+
+def combined_tree(pos, neg):
+    """The tree whose nodes and total are those of pos plus those of neg."""
+    return HierarchicalCounts(
+        spec=pos.spec,
+        values=tuple(a + b for a, b in zip(pos.values, neg.values)),
+        level_variances=tuple(
+            a + b for a, b in zip(pos.level_variances, neg.level_variances)
+        ),
+        population_total=NoisyCount(
+            pos.population_total.value + neg.population_total.value,
+            pos.population_total.variance + neg.population_total.variance,
+        ),
     )
 
 
@@ -578,16 +589,21 @@ def test_prefix_queries_match_literal_reference(
     targets = data.draw(
         st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
     )
-    for counts in (pos, neg, pos + neg):
+    combined = combined_tree(pos, neg)
+    for counts, sums in (
+        (pos, _running_sums(pos)),
+        (neg, _running_sums(neg)),
+        (combined, _running_sums(pos, neg)),
+    ):
         values = dense_prefixes(counts)
-        sums = _running_sums(counts)
+        assert same_bits(sums.total, counts.population_total.value)
         assert same_bits(_prefixes_at(sums, np.array(leaves)), values[leaves])
         want = [bisect_leaf(values, clamped(t, counts)) for t in targets]
         got = _quantile_leaves(sums, np.array(targets, dtype=np.float64))
         assert same_bits(got, np.array(want, dtype=np.int64))
 
     hist = build_score_histogram(pos, neg, num_buckets)
-    boundary = reference_boundaries(pos + neg, num_buckets)
+    boundary = reference_boundaries(combined, num_buckets)
     assert same_bits(hist.boundary_leaves, boundary)
     for counts, got_values, got_variances, got_total in (
         (pos, hist.pos_values, hist.pos_variances, hist.pos_total),
@@ -600,6 +616,24 @@ def test_prefix_queries_match_literal_reference(
             list(got_total),
             [float(values[n]), counts.population_total.variance],
         )
+
+
+@pytest.mark.parametrize("fanout", [2, 3])
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+def test_histograms_of_several_counts_match_one_at_a_time(regime, fanout):
+    epsilon = None if regime is Regime.SECURE_AGG else 5.0
+    spec = PrivacySpec(regime=regime, epsilon=epsilon, height=5, fanout=fanout)
+    scores, positive = sample_population(2000, ScoreDistribution(), 0.4, 12)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, 13)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, 14)
+    counts = [7, 1, 30, 7, spec.num_leaves + 5]
+    hists = build_score_histograms(pos, neg, counts)
+    assert len(hists) == len(counts)
+    for count, got in zip(counts, hists):
+        want = build_score_histogram(pos, neg, count)
+        for field in HISTOGRAM_FIELDS:
+            assert same_bits(getattr(got, field), getattr(want, field)), field
 
 
 @given(
@@ -662,13 +696,12 @@ def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
     # gain no attribute, and no buffer outlives the call that built it.
     buffers = []
 
-    def tracked(counts):
-        sums = _running_sums(counts)
+    def tracked(*trees):
+        sums = _running_sums(*trees)
         buffers.append(weakref.ref(sums.buffer))
         return sums
 
     monkeypatch.setattr(hierarchy, "_running_sums", tracked)
-    monkeypatch.setattr(calibration, "_running_sums", tracked)
     assert not hasattr(HierarchicalCounts, "_running_sums")
     scores, positive = sample_population(3000, ScoreDistribution(), 0.5, 5)
     clients = split_population(scores, positive, "one_per_client")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedeval import PrivacySpec, Regime, ScoreDistribution
+from fedeval.cli import main
 from fedeval.datagen import sample_population, split_population
 from fedeval.io import write_columns
 from fedeval.sweep import (
@@ -225,6 +226,43 @@ def test_config_validation():
         SweepConfig(base_seed=1, heights=(0,))
     with pytest.raises(SweepConfigError):
         SweepConfig(base_seed=1, eval_bins=0)
+
+
+# Grids with a value that PrivacySpec rejects, and the message it gives.
+BAD_GRIDS = [
+    (
+        "regimes = secure_agg, dist_dp\nnum_examples = 200000\n"
+        "num_buckets = 10\nheights = 10, 30\nepsilons = 1.0\n",
+        "more than 2\\*\\*26 leaves",
+    ),
+    (
+        "regimes = secure_agg\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nfanout = 1\n",
+        "fanout must be >= 2",
+    ),
+    (
+        "regimes = secure_agg, dist_dp\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nepsilons = 1.0, 1e-300\n",
+        "epsilon 1e-300 ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "grid,needle", BAD_GRIDS, ids=["height_30", "fanout_1", "epsilon_1e-300"]
+)
+def test_bad_grid_is_a_config_error_before_any_cell(grid, needle, tmp_path, capsys):
+    # The earlier cells of each grid are valid; the whole sweep is
+    # rejected before the first of them runs.
+    text = f"base_seed = 1\n{grid}"
+    with pytest.raises(SweepConfigError, match=needle):
+        parse_sweep_config(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["sweep", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fedeval: config error:")
 
 
 # -- concurrent callers and the local-DP shard check -----------------------
