@@ -52,10 +52,6 @@ __all__ = ["main", "entry_point"]
 DEFAULT_EPSILON = {Regime.DIST_DP: 1.0, Regime.LOCAL_DP: 5.0}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A002 - argparse API
         self.print_usage(sys.stderr)
@@ -144,7 +140,7 @@ def _resolve_privacy(args) -> PrivacySpec:
     epsilon = args.epsilon
     if regime is Regime.SECURE_AGG:
         if epsilon is not None:
-            raise _UsageError("secure_agg does not take --epsilon")
+            raise ValueError("secure_agg does not take --epsilon")
     elif epsilon is None:
         epsilon = DEFAULT_EPSILON[regime]
     return PrivacySpec(
@@ -173,7 +169,7 @@ def cmd_evaluate(args) -> int:
     thresholds = tuple(args.threshold)
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
-            raise _UsageError(f"--threshold must lie in [0, 1], got {t}")
+            raise ValueError(f"--threshold must lie in [0, 1], got {t}")
     started = time.perf_counter()
     records = evaluate_population(
         scores, positive, spec, args.buckets, args.split, thresholds,
@@ -205,9 +201,9 @@ def cmd_calibrate(args) -> int:
     scores, positive = read_columns(args.data)
     spec = _resolve_privacy(args)
     if scores.size < 4:
-        raise _UsageError("calibrate needs at least 4 examples")
+        raise ValueError("calibrate needs at least 4 examples")
     if not args.bbq and args.buckets is None:
-        raise _UsageError("--buckets is required without --bbq")
+        raise ValueError("--buckets is required without --bbq")
     fit = fit_held_out(
         scores, positive, spec, args.split, np.random.SeedSequence((args.seed,))
     )
@@ -246,9 +242,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"fedeval: error: {exc}", file=sys.stderr)
-        return 1
     except SweepConfigError as exc:
         print(f"fedeval: config error: {exc}", file=sys.stderr)
         return 1

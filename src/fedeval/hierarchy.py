@@ -17,6 +17,7 @@ estimates under local DP.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -36,10 +37,9 @@ from .core import (
     leaf_indices,
 )
 from .mechanisms import (
-    OueParams,
-    PolyaShareParams,
     aggregated_noise,
     discrete_laplace_variance,
+    oue_flip_probability,
 )
 
 __all__ = [
@@ -182,6 +182,14 @@ def _build_local_dp(
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
     order = rng.permutation(num_clients)
+    # p and q are those of one OUE report over a doubled domain whose
+    # halves are the two classes' level-k segments. The two trees do
+    # not share that report: each class is built by its own call,
+    # with its own group permutation and bit draws, so a client can
+    # sit in different level groups in the two trees. Bits are
+    # independent, so this tree's half is simulated directly from
+    # its bit-sum distribution.
+    p, q = 0.5, oue_flip_probability(spec.epsilon)
     levels: list[np.ndarray] = []
     variances: list[float] = []
     for k in range(1, spec.height + 1):
@@ -192,15 +200,6 @@ def _build_local_dp(
         reporting = matches[members] & (member_leaves >= 0)
         nodes = member_leaves[reporting] // (spec.num_leaves // width)
         true_counts = np.bincount(nodes, minlength=width)
-        # p and q are those of one OUE report over a doubled domain whose
-        # halves are the two classes' level-k segments. The two trees do
-        # not share that report: each class is built by its own call,
-        # with its own group permutation and bit draws, so a client can
-        # sit in different level groups in the two trees. Bits are
-        # independent, so this tree's half is simulated directly from
-        # its bit-sum distribution.
-        params = OueParams(spec.epsilon, 2 * width)
-        p, q = params.p_keep, params.q_flip
         kept = rng.binomial(true_counts, p)
         flipped = rng.binomial(group_size - true_counts, q)
         scale = num_clients / group_size
@@ -256,14 +255,10 @@ def build_hierarchy(
         levels = _build_exact(clients, class_filter, spec)
         variances = [0.0] * spec.height
         if spec.regime is Regime.DIST_DP and num_clients > 0:
-            params = PolyaShareParams.from_budget(
-                spec.epsilon, spec.height, num_clients
-            )
-            node_variance = discrete_laplace_variance(params.alpha)
+            alpha = math.exp(-spec.epsilon / spec.height)
+            node_variance = discrete_laplace_variance(alpha)
             for k in range(1, spec.height + 1):
-                noise = aggregated_noise(
-                    params, num_clients, rng, size=spec.fanout**k
-                )
+                noise = aggregated_noise(alpha, rng, size=spec.fanout**k)
                 levels[k - 1] = levels[k - 1] + noise
             variances = [node_variance] * spec.height
 

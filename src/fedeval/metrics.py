@@ -27,11 +27,7 @@ from .core import (
     check_epsilon_use,
 )
 from .hierarchy import ScoreHistogram
-from .mechanisms import (
-    PolyaShareParams,
-    aggregated_noise,
-    discrete_laplace_variance,
-)
+from .mechanisms import aggregated_noise, discrete_laplace_variance
 
 __all__ = [
     "AucEstimate",
@@ -233,12 +229,12 @@ def pra_fixed(
     Clients report four counters (correct, positives, predicted
     positive, true positive) over their own examples. Under secure
     aggregation the sums are exact. Under distributed noise each counter
-    gets discrete Laplace noise calibrated to sensitivity 4, one share
-    per client. Under local randomization clients must hold at most one
-    example and each client randomizes its four bits at budget eps/4
-    per bit. The accuracy denominator is the public number of examples.
-    An epsilon at which that per-counter budget degenerates raises
-    ValueError.
+    gets discrete Laplace noise calibrated to sensitivity 4: the sum of
+    the clients' shares, drawn from its law. Under local randomization
+    clients must hold at most one example and each client randomizes
+    its four bits at budget eps/4 per bit. The accuracy denominator is
+    the public number of examples. An epsilon at which that per-counter
+    budget degenerates raises ValueError.
     """
     threshold = float(threshold)
     if not 0.0 <= threshold <= 1.0:
@@ -264,15 +260,12 @@ def pra_fixed(
     values = sums.astype(np.float64)
     variances = np.zeros(4)
     if spec.regime is Regime.DIST_DP and num_clients > 0:
-        params = PolyaShareParams.from_budget(
-            epsilon=spec.epsilon, sensitivity=4, num_clients=num_clients
-        )
+        alpha = math.exp(-spec.epsilon / 4)
         noise = np.array(
-            [aggregated_noise(params, num_clients, rng) for _ in range(4)],
-            dtype=np.float64,
+            [aggregated_noise(alpha, rng) for _ in range(4)], dtype=np.float64
         )
         values = values + noise
-        variances = np.full(4, discrete_laplace_variance(params.alpha))
+        variances = np.full(4, discrete_laplace_variance(alpha))
     elif spec.regime is Regime.LOCAL_DP and num_clients > 0:
         values, variances = _randomized_response_counts(
             sums, num_clients, spec.epsilon / 4.0, rng

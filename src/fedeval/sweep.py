@@ -160,15 +160,15 @@ def histogram_metric_records(
     scores: np.ndarray,
     flags: np.ndarray,
     thresholds: Sequence[float],
-) -> list[tuple[str, float | None, float | None, float | None, float | None, bool]]:
-    """(metric, threshold, estimate, exact, advertised, degenerate) tuples.
+) -> list[tuple[str, float | None, float | None, float | None, float | None]]:
+    """(metric, threshold, estimate, exact, advertised) tuples.
 
     One AUC record, then precision/recall/accuracy per threshold. Exact
     values come from the raw scores, with AUC ties counted half as the
     histogram estimate counts them; a missing exact (single-class
     data, say) leaves that field None without marking the estimate
-    degenerate. hist is None for a cell whose aggregation could not
-    run, and every estimate is then degenerate.
+    degenerate. A degenerate estimate is None; hist is None for a cell
+    whose aggregation could not run, and every estimate is then None.
     """
     records = []
     pos, neg = _class_sorted(scores, flags)
@@ -178,10 +178,10 @@ def histogram_metric_records(
         exact_value = None
     est = _estimate_or_none(auc_histogram, hist)
     if est is None:
-        records.append(("auc", None, None, exact_value, None, True))
+        records.append(("auc", None, None, exact_value, None))
     else:
         records.append(
-            ("auc", None, est.value, exact_value, est.advertised_uncertainty, False)
+            ("auc", None, est.value, exact_value, est.advertised_uncertainty)
         )
 
     if thresholds:
@@ -198,13 +198,11 @@ def histogram_metric_records(
                 values = (est.precision, est.recall, est.accuracy)
                 slack = est.threshold_slack
             for name, value, exact in zip(PRA_METRICS, values, exact_triple):
-                records.append(
-                    (name, threshold, value, exact, slack, value is None)
-                )
+                records.append((name, threshold, value, exact, slack))
     return records
 
 
-_DEGENERATE_ECE = ("ece", None, None, None, None, True)
+_DEGENERATE_ECE = ("ece", None, None, None, None)
 
 
 def _aggregate_classes(
@@ -329,7 +327,7 @@ def _ece_record(
             exact = _held_out_ece(pos, neg, *held_out, num_buckets, eval_bins)
     except (InsufficientPopulationError, DegenerateEstimateError):
         return _DEGENERATE_ECE
-    return ("ece", None, estimate, exact, None, False)
+    return ("ece", None, estimate, exact, None)
 
 
 def _abs_error(estimate: float | None, exact: float | None) -> float | None:
@@ -362,9 +360,9 @@ def result_rows(
             advertised_uncertainty=advertised,
             seed=seed,
             wall_ms=wall_ms,
-            degenerate=degenerate,
+            degenerate=estimate is None,
         )
-        for metric, threshold, estimate, exact, advertised, degenerate in records
+        for metric, threshold, estimate, exact, advertised in records
     ]
 
 

@@ -1,20 +1,83 @@
 """Per-client reference mechanisms for the closed-form aggregates.
 
-The package never runs these: it draws each regime's aggregate in one
-pass (fedeval.mechanisms.aggregated_noise, binomial OUE counts in
-fedeval.hierarchy). The tests simulate the protocols client by client
-with the functions here and check that both forms agree in
-distribution.
+The package never runs these: it draws each regime's aggregate from
+its law (fedeval.mechanisms.aggregated_noise from alpha alone, binomial
+OUE counts in fedeval.hierarchy). The tests simulate the protocols
+client by client with the parameters and functions here, and check that
+both forms agree in distribution: PolyaShareParams gives one client's
+Polya noise share, OueParams one client's unary encoding report.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from fedeval.core import NoisyCount, as_generator
-from fedeval.mechanisms import OueParams, PolyaShareParams, sample_polya
+from fedeval.mechanisms import oue_flip_probability, sample_polya
+
+
+@dataclass(frozen=True)
+class PolyaShareParams:
+    """Parameters of one client's additive noise share.
+
+    A share is the difference of two Polya(shape, alpha) draws. Summing
+    num_clients shares with shape = 1/num_clients yields a discrete
+    Laplace variable with parameter alpha = exp(-epsilon/sensitivity).
+    """
+
+    shape: float
+    alpha: float
+    sensitivity: int
+
+    def __post_init__(self) -> None:
+        if not (self.shape > 0.0):
+            raise ValueError(f"shape must be positive, got {self.shape}")
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.sensitivity < 1:
+            raise ValueError(f"sensitivity must be >= 1, got {self.sensitivity}")
+
+    @classmethod
+    def from_budget(
+        cls, epsilon: float, sensitivity: int, num_clients: int
+    ) -> "PolyaShareParams":
+        if not (epsilon > 0.0) or not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be a finite positive real, got {epsilon}")
+        if num_clients < 1:
+            raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+        alpha = math.exp(-epsilon / sensitivity)
+        return cls(shape=1.0 / num_clients, alpha=alpha, sensitivity=sensitivity)
+
+
+@dataclass(frozen=True)
+class OueParams:
+    """Optimized unary encoding over a domain of fixed size.
+
+    Bits equal to 1 are kept with probability 1/2; bits equal to 0 are
+    flipped on with probability 1/(e^epsilon + 1).
+    """
+
+    epsilon: float
+    domain_size: int
+
+    def __post_init__(self) -> None:
+        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be a finite positive real, got {self.epsilon}")
+        if self.domain_size < 1:
+            raise ValueError(f"domain_size must be >= 1, got {self.domain_size}")
+
+    @property
+    def p_keep(self) -> float:
+        return 0.5
+
+    @property
+    def q_flip(self) -> float:
+        # The pipeline's flip probability, so tests of q cover both.
+        return oue_flip_probability(self.epsilon)
 
 
 def secure_aggregate(reports: Sequence[np.ndarray]) -> np.ndarray:

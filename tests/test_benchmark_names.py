@@ -114,42 +114,67 @@ def test_traced_oracle_spans_run_once_per_cell(monkeypatch):
     assert calls == {"_auc_from_arrays": 1, "exact_pra_curve": 1}
 
 
-def _list_names_outside(node, shims):
-    """(line, name) of each list-form name used outside the shim definitions.
+def _names_outside(node, names, shims=frozenset()):
+    """(line, name) of each of names defined or used outside the shims.
 
-    A module that defines shims may import the list names for them.
+    A module that defines shims may import the names for them.
     """
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in shims:
-        return []
-    if isinstance(node, ast.Name):
-        names = [node.id]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if node.name in shims:
+            return []
+        used = [node.name]
+    elif isinstance(node, ast.Name):
+        used = [node.id]
     elif isinstance(node, ast.Attribute):
-        names = [node.attr]
+        used = [node.attr]
     elif isinstance(node, ast.ImportFrom) and not shims:
-        names = [alias.name for alias in node.names]
+        used = [alias.name for alias in node.names]
     else:
-        names = []
-    found = [(node.lineno, name) for name in names if name in LIST_NAMES]
+        used = []
+    found = [(node.lineno, name) for name in used if name in names]
     for child in ast.iter_child_nodes(node):
-        found += _list_names_outside(child, shims)
+        found += _names_outside(child, names, shims)
     return found
 
 
-def test_list_forms_stay_inside_the_shims():
-    # The pipeline runs on columns; only the list shims themselves may
-    # name the per-example type or its converters.
+def _offenders(names, shims_of=lambda stem: frozenset()):
+    """Every use of names in the package and the scripts, as path:line: name."""
     paths = sorted((ROOT / "src" / "fedeval").glob("*.py"))
     paths += sorted((ROOT / "scripts").glob("*.py"))
     assert len(paths) >= 12
     offenders = []
     for path in paths:
-        shims = LIST_SHIMS.get(path.stem, set())
         tree = ast.parse(path.read_text())
         offenders += [
             f"{path.relative_to(ROOT)}:{line}: {name}"
-            for line, name in _list_names_outside(tree, shims)
+            for line, name in _names_outside(tree, names, shims_of(path.stem))
         ]
-    assert offenders == []
+    return offenders
+
+
+def test_list_forms_stay_inside_the_shims():
+    # The pipeline runs on columns; only the list shims themselves may
+    # name the per-example type or its converters.
+    assert _offenders(LIST_NAMES, lambda stem: LIST_SHIMS.get(stem, set())) == []
+
+
+# The per-client protocols and their parameters, kept in
+# tests/reference_mechanisms.py as oracles for the closed-form draws.
+PER_CLIENT_NAMES = {
+    "PolyaShareParams",
+    "OueParams",
+    "distdp_noise_share",
+    "oue_encode",
+    "oue_decode",
+    "oue_aggregate",
+    "secure_aggregate",
+}
+
+
+def test_per_client_oracles_stay_in_the_tests():
+    # The pipeline draws each aggregate from its law; no module or
+    # script defines or calls a per-client mechanism.
+    assert _offenders(PER_CLIENT_NAMES) == []
 
 
 # The private names one module may import from another, as

@@ -37,7 +37,9 @@ from fedeval.sweep import SweepConfig, run_sweep
 POLICIES = ("one_per_client", "skewed:0.3", "variable:4")
 
 # Secure aggregation and distributed DP do not depend on how the data is
-# split into clients (criterion 11), so their three digests coincide.
+# split into clients (criterion 11), so their three digests coincide:
+# the dist_dp noise is drawn from alpha alone, whatever the client count
+# (test_dist_dp_does_not_depend_on_the_client_split in test_hierarchy.py).
 SWEEP_DIGESTS = {
     ("secure_agg", "one_per_client"):
         "0e752eb3dd5ac81f6a80d09b77055a8678681d5fc36df2cf44a3d7d07101658c",

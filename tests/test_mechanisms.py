@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from fedeval.mechanisms import (
-    OueParams,
-    PolyaShareParams,
     aggregated_noise,
     discrete_laplace_variance,
     sample_polya,
 )
 
 from reference_mechanisms import (
+    OueParams,
+    PolyaShareParams,
     distdp_noise_share,
     oue_aggregate,
     oue_decode,
@@ -82,23 +82,13 @@ def test_discrete_laplace_variance_frozen():
 
 
 def test_aggregated_noise_matches_discrete_laplace():
-    # 400 shares of shape 1/400 sum to total shape 1: discrete Laplace.
+    # The sum of 400 shares at the budget's alpha is discrete Laplace.
     params = PolyaShareParams.from_budget(1.0, 1, 400)
     rng = np.random.default_rng(7)
-    draws = aggregated_noise(params, 400, rng, size=100_000)
+    draws = aggregated_noise(params.alpha, rng, size=100_000)
     target = discrete_laplace_variance(params.alpha)
     assert abs(draws.mean()) < 3.0 * math.sqrt(target / 100_000)
     assert draws.var() == pytest.approx(target, rel=0.05)
-
-
-def test_aggregated_noise_zero_shares():
-    params = PolyaShareParams(shape=0.5, alpha=0.5, sensitivity=1)
-    rng = np.random.default_rng(0)
-    assert aggregated_noise(params, 0, rng) == 0
-    zeros = aggregated_noise(params, 0, rng, size=5)
-    assert zeros.tolist() == [0, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        aggregated_noise(params, -1, rng)
 
 
 def test_share_sums_match_aggregate_distribution():

@@ -402,7 +402,8 @@ _DIST_DIGEST = "351a6deacefd82ec5f41f29209d890019cb05db0b6902d137335926531d6836c
 def test_pra_fixed_counters_are_byte_stable(spec, group, expected):
     # The digests pin counters and estimates byte for byte. Client groups
     # of 1 and 3 share a digest: the exact sums do not depend on the
-    # grouping, nor does the aggregate dist_dp noise.
+    # grouping, nor does the aggregate dist_dp noise, which is drawn from
+    # alpha alone (test_dist_dp_does_not_depend_on_the_client_split).
     rng = np.random.default_rng(11)
     scores, positive = rng.random(90), rng.random(90) < 0.4
     offsets = np.append(np.arange(0, 90, group), 90)
