@@ -36,7 +36,7 @@ from .hierarchy import (
     build_score_histogram,
 )
 from .io import DataFileError, read_columns, write_columns
-from .metrics import AucEstimate, PraEstimate, auc_histogram, pra_fixed, pra_threshold
+from .metrics import AucEstimate, PraEstimate, auc_histogram, pra_threshold
 from .sweep import (
     SweepConfig,
     SweepConfigError,
@@ -75,7 +75,6 @@ __all__ = [
     "calibrate_histogram",
     "ece_arrays",
     "parse_sweep_config",
-    "pra_fixed",
     "pra_threshold",
     "read_columns",
     "run_sweep",

@@ -30,7 +30,6 @@ __all__ = [
     "InsufficientPopulationError",
     "as_arrays",
     "as_examples",
-    "check_epsilon_use",
     "leaf_indices",
     "as_generator",
 ]
@@ -158,11 +157,24 @@ class PrivacySpec:
             eps = self.epsilon
             if eps is None or not math.isfinite(eps) or eps <= 0.0:
                 raise ValueError(f"epsilon must be a finite positive real, got {eps!r}")
-            # Each dist_dp level spends epsilon/height; a local_dp client
-            # spends all of epsilon on its one report.
-            parts = self.height if self.regime is Regime.DIST_DP else 1
+            # Each dist_dp level spends epsilon/height, and needs
+            # exp(-epsilon/height) strictly inside (0, 1). A local_dp
+            # client spends all of epsilon on its one report, and needs
+            # the flip probability 1/(exp(epsilon) + 1) to differ from 1/2.
             use = f"{self.regime.value} at height {self.height}"
-            check_epsilon_use(self.regime, eps, parts, use)
+            if self.regime is Regime.DIST_DP:
+                alpha = math.exp(-eps / self.height)
+                if alpha in (0.0, 1.0):
+                    share = "epsilon" if self.height == 1 else f"epsilon/{self.height}"
+                    raise ValueError(
+                        f"epsilon {eps!r} is too {'small' if alpha else 'large'} "
+                        f"for {use}: exp(-{share}) rounds to {alpha:g}"
+                    )
+            elif expit(-eps) == 0.5:
+                raise ValueError(
+                    f"epsilon {eps!r} is too small for {use}: the flip "
+                    "probability 1/(exp(epsilon)+1) rounds to 1/2"
+                )
         # Leaf arrays of every level must fit comfortably in memory. Any
         # height above 26 is past 2**26 leaves, and is rejected before
         # the power is formed.
@@ -258,29 +270,6 @@ def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[LabeledScore]:
         LabeledScore(score, labels[flag])
         for score, flag in zip(scores.tolist(), positive.tolist())
     ]
-
-
-def check_epsilon_use(regime: Regime, epsilon: float, parts: int, use: str) -> None:
-    """Reject an epsilon whose share epsilon/parts degenerates a mechanism.
-
-    dist_dp needs exp(-share) strictly inside (0, 1). local_dp needs the
-    flip probability 1/(exp(share) + 1) to differ from 1/2; it rounds
-    to 1/2 at a larger share than its complement does, so this also
-    covers randomized response. Secure aggregation spends no epsilon.
-    """
-    budget = "epsilon" if parts == 1 else f"epsilon/{parts}"
-    if regime is Regime.DIST_DP:
-        alpha = math.exp(-epsilon / parts)
-        if alpha in (0.0, 1.0):
-            raise ValueError(
-                f"epsilon {epsilon!r} is too {'small' if alpha else 'large'} for "
-                f"{use}: exp(-{budget}) rounds to {alpha:g}"
-            )
-    elif regime is Regime.LOCAL_DP and expit(-epsilon / parts) == 0.5:
-        raise ValueError(
-            f"epsilon {epsilon!r} is too small for {use}: the flip probability "
-            f"1/(exp({budget})+1) rounds to 1/2"
-        )
 
 
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:

@@ -1,46 +1,28 @@
-"""Classifier metrics computed from aggregated score structures.
+"""Classifier metrics read from an aggregated score histogram.
 
-Two families live here. auc_histogram and pra_threshold read a
-ScoreHistogram, so they work under every aggregation regime and carry
-an explicit uncertainty decomposition (bucket coarseness separate from
-injected noise). pra_fixed skips the histogram entirely: when the
-threshold is fixed in advance each client can report four bits about
-its own examples, and those four counters are aggregated directly.
+auc_histogram and pra_threshold read only a ScoreHistogram, so they
+work under every aggregation regime. Each reports its error sources
+apart: AUC separates bucket coarseness from injected noise, and
+precision/recall/accuracy carry the distance to the snapped threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
-from .core import (
-    ClientSplit,
-    DegenerateEstimateError,
-    NoisyCount,
-    PrivacySpec,
-    Regime,
-    as_generator,
-    check_epsilon_use,
-)
+from .core import DegenerateEstimateError, NoisyCount
 from .hierarchy import ScoreHistogram
-from .mechanisms import aggregated_noise, discrete_laplace_variance
 
 __all__ = [
     "AucEstimate",
     "PraEstimate",
     "auc_histogram",
     "pra_threshold",
-    "pra_fixed",
-    "FIXED_COUNTER_NAMES",
 ]
-
-# Aggregation order is part of the pra_fixed contract: noise draws are
-# consumed counter by counter in this order.
-FIXED_COUNTER_NAMES = ("correct", "positives", "predicted_positive", "true_positive")
 
 
 @dataclass(frozen=True)
@@ -67,18 +49,17 @@ class AucEstimate:
 class PraEstimate:
     """Precision / recall / accuracy from aggregate counters.
 
-    A metric is None when its denominator was not positive. For the
-    threshold-snapping estimator, effective_threshold is the histogram
-    boundary actually used and threshold_slack bounds |T - T'| plus one
-    leaf width; for pra_fixed both are trivial.
+    A metric is None when its denominator was not positive.
+    effective_threshold is the histogram boundary actually used and
+    threshold_slack bounds |T - T'| plus one leaf width.
     """
 
     precision: float | None
     recall: float | None
     accuracy: float | None
-    effective_threshold: float | None
+    effective_threshold: float
     threshold_slack: float
-    counters: Mapping[str, NoisyCount] = field(default_factory=dict)
+    counters: Mapping[str, NoisyCount]
 
 
 def _clamp01(value: float) -> float:
@@ -197,99 +178,5 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
         accuracy=accuracy,
         effective_threshold=effective,
         threshold_slack=slack,
-        counters=counters,
-    )
-
-
-def _randomized_response_counts(
-    ones: np.ndarray, num_clients: int, epsilon_per_bit: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Debiased symmetric randomized response over one bit per client.
-
-    ones[j] clients hold bit j set; every client flips each of its bits
-    independently with probability 1/(e^eps + 1). Returns debiased sums
-    and their variances.
-    """
-    # expit(eps) is e^eps / (e^eps + 1) without overflowing.
-    p_true = float(expit(epsilon_per_bit))
-    kept = rng.binomial(ones, p_true)
-    flipped = rng.binomial(num_clients - ones, 1.0 - p_true)
-    reported = kept + flipped
-    debiased = (reported - num_clients * (1.0 - p_true)) / (2.0 * p_true - 1.0)
-    variance = num_clients * p_true * (1.0 - p_true) / (2.0 * p_true - 1.0) ** 2
-    return debiased, np.full(ones.shape, variance)
-
-
-def pra_fixed(
-    clients: ClientSplit, threshold: float, spec: PrivacySpec, seed=None
-) -> PraEstimate:
-    """Metrics for a threshold fixed before aggregation.
-
-    Each example is predicted positive when its score exceeds threshold.
-    Clients report four counters (correct, positives, predicted
-    positive, true positive) over their own examples. Under secure
-    aggregation the sums are exact. Under distributed noise each counter
-    gets discrete Laplace noise calibrated to sensitivity 4: the sum of
-    the clients' shares, drawn from its law. Under local randomization
-    clients must hold at most one example and each client randomizes
-    its four bits at budget eps/4 per bit. The accuracy denominator is
-    the public number of examples. An epsilon at which that per-counter
-    budget degenerates raises ValueError.
-    """
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    use = f"the fixed-threshold counters under {spec.regime.value}"
-    check_epsilon_use(spec.regime, spec.epsilon, 4, use)
-    if spec.regime is Regime.LOCAL_DP:
-        clients.check_one_per_client()
-    rng = as_generator(seed)
-    predicted = clients.scores > threshold
-    positive = clients.positive
-    sums = np.array(
-        [
-            np.count_nonzero(predicted == positive),
-            np.count_nonzero(positive),
-            np.count_nonzero(predicted),
-            np.count_nonzero(predicted & positive),
-        ],
-        dtype=np.int64,
-    )
-    total = positive.size
-    num_clients = clients.num_clients
-    values = sums.astype(np.float64)
-    variances = np.zeros(4)
-    if spec.regime is Regime.DIST_DP and num_clients > 0:
-        alpha = math.exp(-spec.epsilon / 4)
-        noise = np.array(
-            [aggregated_noise(alpha, rng) for _ in range(4)], dtype=np.float64
-        )
-        values = values + noise
-        variances = np.full(4, discrete_laplace_variance(alpha))
-    elif spec.regime is Regime.LOCAL_DP and num_clients > 0:
-        values, variances = _randomized_response_counts(
-            sums, num_clients, spec.epsilon / 4.0, rng
-        )
-
-    correct, positives, pred_pos, true_pos = (float(v) for v in values)
-    counters = {
-        name: NoisyCount(float(v), float(var))
-        for name, v, var in zip(FIXED_COUNTER_NAMES, values, variances)
-    }
-    counters["total"] = NoisyCount(float(total), 0.0)
-
-    precision = _ratio(true_pos, pred_pos)
-    recall = _ratio(true_pos, positives)
-    accuracy = _ratio(correct, float(total))
-    if precision is None and recall is None and accuracy is None:
-        raise DegenerateEstimateError(
-            "all denominators are non-positive", counters=counters
-        )
-    return PraEstimate(
-        precision=precision,
-        recall=recall,
-        accuracy=accuracy,
-        effective_threshold=None,
-        threshold_slack=0.0,
         counters=counters,
     )

@@ -69,11 +69,19 @@ class SweepResultRow:
     threshold: float | None
     estimate: float | None
     exact: float | None
-    abs_error: float | None
     advertised_uncertainty: float | None
     seed: int
     wall_ms: float | None
-    degenerate: bool
+
+    @property
+    def abs_error(self) -> float | None:
+        if self.estimate is None or self.exact is None:
+            return None
+        return abs(self.estimate - self.exact)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.estimate is None
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,11 @@ def histogram_metric_records(
     data, say) leaves that field None without marking the estimate
     degenerate. A degenerate estimate is None; hist is None for a cell
     whose aggregation could not run, and every estimate is then None.
+    The advertised value of an AUC record adds the bucketization
+    halfwidth to the noise sd. A precision/recall/accuracy record
+    advertises its threshold_slack, |T - T'| plus one leaf width in
+    score units with no noise term; metric-unit values are ROADMAP
+    item 3.
     """
     records = []
     pos, neg = _class_sorted(scores, flags)
@@ -330,12 +343,6 @@ def _ece_record(
     return ("ece", None, estimate, exact, None)
 
 
-def _abs_error(estimate: float | None, exact: float | None) -> float | None:
-    if estimate is None or exact is None:
-        return None
-    return abs(estimate - exact)
-
-
 def result_rows(
     records: Sequence[tuple],
     spec: PrivacySpec,
@@ -356,11 +363,9 @@ def result_rows(
             threshold=threshold,
             estimate=estimate,
             exact=exact,
-            abs_error=_abs_error(estimate, exact),
             advertised_uncertainty=advertised,
             seed=seed,
             wall_ms=wall_ms,
-            degenerate=estimate is None,
         )
         for metric, threshold, estimate, exact, advertised in records
     ]

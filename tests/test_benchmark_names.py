@@ -5,7 +5,8 @@ when a traced name disappears. These checks read the perfbench sources
 without importing them, so a simplification that removes or renames a
 name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
-the package.
+the package, the mechanisms out of every module but hierarchy.py, and
+every exported name must resolve.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedeval import calibration, datagen, hierarchy, oracle, sweep
+from fedeval import calibration, datagen, hierarchy, mechanisms, oracle, sweep
 from fedeval import io as fio
 from fedeval.core import Label, PrivacySpec, Regime, as_generator
 
@@ -177,6 +178,14 @@ def test_per_client_oracles_stay_in_the_tests():
     assert _offenders(PER_CLIENT_NAMES) == []
 
 
+def test_only_hierarchy_applies_a_mechanism():
+    # Every metric is read from the aggregated trees, so hierarchy.py is
+    # the one module that draws mechanism noise.
+    names = set(mechanisms.__all__) | {"mechanisms"}
+    homes = ("src/fedeval/hierarchy.py:", "src/fedeval/mechanisms.py:")
+    assert [line for line in _offenders(names) if not line.startswith(homes)] == []
+
+
 # The private names one module may import from another, as
 # (importer, home, name). perfbench traces the exact AUC through
 # sweep's binding of _auc_from_arrays (see the test above).
@@ -209,3 +218,17 @@ def test_private_names_stay_in_their_module():
                 and (path.stem, home, alias.name) not in SHARED_PRIVATE_NAMES
             ]
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    # A stale __all__ entry makes `from module import *` raise.
+    paths = sorted((ROOT / "src" / "fedeval").glob("*.py"))
+    modules = [
+        "fedeval" if path.stem == "__init__" else f"fedeval.{path.stem}"
+        for path in paths
+        if path.stem != "__main__"
+    ]
+    assert len(modules) >= 11
+    for module in modules:
+        assert importlib.import_module(module).__all__, module
+        exec(f"from {module} import *", {})

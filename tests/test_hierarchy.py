@@ -35,7 +35,6 @@ from fedeval.hierarchy import (
     build_score_histograms,
 )
 from fedeval.mechanisms import discrete_laplace_variance
-from fedeval.metrics import pra_fixed
 
 
 def sa_spec(height, fanout=2):
@@ -228,25 +227,21 @@ def test_distdp_determinism_and_seed_sensitivity():
 @pytest.mark.parametrize("num_examples", [49, 98, 103, 600])
 def test_dist_dp_does_not_depend_on_the_client_split(num_examples):
     # The clients' noise shares sum to one discrete Laplace draw per
-    # node, whatever their number, so trees and fixed-threshold counters
-    # agree bit for bit across client groups of 1, 2 and 7. At 49, 98
-    # and 103 clients n * (1/n) != 1 in floating point, so a per-client
-    # shape in the draws would show.
+    # node, whatever their number, so the trees agree bit for bit across
+    # client groups of 1, 2 and 7. At 49, 98 and 103 clients
+    # n * (1/n) != 1 in floating point, so a per-client shape in the
+    # draws would show.
     spec = dp_spec(5, 1.0)
     scores, positive = sample_population(num_examples, ScoreDistribution(), 0.5, 4)
 
     def fingerprint(group):
         offsets = np.append(np.arange(0, num_examples, group), num_examples)
         clients = ClientSplit(scores, positive, offsets)
-        levels = [
+        return [
             level.tobytes()
             for label in Label
             for level in build_hierarchy(clients, label, spec, seed=9).values
         ]
-        counters = pra_fixed(clients, 0.4, spec, seed=9).counters
-        return levels, {
-            name: (c.value.hex(), c.variance.hex()) for name, c in counters.items()
-        }
 
     reference = fingerprint(1)
     assert fingerprint(2) == reference

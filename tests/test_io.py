@@ -276,11 +276,9 @@ def make_row(**overrides):
         threshold=None,
         estimate=0.75,
         exact=0.8,
-        abs_error=0.05000000000000004,
         advertised_uncertainty=0.0625,
         seed=123456789,
         wall_ms=None,
-        degenerate=False,
     )
     base.update(overrides)
     return SweepResultRow(**base)
@@ -305,7 +303,7 @@ def test_row_json_key_order():
     parsed = json.loads(line)
     assert parsed["regime"] == "dist_dp"
     assert parsed["M"] == 100
-    assert parsed["abs_error"] == 0.05000000000000004
+    assert parsed["abs_error"] == 0.050000000000000044
     assert parsed["wall_ms"] is None
     assert "degenerate" not in parsed
     assert "threshold" not in parsed
@@ -318,9 +316,7 @@ def test_row_json_threshold_and_degenerate_keys():
             threshold=0.3,
             estimate=None,
             exact=None,
-            abs_error=None,
             advertised_uncertainty=None,
-            degenerate=True,
         )
     )
     keys = list(json.loads(line))

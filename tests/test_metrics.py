@@ -1,16 +1,11 @@
 """Histogram metric estimators against hand values and the exact oracle."""
 
-import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from fedeval import (
-    ClientSplit,
     DegenerateEstimateError,
     Label,
     NoisyCount,
@@ -25,14 +20,8 @@ from fedeval.hierarchy import (
     build_hierarchy,
     build_score_histogram,
 )
-from fedeval.mechanisms import discrete_laplace_variance
-from fedeval.metrics import (
-    FIXED_COUNTER_NAMES,
-    auc_histogram,
-    pra_fixed,
-    pra_threshold,
-)
-from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
+from fedeval.metrics import auc_histogram, pra_threshold
+from fedeval.oracle import _auc_from_arrays, _class_sorted
 
 
 def sa_spec(height, fanout=2):
@@ -246,180 +235,3 @@ def test_pra_threshold_all_degenerate_raises():
     with pytest.raises(DegenerateEstimateError) as info:
         pra_threshold(hist, 0.5)
     assert info.value.counters["total"].value == -4.0
-
-
-# -- fixed-threshold counter aggregation ------------------------------------
-
-
-def fixed_split(examples, group=1):
-    """The (scores, positive) examples, group consecutive rows per client."""
-    scores, positive = examples
-    offsets = np.append(np.arange(0, scores.size, group), scores.size)
-    return ClientSplit(scores, positive, offsets)
-
-
-def random_examples(rng, num):
-    return rng.random(num), rng.random(num) < 0.5
-
-
-def test_pra_fixed_secure_agg_matches_oracle():
-    rng = np.random.default_rng(77)
-    examples = random_examples(rng, 200)
-    for group in (1, 3):
-        est = pra_fixed(fixed_split(examples, group), 0.35, sa_spec(4))
-        classes = _class_sorted(*examples)
-        precision, recall, accuracy = exact_pra_curve(*classes, [0.35])[0]
-        assert est.precision == precision
-        assert est.recall == recall
-        assert est.accuracy == accuracy
-        assert est.effective_threshold is None
-        assert est.threshold_slack == 0.0
-        assert list(est.counters) == list(FIXED_COUNTER_NAMES) + ["total"]
-    for threshold in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="threshold"):
-            pra_fixed(fixed_split(examples), threshold, sa_spec(4))
-
-
-def test_pra_fixed_distdp_unbiased():
-    rng = np.random.default_rng(88)
-    examples = random_examples(rng, 400)
-    clients = fixed_split(examples)
-    spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=2.0, height=4, fanout=2)
-    exact = pra_fixed(clients, 0.5, sa_spec(4))
-    node_var = discrete_laplace_variance(math.exp(-2.0 / 4.0))
-    trials = 300
-    sums = {name: 0.0 for name in FIXED_COUNTER_NAMES}
-    for i in range(trials):
-        est = pra_fixed(clients, 0.5, spec, seed=(5, i))
-        for name in FIXED_COUNTER_NAMES:
-            assert est.counters[name].variance == pytest.approx(node_var)
-            sums[name] += est.counters[name].value
-        assert est.counters["total"] == NoisyCount(400.0, 0.0)
-    se = math.sqrt(node_var / trials)
-    for name in FIXED_COUNTER_NAMES:
-        exact_value = exact.counters[name].value
-        assert abs(sums[name] / trials - exact_value) < 3.0 * se
-
-
-def test_pra_fixed_local_dp_unbiased_and_public_total():
-    rng = np.random.default_rng(99)
-    examples = random_examples(rng, 1000)
-    clients = fixed_split(examples)
-    spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=4.0, height=4, fanout=2)
-    exact = pra_fixed(clients, 0.5, sa_spec(4))
-    p = math.exp(1.0) / (math.exp(1.0) + 1.0)
-    bit_var = 1000 * p * (1 - p) / (2 * p - 1) ** 2
-    trials = 200
-    sums = {name: 0.0 for name in FIXED_COUNTER_NAMES}
-    for i in range(trials):
-        est = pra_fixed(clients, 0.5, spec, seed=(6, i))
-        for name in FIXED_COUNTER_NAMES:
-            assert est.counters[name].variance == pytest.approx(bit_var)
-            sums[name] += est.counters[name].value
-        # Accuracy always divides by the public example count.
-        assert est.counters["total"] == NoisyCount(1000.0, 0.0)
-        expected_accuracy = min(max(est.counters["correct"].value, 0.0) / 1000.0, 1.0)
-        assert est.accuracy == pytest.approx(expected_accuracy)
-    se = math.sqrt(bit_var / trials)
-    for name in FIXED_COUNTER_NAMES:
-        exact_value = exact.counters[name].value
-        assert abs(sums[name] / trials - exact_value) < 3.5 * se
-
-
-def test_pra_fixed_local_dp_rejects_grouped_shards():
-    rng = np.random.default_rng(3)
-    examples = random_examples(rng, 30)
-    clients = fixed_split(examples, group=3)
-    spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)
-    with pytest.raises(ValueError, match="shard 0 holds 3"):
-        pra_fixed(clients, 0.5, spec, seed=0)
-
-
-@given(
-    epsilon=st.floats(min_value=1e-300, max_value=1e300),
-    regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),
-    height=st.integers(1, 12),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(epsilon=3000.0, regime=Regime.LOCAL_DP, height=4, seed=0)
-@example(epsilon=3000.0, regime=Regime.DIST_DP, height=10, seed=0)
-@example(epsilon=4e-16, regime=Regime.LOCAL_DP, height=4, seed=0)
-def test_pra_fixed_runs_or_names_the_epsilon(epsilon, regime, height, seed):
-    try:
-        spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
-    except ValueError as exc:
-        assert f"epsilon {epsilon!r} " in str(exc)
-        return
-    rng = np.random.default_rng(seed)
-    clients = fixed_split(random_examples(rng, 12))
-    try:
-        est = pra_fixed(clients, 0.5, spec, seed=seed)
-    except ValueError as exc:
-        assert str(exc).startswith(f"epsilon {epsilon!r} ")
-        return
-    for counter in est.counters.values():
-        assert math.isfinite(counter.value) and math.isfinite(counter.variance)
-
-
-def test_pra_fixed_empty_population_raises():
-    empty = fixed_split((np.empty(0), np.empty(0, dtype=bool)))
-    with pytest.raises(DegenerateEstimateError):
-        pra_fixed(empty, 0.5, sa_spec(4))
-    spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=2.0, height=4, fanout=2)
-    with pytest.raises(DegenerateEstimateError):
-        pra_fixed(empty, 0.5, spec, seed=0)
-
-
-def _estimates_digest(estimates):
-    h = hashlib.sha256()
-    for est in estimates:
-        for name, counter in est.counters.items():
-            h.update(name.encode())
-            h.update(struct.pack("<dd", counter.value, counter.variance))
-        for value in (est.precision, est.recall, est.accuracy):
-            h.update(b"none" if value is None else struct.pack("<d", value))
-    return h.hexdigest()
-
-
-_SA_DIGEST = "c9291ac2c185891f16941fbad349bf624baf5f8d801da7b7e11d266be6437c5d"
-_DIST_DIGEST = "351a6deacefd82ec5f41f29209d890019cb05db0b6902d137335926531d6836c"
-
-
-@pytest.mark.parametrize(
-    "spec,group,expected",
-    [
-        (sa_spec(4), 1, _SA_DIGEST),
-        (sa_spec(4), 3, _SA_DIGEST),
-        (PrivacySpec(Regime.DIST_DP, 2.0, height=4), 1, _DIST_DIGEST),
-        (PrivacySpec(Regime.DIST_DP, 2.0, height=4), 3, _DIST_DIGEST),
-        (
-            PrivacySpec(Regime.LOCAL_DP, 4.0, height=4),
-            1,
-            "af0edb0c4bfabb7f0ada203b6a8a040f08dfb65afdb3f350403af7191b5e94a7",
-        ),
-    ],
-)
-def test_pra_fixed_counters_are_byte_stable(spec, group, expected):
-    # The digests pin counters and estimates byte for byte. Client groups
-    # of 1 and 3 share a digest: the exact sums do not depend on the
-    # grouping, nor does the aggregate dist_dp noise, which is drawn from
-    # alpha alone (test_dist_dp_does_not_depend_on_the_client_split).
-    rng = np.random.default_rng(11)
-    scores, positive = rng.random(90), rng.random(90) < 0.4
-    offsets = np.append(np.arange(0, 90, group), 90)
-    clients = ClientSplit(scores, positive, offsets)
-    estimates = [pra_fixed(clients, 0.35, spec, seed=(7, rep)) for rep in range(3)]
-    assert _estimates_digest(estimates) == expected
-
-
-def test_pra_fixed_local_dp_counts_empty_clients():
-    rng = np.random.default_rng(12)
-    scores, positive = rng.random(40), rng.random(40) < 0.4
-    # Every third client of 60 is empty; the other 40 hold one example.
-    offsets = np.concatenate(([0], np.cumsum(np.arange(60) % 3 != 1)))
-    clients = ClientSplit(scores, positive, offsets)
-    spec = PrivacySpec(Regime.LOCAL_DP, 4.0, height=4)
-    estimates = [pra_fixed(clients, 0.35, spec, seed=(8, rep)) for rep in range(3)]
-    assert _estimates_digest(estimates) == (
-        "6d2db79ff73f1a72b2c7fd98d0360e18b54a53985f18a2a2bcafb3efc1966085"
-    )
