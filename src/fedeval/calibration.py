@@ -6,7 +6,9 @@ fraction of an equi-depth histogram; the Bayesian form averages several
 bucket counts under a Beta-binomial marginal likelihood, so the output
 is a weighted mixture of single-binning maps. Calibration quality is
 summarized by the expected calibration error over equal-width
-probability bins.
+probability bins. The Bayesian form's marginal likelihood is the one
+user of betaln, imported on first use so that no other path loads its
+library.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from .hierarchy import HierarchicalCounts, ScoreHistogram, build_score_histograms
 
@@ -151,6 +152,9 @@ def _log_marginal(hist: ScoreHistogram) -> float:
     and total strength PRIOR_STRENGTH / num_buckets, so the prior mass
     spent does not grow with the number of buckets.
     """
+    # Imported on first use: only a BBQ fit pays for loading it.
+    from scipy.special import betaln
+
     pos = np.maximum(np.asarray(hist.pos_values, dtype=np.float64), 0.0)
     neg = np.maximum(np.asarray(hist.neg_values, dtype=np.float64), 0.0)
     boundaries = hist.boundaries

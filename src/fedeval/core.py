@@ -15,7 +15,6 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Label",
@@ -32,6 +31,7 @@ __all__ = [
     "as_examples",
     "leaf_indices",
     "as_generator",
+    "oue_flip_probability",
 ]
 
 
@@ -170,7 +170,7 @@ class PrivacySpec:
                         f"epsilon {eps!r} is too {'small' if alpha else 'large'} "
                         f"for {use}: exp(-{share}) rounds to {alpha:g}"
                     )
-            elif expit(-eps) == 0.5:
+            elif oue_flip_probability(eps) == 0.5:
                 raise ValueError(
                     f"epsilon {eps!r} is too small for {use}: the flip "
                     "probability 1/(exp(epsilon)+1) rounds to 1/2"
@@ -289,3 +289,15 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def oue_flip_probability(epsilon: float) -> float:
+    """Probability 1/(e^epsilon + 1) that OUE turns a 0 bit on.
+
+    Where exp(epsilon) overflows the probability is 0.0, the value of
+    the formula with exp(epsilon) = inf.
+    """
+    try:
+        return 1.0 / (math.exp(epsilon) + 1.0)
+    except OverflowError:
+        return 0.0

@@ -35,12 +35,9 @@ from .core import (
     Regime,
     as_generator,
     leaf_indices,
-)
-from .mechanisms import (
-    aggregated_noise,
-    discrete_laplace_variance,
     oue_flip_probability,
 )
+from .mechanisms import aggregated_noise, discrete_laplace_variance
 
 __all__ = [
     "HierarchicalCounts",
@@ -406,23 +403,24 @@ def _bucket_histogram(
     )
 
 
-def _cut_leaves(combined: _RunningSums, num_buckets: int) -> np.ndarray:
-    """Leaf boundaries of the equi-depth histogram of the combined trees.
+def _cut_leaves(
+    spec: PrivacySpec, num_buckets: int, quantiles: np.ndarray | None
+) -> np.ndarray:
+    """Leaf boundaries of an equi-depth histogram of the combined trees.
 
-    Boundaries are the B-quantiles of combined (found by bisection, see
-    _quantile_leaves), then any bucket wider than f**(-ceil(log_f B) + 1)
-    is split at aligned leaf boundaries so every bucket has width
-    O(1/B). Duplicate quantiles are merged, so fewer than B buckets may
-    come back; splitting produces at most B - 1 extra ones.
+    quantiles are the leaves that bisection reaches for the B-quantiles
+    of the combined trees (see _quantile_leaves), or None when B is
+    above f**h. Any bucket wider than f**(-ceil(log_f B) + 1) is split
+    at aligned leaf boundaries so every bucket has width O(1/B).
+    Duplicate quantiles are merged, so fewer than B buckets may come
+    back; splitting produces at most B - 1 extra ones.
     """
-    spec = combined.spec
     n = spec.num_leaves
     if num_buckets > n:
         # The width cap is one leaf, so every leaf boundary is a cut
         # whatever the quantiles; no B-sized target array is formed.
         return np.arange(n + 1, dtype=np.int64)
-    targets = np.arange(1, num_buckets) * combined.total / num_buckets
-    cuts = {0, n, *_quantile_leaves(combined, targets).tolist()}
+    cuts = {0, n, *quantiles.tolist()}
 
     f = spec.fanout
     cap_level = min(spec.height, max(0, _ceil_log(num_buckets, f) - 1))
@@ -444,19 +442,30 @@ def build_score_histograms(
     """Equi-depth histograms over both classes, one per bucket count.
 
     Boundaries are the B-quantiles of the combined population, with
-    over-wide buckets split (see _cut_leaves). Every count is cut from
-    one build of the combined running sums, which is dropped before
-    each class's sums are built once for all the histograms; no running
-    sum outlives the call.
+    over-wide buckets split (see _cut_leaves). The quantile targets of
+    every count up to f**h run through one bisection of the combined
+    running sums, which are dropped before each class's sums are built
+    once for all the histograms; no running sum outlives the call.
     """
     for num_buckets in bucket_counts:
         if num_buckets < 1:
             raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
     if pos.spec != neg.spec:
         raise ValueError("pos and neg hierarchies must share one privacy spec")
+    spec = pos.spec
     combined = _running_sums(pos, neg)
-    cuts = [_cut_leaves(combined, num_buckets) for num_buckets in bucket_counts]
+    targets = {
+        b: np.arange(1, b) * combined.total / b
+        for b in bucket_counts
+        if b <= spec.num_leaves
+    }
+    # Targets bisect independently in lockstep, so one bisection of all
+    # of them reaches the leaves that one per count would.
+    found = _quantile_leaves(combined, np.concatenate([np.empty(0), *targets.values()]))
     del combined
+    ends = np.cumsum([t.size for t in targets.values()])
+    quantiles = dict(zip(targets, np.split(found, ends[:-1])))
+    cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]
     pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
     return [_bucket_histogram(pos, neg, pos_sums, neg_sums, cut) for cut in cuts]
 

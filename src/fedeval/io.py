@@ -156,12 +156,9 @@ def read_data_file(path: str | Path) -> list[LabeledScore]:
 
 def write_columns(path: str | Path, scores: np.ndarray, positive: np.ndarray) -> None:
     """Write a labeled-score CSV that read_columns round-trips exactly."""
-    rows = [DATA_HEADER]
-    rows.extend(
-        f"{score!r},{int(flag)}"
-        for score, flag in zip(scores.tolist(), positive.tolist())
-    )
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    labels = map((",0\n", ",1\n").__getitem__, positive.tolist())
+    rows = map(str.__add__, map(repr, scores.tolist()), labels)
+    Path(path).write_text(f"{DATA_HEADER}\n" + "".join(rows), encoding="utf-8")
 
 
 def write_data_file(path: str | Path, examples: Sequence[LabeledScore]) -> None:

@@ -6,21 +6,18 @@ noise shares on a node sum to one discrete Laplace (two-sided
 geometric) variable with parameter alpha, whatever the number of
 clients, so aggregated_noise draws that sum from alpha alone. Under
 local DP the hierarchy draws binomial report counts from the optimized
-unary encoding probabilities: kept with probability 1/2, flipped on with
-oue_flip_probability(epsilon). The per-client protocols these draws
-stand for live with the tests, as references.
+unary encoding probabilities, 1/2 and core.oue_flip_probability(epsilon).
+The per-client protocols these draws stand for live with the tests, as
+references.
 """
 
 from __future__ import annotations
-
-from scipy.special import expit
 
 from .core import as_generator
 
 __all__ = [
     "sample_polya",
     "aggregated_noise",
-    "oue_flip_probability",
     "discrete_laplace_variance",
 ]
 
@@ -52,12 +49,6 @@ def aggregated_noise(alpha: float, rng, size=None):
     x = sample_polya(1.0, alpha, gen, size=size)
     y = sample_polya(1.0, alpha, gen, size=size)
     return x - y
-
-
-def oue_flip_probability(epsilon: float) -> float:
-    """Probability 1/(e^epsilon + 1) that OUE turns a 0 bit on."""
-    # expit(-epsilon) is 1/(exp(epsilon) + 1) without overflowing.
-    return float(expit(-epsilon))
 
 
 def discrete_laplace_variance(alpha: float) -> float:

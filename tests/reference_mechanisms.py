@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from fedeval.core import NoisyCount, as_generator
-from fedeval.mechanisms import oue_flip_probability, sample_polya
+from fedeval.core import NoisyCount, as_generator, oue_flip_probability
+from fedeval.mechanisms import sample_polya
 
 
 @dataclass(frozen=True)

@@ -534,3 +534,46 @@ def test_utf8_inputs_are_read_whatever_the_locale(tmp_path, kind):
     )
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.decode().splitlines()[0] == '{"schema_version": "1"}'
+
+
+SCIPY_FREE_RUN = """
+import contextlib, io, sys
+import fedeval
+from fedeval.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+data, config = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["gen-data", "--out", data, "--num-examples", "300",
+                 "--seed", "3"]) == 0
+    for regime in ("secure_agg", "dist_dp", "local_dp"):
+        assert main(["evaluate", "--data", data, "--regime", regime,
+                     "--buckets", "8", "--height", "6", "--seed", "1"]) == 0
+    assert main(["calibrate", "--data", data, "--regime", "dist_dp",
+                 "--buckets", "8", "--height", "6", "--seed", "1"]) == 0
+    assert main(["sweep", "--config", config]) == 0
+assert loaded() == [], loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["calibrate", "--data", data, "--regime", "dist_dp",
+                 "--bbq", "--height", "6", "--seed", "1"]) == 0
+assert loaded(), "a BBQ fit scores its binnings with scipy's betaln"
+"""
+
+
+def test_only_a_bbq_fit_loads_scipy(tmp_path):
+    # scipy costs more to import than fedeval and numpy together, and
+    # only BBQ's evidence needs it. A fresh interpreter shows what the
+    # package and every other command path import.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "base_seed = 2\nregimes = dist_dp\nnum_examples = 200\n"
+        "num_buckets = 4\nheights = 5\nepsilons = 1.0\nrepetitions = 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fedeval.__file__).resolve().parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path / "scores.csv"), str(config)],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -660,6 +660,31 @@ def test_histograms_of_several_counts_match_one_at_a_time(regime, fanout):
             assert same_bits(getattr(got, field), getattr(want, field)), field
 
 
+def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
+    # Under dist_dp at h = 16 the combined prefixes are far from
+    # monotone, so each quantile target's crossing depends on its own
+    # bisection path. Bisecting every count's targets together must
+    # still give each count the cuts it gets alone, and the cuts of the
+    # scalar reference.
+    spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=1.0, height=16)
+    scores, positive = sample_population(20_000, ScoreDistribution(), 0.4, 21)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, 22)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, 23)
+    combined = combined_tree(pos, neg)
+    assert (np.diff(dense_prefixes(combined)) < 0).any()
+    counts = [3, 17, 100, 271, 17, 1, spec.num_leaves + 1]
+    hists = build_score_histograms(pos, neg, counts)
+    assert len(hists) == len(counts)
+    for count, got in zip(counts, hists):
+        want = build_score_histogram(pos, neg, count)
+        for field in HISTOGRAM_FIELDS:
+            assert same_bits(getattr(got, field), getattr(want, field)), (count, field)
+        if count <= spec.num_leaves:
+            reference = reference_boundaries(combined, count)
+            assert same_bits(got.boundary_leaves, reference), count
+
+
 @given(
     epsilon=st.floats(min_value=1e-300, max_value=1e300),
     regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fedeval.core import oue_flip_probability
 from fedeval.mechanisms import (
     aggregated_noise,
     discrete_laplace_variance,
@@ -130,10 +131,14 @@ def test_oue_params_frozen():
 
 
 def test_oue_flip_probability_is_stable_at_any_epsilon():
-    # expit(-eps) equals the literal 1/(exp(eps) + 1) bit for bit wherever
-    # exp(eps) is finite, and goes to 0 instead of overflowing beyond.
+    # The flip probability is the literal 1/(exp(eps) + 1) bit for bit
+    # wherever exp(eps) is finite, and 0 instead of overflowing beyond.
     for eps in np.geomspace(1e-300, 709.0, 20_000).tolist():
         assert OueParams(eps, 2).q_flip == 1.0 / (math.exp(eps) + 1.0)
+    for eps in np.linspace(709.0, 709.78, 2_000).tolist():
+        assert oue_flip_probability(eps) == 1.0 / (math.exp(eps) + 1.0)
+    for eps in (709.79, 745.2, 746.0, 800.0, 1e300, math.inf):
+        assert oue_flip_probability(eps) == 0.0
     assert OueParams(800.0, 2).q_flip == 0.0
     assert OueParams(1e300, 2).q_flip == 0.0
 
