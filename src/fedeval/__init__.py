@@ -22,7 +22,6 @@ from .core import (
     DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
-    NoisyCount,
     PrivacySpec,
     Regime,
     ScoreDistribution,
@@ -57,7 +56,6 @@ __all__ = [
     "HierarchicalCounts",
     "InsufficientPopulationError",
     "Label",
-    "NoisyCount",
     "PraEstimate",
     "PrivacySpec",
     "Regime",

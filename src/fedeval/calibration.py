@@ -87,8 +87,8 @@ class EceReport:
 
 
 def _default_prior(hist: ScoreHistogram) -> float:
-    pos = max(hist.pos_total.value, 0.0)
-    neg = max(hist.neg_total.value, 0.0)
+    pos = max(hist.pos_total, 0.0)
+    neg = max(hist.neg_total, 0.0)
     if pos + neg <= 0.0:
         return 0.5
     return pos / (pos + neg)
@@ -98,7 +98,7 @@ def _bucket_probabilities(hist: ScoreHistogram, prior: float) -> np.ndarray:
     """Positive fraction per bucket with clamping and prior fallback."""
     pos = np.maximum(np.asarray(hist.pos_values, dtype=np.float64), 0.0)
     neg = np.maximum(np.asarray(hist.neg_values, dtype=np.float64), 0.0)
-    total = hist.pos_total.value + hist.neg_total.value
+    total = hist.pos_total + hist.neg_total
     floor = DENOMINATOR_FLOOR * max(total, 0.0)
     denom = pos + neg
     values = np.full(denom.shape, prior, dtype=np.float64)
@@ -183,9 +183,7 @@ def calibrate_bbq(
     is the softmax of its Beta-binomial log evidence.
     """
     _check_prior(prior)
-    counts = _candidate_bucket_counts(
-        pos.population_total.value + neg.population_total.value
-    )
+    counts = _candidate_bucket_counts(pos.population_total + neg.population_total)
     hists = build_score_histograms(pos, neg, counts.tolist())
     weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
     binnings = []

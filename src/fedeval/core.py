@@ -21,7 +21,6 @@ __all__ = [
     "Regime",
     "LabeledScore",
     "ClientSplit",
-    "NoisyCount",
     "PrivacySpec",
     "Spike",
     "ScoreDistribution",
@@ -111,7 +110,8 @@ class ClientSplit:
 class DegenerateEstimateError(RuntimeError):
     """Every requested ratio had a nonpositive (noisy) denominator.
 
-    Carries the raw aggregated counters so callers can log or inspect them.
+    Carries the raw aggregated counters, as plain counts, so callers can
+    log or inspect them.
     """
 
     def __init__(self, message: str, counters: dict):
@@ -121,13 +121,6 @@ class DegenerateEstimateError(RuntimeError):
 
 class InsufficientPopulationError(ValueError):
     """Too few clients for the requested mechanism (e.g. fewer than h)."""
-
-
-class NoisyCount(NamedTuple):
-    """A count estimate together with the variance of its mechanism noise."""
-
-    value: float
-    variance: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .core import (
     InsufficientPopulationError,
     Label,
     LabeledScore,
-    NoisyCount,
     PrivacySpec,
     Regime,
     as_generator,
@@ -67,12 +66,12 @@ class HierarchicalCounts:
     values[k-1] holds the f**k segment counts of level k; entries may be
     negative under noise. level_variances[k-1] is the advertised noise
     variance of a single level-k entry (0 under secure aggregation).
+    population_total is the sum of the level-1 counts.
     """
 
     spec: PrivacySpec
     values: tuple[np.ndarray, ...]
     level_variances: tuple[float, ...]
-    population_total: NoisyCount
 
     def __post_init__(self) -> None:
         if len(self.values) != self.spec.height:
@@ -92,6 +91,10 @@ class HierarchicalCounts:
     def num_leaves(self) -> int:
         return self.spec.num_leaves
 
+    @property
+    def population_total(self) -> float:
+        return float(self.values[0].sum())
+
 
 @dataclass(frozen=True, eq=False)
 class ScoreHistogram:
@@ -100,7 +103,8 @@ class ScoreHistogram:
     Buckets are delimited by leaf-aligned boundaries; bucket i covers the
     leaf range [boundary_leaves[i-1], boundary_leaves[i]) with the last
     bucket also holding score 1.0. Counts may be negative under noise;
-    clamping is left to ratio-producing consumers.
+    clamping is left to ratio-producing consumers. pos_total and
+    neg_total are each class's prefix count over all leaves.
     """
 
     spec: PrivacySpec
@@ -109,8 +113,8 @@ class ScoreHistogram:
     neg_values: np.ndarray
     pos_variances: np.ndarray
     neg_variances: np.ndarray
-    pos_total: NoisyCount
-    neg_total: NoisyCount
+    pos_total: float
+    neg_total: float
 
     def __post_init__(self) -> None:
         nb = len(self.boundary_leaves) - 1
@@ -171,7 +175,7 @@ def _build_local_dp(
     # Every client holds at most one example, so the occupied clients
     # hold rows 0, 1, ... in client order and need no gather.
     occupied = clients.sizes() == 1
-    leaf_of_client = np.full(num_clients, -1, dtype=np.int64)
+    leaf_of_client = np.zeros(num_clients, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
     leaf_of_client[occupied] = leaf_indices(clients.scores, spec.height, spec.fanout)
     matches[occupied] = _class_rows(clients, class_filter)
@@ -194,8 +198,7 @@ def _build_local_dp(
         group_size = len(members)
         width = spec.fanout**k
         member_leaves = leaf_of_client[members]
-        reporting = matches[members] & (member_leaves >= 0)
-        nodes = member_leaves[reporting] // (spec.num_leaves // width)
+        nodes = member_leaves[matches[members]] // (spec.num_leaves // width)
         true_counts = np.bincount(nodes, minlength=width)
         kept = rng.binomial(true_counts, p)
         flipped = rng.binomial(group_size - true_counts, q)
@@ -259,14 +262,8 @@ def build_hierarchy(
                 levels[k - 1] = levels[k - 1] + noise
             variances = [node_variance] * spec.height
 
-    total = NoisyCount(
-        float(levels[0].sum()), spec.fanout * variances[0]
-    )
     return HierarchicalCounts(
-        spec=spec,
-        values=tuple(levels),
-        level_variances=tuple(variances),
-        population_total=total,
+        spec=spec, values=tuple(levels), level_variances=tuple(variances)
     )
 
 
@@ -314,7 +311,7 @@ def _running_sums(*trees: HierarchicalCounts) -> _RunningSums:
     buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
     for off, size, levels in zip(offsets, sizes, zip(*(t.values for t in trees))):
         buffer[off + 1 : off + size] = np.cumsum(reduce(operator.add, levels))
-    total = reduce(operator.add, (t.population_total.value for t in trees))
+    total = reduce(operator.add, (t.population_total for t in trees))
     return _RunningSums(trees[0].spec, total, buffer, offsets)
 
 
@@ -398,8 +395,8 @@ def _bucket_histogram(
         neg_values=np.diff(neg_prefix),
         pos_variances=_bucket_variances(pos, boundary_leaves),
         neg_variances=_bucket_variances(neg, boundary_leaves),
-        pos_total=NoisyCount(float(pos_prefix[-1]), pos.population_total.variance),
-        neg_total=NoisyCount(float(neg_prefix[-1]), neg.population_total.variance),
+        pos_total=float(pos_prefix[-1]),
+        neg_total=float(neg_prefix[-1]),
     )
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DegenerateEstimateError, NoisyCount
+from .core import DegenerateEstimateError
 from .hierarchy import ScoreHistogram
 
 __all__ = [
@@ -51,7 +51,8 @@ class PraEstimate:
 
     A metric is None when its denominator was not positive.
     effective_threshold is the histogram boundary actually used and
-    threshold_slack bounds |T - T'| plus one leaf width.
+    threshold_slack bounds |T - T'| plus one leaf width. counters holds
+    the plain (noisy) counts behind the three ratios.
     """
 
     precision: float | None
@@ -59,7 +60,7 @@ class PraEstimate:
     accuracy: float | None
     effective_threshold: float
     threshold_slack: float
-    counters: Mapping[str, NoisyCount]
+    counters: Mapping[str, float]
 
 
 def _clamp01(value: float) -> float:
@@ -87,15 +88,12 @@ def auc_histogram(hist: ScoreHistogram) -> AucEstimate:
     """
     pos = np.asarray(hist.pos_values, dtype=np.float64)
     neg = np.asarray(hist.neg_values, dtype=np.float64)
-    pos_total = hist.pos_total.value
-    neg_total = hist.neg_total.value
+    pos_total = hist.pos_total
+    neg_total = hist.neg_total
     if pos_total <= 0.0 or neg_total <= 0.0:
         raise DegenerateEstimateError(
             "AUC undefined: a class total is not positive",
-            counters={
-                "positive_total": hist.pos_total,
-                "negative_total": hist.neg_total,
-            },
+            counters={"positive_total": pos_total, "negative_total": neg_total},
         )
     neg_below = np.concatenate(([0.0], np.cumsum(neg)))[:-1]
     pair_weight = neg_below + 0.5 * neg
@@ -146,26 +144,20 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
     false_pos = float(neg[cut:].sum())
     true_neg = float(neg[:cut].sum())
     pred_pos = true_pos + false_pos
-    pos_total = hist.pos_total.value
-    total = hist.pos_total.value + hist.neg_total.value
+    pos_total = hist.pos_total
+    total = hist.pos_total + hist.neg_total
     correct = true_pos + true_neg
 
     precision = _ratio(true_pos, pred_pos)
     recall = _ratio(true_pos, pos_total)
     accuracy = _ratio(correct, total)
 
-    vp = np.asarray(hist.pos_variances, dtype=np.float64)
-    vn = np.asarray(hist.neg_variances, dtype=np.float64)
     counters = {
-        "true_positive": NoisyCount(true_pos, float(vp[cut:].sum())),
-        "predicted_positive": NoisyCount(
-            pred_pos, float(vp[cut:].sum() + vn[cut:].sum())
-        ),
-        "positives": hist.pos_total,
-        "correct": NoisyCount(correct, float(vp[cut:].sum() + vn[:cut].sum())),
-        "total": NoisyCount(
-            total, hist.pos_total.variance + hist.neg_total.variance
-        ),
+        "true_positive": true_pos,
+        "predicted_positive": pred_pos,
+        "positives": pos_total,
+        "correct": correct,
+        "total": total,
     }
     if precision is None and recall is None and accuracy is None:
         raise DegenerateEstimateError(

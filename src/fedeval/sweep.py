@@ -338,7 +338,7 @@ def _ece_record(
             )
             pos, neg = _aggregate_classes(clients, exact_spec, None, None)
             exact = _held_out_ece(pos, neg, *held_out, num_buckets, eval_bins)
-    except (InsufficientPopulationError, DegenerateEstimateError):
+    except InsufficientPopulationError:
         return _DEGENERATE_ECE
     return ("ece", None, estimate, exact, None)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fedeval.core import NoisyCount, as_generator, oue_flip_probability
+from fedeval.core import as_generator, oue_flip_probability
 from fedeval.mechanisms import sample_polya
 
 
@@ -146,8 +146,8 @@ def oue_decode(
 
 def oue_aggregate(
     reports: Sequence[np.ndarray], params: OueParams
-) -> tuple[NoisyCount, ...]:
-    """Decode a batch of OUE reports into per-entry count estimates."""
+) -> tuple[np.ndarray, float]:
+    """Decode a batch of OUE reports: per-entry estimates and their variance."""
     if len(reports) == 0:
         raise ValueError("oue_aggregate needs at least one report")
     sums = secure_aggregate(reports)
@@ -155,5 +155,4 @@ def oue_aggregate(
         raise ValueError(
             f"reports must have length {params.domain_size}, got shape {sums.shape}"
         )
-    estimates, variance = oue_decode(sums, len(reports), params)
-    return tuple(NoisyCount(float(v), variance) for v in estimates)
+    return oue_decode(sums, len(reports), params)

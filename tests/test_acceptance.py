@@ -304,8 +304,8 @@ def test_criterion_08_noise_primitives_match_their_distributions():
     errs = np.empty((60, 6))
     for trial in range(60):
         reports = [oue_encode(int(v), oue, rng) for v in values]
-        decoded = oue_aggregate(reports, oue)
-        errs[trial] = [c.value for c in decoded] - counts
+        decoded, _ = oue_aggregate(reports, oue)
+        errs[trial] = decoded - counts
     true_var = (
         counts * p * (1 - p) + (num_reports - counts) * q * (1 - q)
     ) / (p - q) ** 2

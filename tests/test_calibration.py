@@ -7,7 +7,6 @@ import pytest
 
 from fedeval import (
     Label,
-    NoisyCount,
     PrivacySpec,
     Regime,
     ScoreDistribution,
@@ -48,8 +47,8 @@ def fabricate_hist(pos_values, neg_values, pos_total, neg_total, height=4):
         neg_values=np.asarray(neg_values, dtype=np.float64),
         pos_variances=np.zeros(num),
         neg_variances=np.zeros(num),
-        pos_total=NoisyCount(float(pos_total), 0.0),
-        neg_total=NoisyCount(float(neg_total), 0.0),
+        pos_total=float(pos_total),
+        neg_total=float(neg_total),
     )
 
 

@@ -1,6 +1,7 @@
 """Hierarchical counts, prefix queries, quantiles, and histograms."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 import weakref
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from fedeval import (
     ClientSplit,
+    DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
-    NoisyCount,
     PrivacySpec,
     Regime,
     ScoreDistribution,
@@ -35,6 +36,7 @@ from fedeval.hierarchy import (
     build_score_histograms,
 )
 from fedeval.mechanisms import discrete_laplace_variance
+from fedeval.metrics import auc_histogram, pra_threshold
 
 
 def sa_spec(height, fanout=2):
@@ -62,7 +64,7 @@ def test_levels_of_four_spread_scores():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
     assert pos.values[0].tolist() == [2, 2]
     assert pos.values[1].tolist() == [1, 1, 1, 1]
-    assert pos.population_total == NoisyCount(4.0, 0.0)
+    assert pos.population_total == 4.0
     assert pos.level_variances == (0.0, 0.0)
     assert len(pos.values) == 2
 
@@ -70,7 +72,7 @@ def test_levels_of_four_spread_scores():
 def test_other_class_tree_is_empty_but_same_shape():
     neg = build_hierarchy(clients_of(FOUR), Label.NEGATIVE, sa_spec(2))
     assert neg.values[0].tolist() == [0, 0]
-    assert neg.population_total.value == 0.0
+    assert neg.population_total == 0.0
 
 
 def test_prefix_values_cover_full_range():
@@ -96,8 +98,8 @@ def test_histogram_of_separated_classes():
     assert hist.boundaries.tolist() == [0.0, 0.5, 1.0]
     assert hist.pos_values.tolist() == [0, 2]
     assert hist.neg_values.tolist() == [2, 0]
-    assert hist.pos_total == NoisyCount(2.0, 0.0)
-    assert hist.neg_total == NoisyCount(2.0, 0.0)
+    assert hist.pos_total == 2.0
+    assert hist.neg_total == 2.0
     assert hist.num_buckets == 2
 
 
@@ -190,7 +192,6 @@ def test_distdp_advertises_exact_node_variance():
     expected = discrete_laplace_variance(math.exp(-1.0 / 3.0))
     for k in (1, 2, 3):
         assert hier.level_variances[k - 1] == pytest.approx(expected)
-    assert hier.population_total.variance == pytest.approx(2 * expected)
 
 
 def test_distdp_unbiased_and_variance_calibrated():
@@ -270,7 +271,7 @@ def test_local_dp_empty_population_is_all_zero():
     for k in range(1, 5):
         assert hier.values[k - 1].tolist() == [0.0] * 2**k
         assert hier.level_variances[k - 1] == 0.0
-    assert hier.population_total == NoisyCount(0.0, 0.0)
+    assert hier.population_total == 0.0
 
 
 def test_local_dp_rejects_multi_example_shards():
@@ -356,10 +357,7 @@ def fabricated_counts(height, fanout, level_variances, rng):
         rng.normal(size=fanout**k) for k in range(1, height + 1)
     )
     return HierarchicalCounts(
-        spec=spec,
-        values=values,
-        level_variances=tuple(level_variances),
-        population_total=NoisyCount(float(values[0].sum()), 0.0),
+        spec=spec, values=values, level_variances=tuple(level_variances)
     )
 
 
@@ -520,18 +518,20 @@ def bisect_leaf(prefix, target):
     return lo
 
 
-def clamped(target, counts):
-    return min(max(target, 0.0), max(counts.population_total.value, 0.0))
+def clamped(target, total):
+    return min(max(target, 0.0), max(total, 0.0))
 
 
-def reference_boundaries(combined, num_buckets):
-    """Quantile cuts by scalar bisection, then the aligned width cap."""
+def reference_boundaries(combined, num_buckets, total):
+    """Quantile cuts by scalar bisection, then the aligned width cap.
+
+    total is the combined population total that the targets divide.
+    """
     prefix = dense_prefixes(combined)
-    total = combined.population_total.value
     n, f = combined.num_leaves, combined.spec.fanout
     cuts = {0, n}
     for j in range(1, num_buckets):
-        cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, combined)))
+        cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, total)))
     cap_level = 0
     while f**cap_level < num_buckets:
         cap_level += 1
@@ -562,16 +562,12 @@ def reference_bucket_variances(counts, boundary):
 
 
 def combined_tree(pos, neg):
-    """The tree whose nodes and total are those of pos plus those of neg."""
+    """The tree whose nodes are those of pos plus those of neg."""
     return HierarchicalCounts(
         spec=pos.spec,
         values=tuple(a + b for a, b in zip(pos.values, neg.values)),
         level_variances=tuple(
             a + b for a, b in zip(pos.level_variances, neg.level_variances)
-        ),
-        population_total=NoisyCount(
-            pos.population_total.value + neg.population_total.value,
-            pos.population_total.variance + neg.population_total.variance,
         ),
     )
 
@@ -614,20 +610,23 @@ def test_prefix_queries_match_literal_reference(
         st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
     )
     combined = combined_tree(pos, neg)
-    for counts, sums in (
-        (pos, _running_sums(pos)),
-        (neg, _running_sums(neg)),
-        (combined, _running_sums(pos, neg)),
+    # Queries add the totals tree by tree, as _running_sums does; the
+    # combined tree's own level-1 sum may differ in the last bit.
+    total = pos.population_total + neg.population_total
+    for counts, sums, counts_total in (
+        (pos, _running_sums(pos), pos.population_total),
+        (neg, _running_sums(neg), neg.population_total),
+        (combined, _running_sums(pos, neg), total),
     ):
         values = dense_prefixes(counts)
-        assert same_bits(sums.total, counts.population_total.value)
+        assert same_bits(sums.total, counts_total)
         assert same_bits(_prefixes_at(sums, np.array(leaves)), values[leaves])
-        want = [bisect_leaf(values, clamped(t, counts)) for t in targets]
+        want = [bisect_leaf(values, clamped(t, counts_total)) for t in targets]
         got = _quantile_leaves(sums, np.array(targets, dtype=np.float64))
         assert same_bits(got, np.array(want, dtype=np.int64))
 
     hist = build_score_histogram(pos, neg, num_buckets)
-    boundary = reference_boundaries(combined, num_buckets)
+    boundary = reference_boundaries(combined, num_buckets, total)
     assert same_bits(hist.boundary_leaves, boundary)
     for counts, got_values, got_variances, got_total in (
         (pos, hist.pos_values, hist.pos_variances, hist.pos_total),
@@ -636,10 +635,7 @@ def test_prefix_queries_match_literal_reference(
         values = dense_prefixes(counts)
         assert same_bits(got_values, np.diff(values[boundary]))
         assert same_bits(got_variances, reference_bucket_variances(counts, boundary))
-        assert same_bits(
-            list(got_total),
-            [float(values[n]), counts.population_total.variance],
-        )
+        assert same_bits(got_total, float(values[n]))
 
 
 @pytest.mark.parametrize("fanout", [2, 3])
@@ -681,7 +677,8 @@ def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
         for field in HISTOGRAM_FIELDS:
             assert same_bits(getattr(got, field), getattr(want, field)), (count, field)
         if count <= spec.num_leaves:
-            reference = reference_boundaries(combined, count)
+            total = pos.population_total + neg.population_total
+            reference = reference_boundaries(combined, count, total)
             assert same_bits(got.boundary_leaves, reference), count
 
 
@@ -732,7 +729,7 @@ def test_every_accepted_epsilon_runs(
 
 # -- prefix-sum lifetime and local-DP temporaries ----------------------------
 
-TREE_FIELDS = {"spec", "values", "level_variances", "population_total"}
+TREE_FIELDS = {"spec", "values", "level_variances"}
 
 
 @pytest.mark.parametrize(
@@ -763,6 +760,48 @@ def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
     assert all(ref() is None for ref in buffers)
     for tree in (pos, neg):
         assert set(vars(tree)) == TREE_FIELDS
+
+
+@pytest.mark.parametrize("fanout", [2, 3])
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+def test_counts_are_plain_numbers(regime, fanout):
+    # A tree's total is read from its top level and stored nowhere, and
+    # every counter a metric reports or raises with is a float that
+    # JSON writes as a number.
+    epsilon = None if regime is Regime.SECURE_AGG else 5.0
+    spec = PrivacySpec(regime=regime, epsilon=epsilon, height=4, fanout=fanout)
+
+    def trees(num_examples, seed):
+        scores, positive = sample_population(
+            num_examples, ScoreDistribution(), 0.4, seed
+        )
+        clients = split_population(scores, positive, "one_per_client")
+        return (
+            build_hierarchy(clients, Label.POSITIVE, spec, seed + 1),
+            build_hierarchy(clients, Label.NEGATIVE, spec, seed + 2),
+        )
+
+    pos, neg = trees(500, 31)
+    for tree in (pos, neg):
+        assert same_bits(tree.population_total, float(tree.values[0].sum()))
+        assert set(vars(tree)) == TREE_FIELDS
+    with pytest.raises(TypeError):
+        HierarchicalCounts(
+            spec=spec,
+            values=pos.values,
+            level_variances=pos.level_variances,
+            population_total=pos.population_total,
+        )
+
+    counters = [pra_threshold(build_score_histogram(pos, neg, 10), 0.5).counters]
+    empty = build_score_histogram(*trees(0, 41), 10)
+    for estimate in (auc_histogram, lambda hist: pra_threshold(hist, 0.5)):
+        with pytest.raises(DegenerateEstimateError) as info:
+            estimate(empty)
+        counters.append(info.value.counters)
+    for named in counters:
+        assert all(type(value) is float for value in named.values())
+        assert json.loads(json.dumps(named)) == named
 
 
 def test_local_dp_tree_temporaries_stay_small():

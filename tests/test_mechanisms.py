@@ -184,9 +184,7 @@ def test_oue_aggregate_unbiased_over_trials():
     estimates = np.zeros((trials, 3))
     for t in range(trials):
         reports = [oue_encode(v, params, rng) for v in values]
-        decoded = oue_aggregate(reports, params)
-        estimates[t] = [c.value for c in decoded]
-        advertised = decoded[0].variance
+        estimates[t], advertised = oue_aggregate(reports, params)
     p, q = params.p_keep, params.q_flip
     # True decode variance per entry: kept bits fluctuate at p(1-p),
     # flipped ones at q(1-q). The advertised value uses q(1-q) for all.

@@ -8,7 +8,6 @@ import pytest
 from fedeval import (
     DegenerateEstimateError,
     Label,
-    NoisyCount,
     PrivacySpec,
     Regime,
 )
@@ -65,8 +64,8 @@ def fabricate_hist(
         neg_values=np.asarray(neg_values, dtype=np.float64),
         pos_variances=np.zeros(num) if pos_var is None else np.asarray(pos_var),
         neg_variances=np.zeros(num) if neg_var is None else np.asarray(neg_var),
-        pos_total=NoisyCount(float(pos_total), 0.0),
-        neg_total=NoisyCount(float(neg_total), 0.0),
+        pos_total=float(pos_total),
+        neg_total=float(neg_total),
     )
 
 
@@ -138,7 +137,7 @@ def test_auc_noise_variance_matches_declared_formula():
     nw = np.cumsum(pos[::-1])[::-1] - pos + 0.5 * pos
     expected = (
         np.dot(vp, pw**2 + pwv) + np.dot(vn, nw**2)
-    ) / (hist.pos_total.value * hist.neg_total.value) ** 2
+    ) / (hist.pos_total * hist.neg_total) ** 2
     assert est.noise_variance == pytest.approx(expected, rel=1e-12)
     assert est.advertised_uncertainty == pytest.approx(
         est.bucketization_halfwidth + math.sqrt(est.noise_variance)
@@ -191,8 +190,8 @@ def test_pra_threshold_at_exact_boundary():
     assert est.accuracy == 1.0
     assert est.effective_threshold == 0.5
     assert est.threshold_slack == 0.25
-    assert est.counters["true_positive"] == NoisyCount(2.0, 0.0)
-    assert est.counters["total"] == NoisyCount(4.0, 0.0)
+    assert est.counters["true_positive"] == 2.0
+    assert est.counters["total"] == 4.0
 
 
 def test_pra_threshold_snaps_to_nearest_boundary():
@@ -234,4 +233,4 @@ def test_pra_threshold_all_degenerate_raises():
     hist = fabricate_hist([-1.0, -1.0], [-1.0, -1.0], -2.0, -2.0)
     with pytest.raises(DegenerateEstimateError) as info:
         pra_threshold(hist, 0.5)
-    assert info.value.counters["total"].value == -4.0
+    assert info.value.counters["total"] == -4.0
