@@ -10,6 +10,7 @@ a clean power law.
 import argparse
 import json
 import math
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -18,11 +19,14 @@ import numpy as np
 def load_rows(path: str) -> list[dict]:
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno} is not JSON: {exc}") from None
             if "schema_version" in obj:
                 continue
             rows.append(obj)
@@ -40,9 +44,14 @@ def main(argv=None) -> int:
     parser.add_argument("--axis", default="M", choices=("M", "B", "h"))
     args = parser.parse_args(argv)
 
+    try:
+        loaded = load_rows(args.results)
+    except (OSError, ValueError) as exc:
+        print(f"plot_error_curves: error: {exc}", file=sys.stderr)
+        return 2
     rows = [
         row
-        for row in load_rows(args.results)
+        for row in loaded
         if row["metric"] == args.metric
         and not row.get("degenerate")
         and row["abs_error"] is not None

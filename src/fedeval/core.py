@@ -78,13 +78,7 @@ class ClientSplit:
         """Columns of per-client example lists, clients in input order."""
         sizes = np.fromiter(map(len, shards), dtype=np.int64, count=len(shards))
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        # Each LabeledScore is a (score, label) tuple: flattening the
-        # shards twice interleaves the two columns in one pass.
-        fields = np.fromiter(
-            chain.from_iterable(chain.from_iterable(shards)), object, 2 * offsets[-1]
-        )
-        scores = fields[0::2].astype(np.float64)
-        return cls(scores, fields[1::2] == Label.POSITIVE, offsets)
+        return cls(*as_arrays(list(chain.from_iterable(shards))), offsets)
 
     @property
     def num_clients(self) -> int:

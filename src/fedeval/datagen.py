@@ -164,20 +164,6 @@ def _variable_offsets(
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
-def _client_order(
-    name: str, value: float, num_examples: int, positive: np.ndarray | None, seed
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Row order (None for the input order) and client offsets of a policy.
-
-    Only the skewed policy reads the label column positive.
-    """
-    if name == "skewed":
-        return _skewed_order(positive, value)
-    if name == "variable":
-        return None, _variable_offsets(num_examples, value, as_generator(seed))
-    return None, np.arange(num_examples + 1)
-
-
 def split_population(
     scores: np.ndarray, positive: np.ndarray, policy: str, seed=None
 ) -> ClientSplit:
@@ -188,10 +174,14 @@ def split_population(
     shard sizes. The union of shards is always exactly the input.
     """
     name, value = _parse_policy(policy, scores.size)
-    order, offsets = _client_order(name, value, scores.size, positive, seed)
-    if order is None:
-        return ClientSplit(scores, positive, offsets)
-    return ClientSplit(scores[order], positive[order], offsets)
+    if name == "skewed":
+        order, offsets = _skewed_order(positive, value)
+        return ClientSplit(scores[order], positive[order], offsets)
+    if name == "variable":
+        offsets = _variable_offsets(scores.size, value, as_generator(seed))
+    else:
+        offsets = np.arange(scores.size + 1)
+    return ClientSplit(scores, positive, offsets)
 
 
 def split_to_clients(
@@ -203,13 +193,10 @@ def split_to_clients(
     the same order, as the ClientSplit of the examples' columns.
     """
     examples = list(examples)
-    name, value = _parse_policy(policy, len(examples))
-    if name == "one_per_client":
+    if policy == "one_per_client":
         # The identity order with offsets 0, 1, ..., M.
         return [[example] for example in examples]
-    positive = as_arrays(examples)[1] if name == "skewed" else None
-    order, offsets = _client_order(name, value, len(examples), positive, seed)
-    if order is not None:
-        examples = [examples[i] for i in order.tolist()]
-    bounds = offsets.tolist()
+    clients = split_population(*as_arrays(examples), policy, seed)
+    examples = as_examples(clients.scores, clients.positive)
+    bounds = clients.offsets.tolist()
     return [examples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -47,18 +47,6 @@ __all__ = [
 ]
 
 
-def _ceil_log(value: int, base: int) -> int:
-    """Smallest t >= 0 with base**t >= value, by integer arithmetic."""
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value}")
-    t = 0
-    power = 1
-    while power < value:
-        power *= base
-        t += 1
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class HierarchicalCounts:
     """Per-level segment counts for one population.
@@ -138,38 +126,18 @@ class ScoreHistogram:
         return self.boundary_leaves / self.spec.num_leaves
 
 
-def _class_rows(clients: ClientSplit, class_filter: Label) -> np.ndarray:
-    """Mask of the rows whose label is class_filter."""
-    if class_filter is Label.POSITIVE:
-        return clients.positive
-    return ~clients.positive
-
-
-def _matching_leaves(
-    clients: ClientSplit, class_filter: Label, spec: PrivacySpec
-) -> np.ndarray:
-    scores = clients.scores[_class_rows(clients, class_filter)]
-    return leaf_indices(scores, spec.height, spec.fanout)
-
-
-def _levels_from_leaves(leaf_counts: np.ndarray, spec: PrivacySpec) -> list[np.ndarray]:
-    levels = [leaf_counts]
+def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> list[np.ndarray]:
+    """Exact segment counts of every level, from the leaf counts upward."""
+    leaves = leaf_indices(class_scores, spec.height, spec.fanout)
+    levels = [np.bincount(leaves, minlength=spec.num_leaves)]
     for _ in range(spec.height - 1):
         levels.append(levels[-1].reshape(-1, spec.fanout).sum(axis=1))
     levels.reverse()
     return levels
 
 
-def _build_exact(
-    clients: ClientSplit, class_filter: Label, spec: PrivacySpec
-) -> list[np.ndarray]:
-    leaves = _matching_leaves(clients, class_filter, spec)
-    leaf_counts = np.bincount(leaves, minlength=spec.num_leaves).astype(np.int64)
-    return _levels_from_leaves(leaf_counts, spec)
-
-
 def _build_local_dp(
-    clients: ClientSplit, class_filter: Label, spec: PrivacySpec, rng
+    clients: ClientSplit, class_rows: np.ndarray, spec: PrivacySpec, rng
 ) -> tuple[list[np.ndarray], list[float]]:
     num_clients = clients.num_clients
     # Every client holds at most one example, so the occupied clients
@@ -178,7 +146,7 @@ def _build_local_dp(
     leaf_of_client = np.zeros(num_clients, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
     leaf_of_client[occupied] = leaf_indices(clients.scores, spec.height, spec.fanout)
-    matches[occupied] = _class_rows(clients, class_filter)
+    matches[occupied] = class_rows
 
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
@@ -233,6 +201,7 @@ def build_hierarchy(
         clients = ClientSplit.from_shards(shards)
     num_clients = clients.num_clients
     rng = as_generator(seed)
+    class_rows = clients.positive if class_filter is Label.POSITIVE else ~clients.positive
 
     if spec.regime is Regime.LOCAL_DP:
         # The shard check comes first, so a multi-example split fails
@@ -250,9 +219,9 @@ def build_hierarchy(
                 f"all levels, got {num_clients}"
             )
         else:
-            levels, variances = _build_local_dp(clients, class_filter, spec, rng)
+            levels, variances = _build_local_dp(clients, class_rows, spec, rng)
     else:
-        levels = _build_exact(clients, class_filter, spec)
+        levels = _exact_levels(clients.scores[class_rows], spec)
         variances = [0.0] * spec.height
         if spec.regime is Regime.DIST_DP and num_clients > 0:
             alpha = math.exp(-spec.epsilon / spec.height)
@@ -419,9 +388,9 @@ def _cut_leaves(
         return np.arange(n + 1, dtype=np.int64)
     cuts = {0, n, *quantiles.tolist()}
 
-    f = spec.fanout
-    cap_level = min(spec.height, max(0, _ceil_log(num_buckets, f) - 1))
-    stride = n // f**cap_level
+    stride = n
+    while stride * num_buckets > n * spec.fanout:
+        stride //= spec.fanout
     bounds = sorted(cuts)
     final: list[int] = [0]
     for left, right in zip(bounds, bounds[1:]):

@@ -115,6 +115,16 @@ class SweepConfig:
             raise SweepConfigError("repetitions must be nonnegative")
         if self.eval_bins < 1:
             raise SweepConfigError("eval_bins must be at least 1")
+        if not 0.0 <= self.class_balance <= 1.0:
+            raise SweepConfigError(
+                f"class_balance must lie in [0, 1], got {self.class_balance}"
+            )
+        # A one-example split runs every check the policy makes of its
+        # name and parameter, so a bad policy fails before the first cell.
+        try:
+            split_population(np.array([0.5]), np.array([True]), self.split_policy, 0)
+        except ValueError as exc:
+            raise SweepConfigError(f"split_policy: {exc}") from None
         for eps in self.epsilons:
             if not eps > 0.0:
                 raise SweepConfigError(f"epsilons must be positive, got {eps}")

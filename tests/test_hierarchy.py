@@ -682,6 +682,24 @@ def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
             assert same_bits(got.boundary_leaves, reference), count
 
 
+@pytest.mark.parametrize("fanout", range(2, 9))
+def test_width_cap_is_one_level_above_ceil_log_of_the_bucket_count(fanout):
+    # With no quantile cuts, _cut_leaves leaves only the width cap: every
+    # bucket is f**(h - t) leaves wide, t = max(0, ceil(log_f B) - 1).
+    height = 1
+    while fanout**height <= 4096:
+        spec = PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=fanout)
+        n = spec.num_leaves
+        for num_buckets in range(1, n + 1):
+            ceil_log = 0
+            while fanout**ceil_log < num_buckets:
+                ceil_log += 1
+            stride = n // fanout ** max(0, ceil_log - 1)
+            got = hierarchy._cut_leaves(spec, num_buckets, np.empty(0, np.int64))
+            assert got.tolist() == list(range(0, n + 1, stride)), (height, num_buckets)
+        height += 1
+
+
 @given(
     epsilon=st.floats(min_value=1e-300, max_value=1e300),
     regime=st.sampled_from([Regime.DIST_DP, Regime.LOCAL_DP]),

@@ -3,6 +3,18 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from fedeval import (
+    Label,
+    PrivacySpec,
+    Regime,
+    ScoreDistribution,
+    build_hierarchy,
+    sample_population,
+    split_population,
+)
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -35,3 +47,49 @@ def test_quick_scaling_grid_is_byte_stable(tmp_path, capsys):
     assert run.main(["--quick", "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_error_curves_report_a_bad_results_file(tmp_path, capsys):
+    plot = load_script("plot_error_curves")
+    assert plot.main([str(tmp_path / "missing.jsonl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("plot_error_curves: error: ")
+    assert err.count("\n") == 1
+
+    results = tmp_path / "results.jsonl"
+    results.write_text('{"schema_version": 1}\nnot json\n')
+    assert plot.main([str(results)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("plot_error_curves: error: ")
+    assert "line 2 is not JSON" in err
+    assert err.count("\n") == 1
+
+
+def test_gate_audit_salts_only_the_noisy_trees(capsys):
+    audit = load_script("gate_audit")
+    scores, positive = sample_population(200, ScoreDistribution(), 0.5, 3)
+    clients = split_population(scores, positive, "one_per_client")
+
+    def bits(build, regime):
+        epsilon = None if regime is Regime.SECURE_AGG else 5.0
+        spec = PrivacySpec(regime=regime, epsilon=epsilon, height=4)
+        tree = build(clients, Label.POSITIVE, spec, (7, 2))
+        return [level.tobytes() for level in tree.values]
+
+    for regime in Regime:
+        assert bits(audit.salted(build_hierarchy, 0), regime) == bits(
+            build_hierarchy, regime
+        )
+    salted = audit.salted(build_hierarchy, 1)
+    assert bits(salted, Regime.SECURE_AGG) == bits(build_hierarchy, Regime.SECURE_AGG)
+    for regime in (Regime.DIST_DP, Regime.LOCAL_DP):
+        first = bits(salted, regime)
+        assert first != bits(build_hierarchy, regime)
+        assert first == bits(salted, regime)
+
+    with pytest.raises(SystemExit) as exc:
+        audit.main(["--help"])
+    assert exc.value.code == 0
+    assert "--salts" in capsys.readouterr().out

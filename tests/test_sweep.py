@@ -245,11 +245,45 @@ BAD_GRIDS = [
         "heights = 4\nepsilons = 1.0, 1e-300\n",
         "epsilon 1e-300 ",
     ),
+    # A split policy or class balance that no cell could run.
+    (
+        "regimes = secure_agg\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nsplit_policy = bogus\n",
+        "split_policy: unknown split policy 'bogus'",
+    ),
+    (
+        "regimes = secure_agg\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nsplit_policy = variable:0\n",
+        "split_policy: mean shard size must be",
+    ),
+    (
+        "regimes = secure_agg\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nsplit_policy = skewed:2\n",
+        "split_policy: skew fraction must be in",
+    ),
+    (
+        "regimes = secure_agg\nnum_examples = 200\nnum_buckets = 5\n"
+        "heights = 4\nclass_balance = 1.5\n",
+        "class_balance must lie in \\[0, 1\\], got 1.5",
+    ),
+    (
+        # A data file replaces the sampled population, but the key is
+        # still checked; the file is never read.
+        "regimes = secure_agg\nnum_buckets = 5\nheights = 4\n"
+        "data = no-such-file.csv\nclass_balance = nan\n",
+        "class_balance must lie in \\[0, 1\\], got nan",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "grid,needle", BAD_GRIDS, ids=["height_30", "fanout_1", "epsilon_1e-300"]
+    "grid,needle",
+    BAD_GRIDS,
+    ids=[
+        "height_30", "fanout_1", "epsilon_1e-300", "split_bogus",
+        "split_variable_0", "split_skewed_2", "class_balance_1.5",
+        "class_balance_nan_with_data",
+    ],
 )
 def test_bad_grid_is_a_config_error_before_any_cell(grid, needle, tmp_path, capsys):
     # The earlier cells of each grid are valid; the whole sweep is
