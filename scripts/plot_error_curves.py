@@ -15,6 +15,9 @@ from collections import defaultdict
 
 import numpy as np
 
+# The fields every sweep result row has and this script reads.
+ROW_KEYS = ("metric", "regime", "epsilon", "abs_error", "M", "B", "h")
+
 
 def load_rows(path: str) -> list[dict]:
     rows = []
@@ -27,8 +30,10 @@ def load_rows(path: str) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno} is not JSON: {exc}") from None
-            if "schema_version" in obj:
+            if isinstance(obj, dict) and "schema_version" in obj:
                 continue
+            if not (isinstance(obj, dict) and all(key in obj for key in ROW_KEYS)):
+                raise ValueError(f"{path}: line {lineno} is not a result row")
             rows.append(obj)
     return rows
 

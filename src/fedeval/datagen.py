@@ -59,8 +59,8 @@ def _class_scores(
     out = np.empty(count, dtype=np.float64)
     cum = np.cumsum(masses)
     which = np.searchsorted(cum, u, side="right")
-    smooth = which == masses.size
-    spiked = ~smooth
+    smooth = np.flatnonzero(which == masses.size)
+    spiked = np.flatnonzero(which != masses.size)
     out[spiked] = locations[which[spiked]]
     if total_spike < 1.0:
         v = (u[smooth] - total_spike) / (1.0 - total_spike)
@@ -88,8 +88,10 @@ def sample_population(
     positive = rng.random(num_examples) < class_balance
     scores = np.empty(num_examples, dtype=np.float64)
     pos_count = int(positive.sum())
-    scores[positive] = _class_scores(dist, Label.POSITIVE, pos_count, rng)
-    scores[~positive] = _class_scores(
+    scores[np.flatnonzero(positive)] = _class_scores(
+        dist, Label.POSITIVE, pos_count, rng
+    )
+    scores[np.flatnonzero(~positive)] = _class_scores(
         dist, Label.NEGATIVE, num_examples - pos_count, rng
     )
     return scores, positive
@@ -105,13 +107,11 @@ def gen_well_behaved(
     return as_examples(*sample_population(num_examples, dist, class_balance, seed))
 
 
-def _parse_policy(policy: str, num_examples: int) -> tuple[str, float]:
+def _parse_policy(policy: str) -> tuple[str, float]:
     if policy == "one_per_client":
         return policy, 0.0
     name, _, arg = policy.partition(":")
     if name in ("skewed", "variable"):
-        if num_examples == 0:
-            raise ValueError(f"policy {policy!r} needs at least one example")
         try:
             value = float(arg)
         except ValueError:
@@ -173,7 +173,7 @@ def split_population(
     onto a rho fraction of shards; "variable:<mean>" with geometric
     shard sizes. The union of shards is always exactly the input.
     """
-    name, value = _parse_policy(policy, scores.size)
+    name, value = _parse_policy(policy)
     if name == "skewed":
         order, offsets = _skewed_order(positive, value)
         return ClientSplit(scores[order], positive[order], offsets)

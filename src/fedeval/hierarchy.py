@@ -140,13 +140,16 @@ def _build_local_dp(
     clients: ClientSplit, class_rows: np.ndarray, spec: PrivacySpec, rng
 ) -> tuple[list[np.ndarray], list[float]]:
     num_clients = clients.num_clients
+    num_leaves = spec.num_leaves
     # Every client holds at most one example, so the occupied clients
-    # hold rows 0, 1, ... in client order and need no gather.
-    occupied = clients.sizes() == 1
-    leaf_of_client = np.zeros(num_clients, dtype=np.int64)
-    matches = np.zeros(num_clients, dtype=bool)
-    leaf_of_client[occupied] = leaf_indices(clients.scores, spec.height, spec.fanout)
-    matches[occupied] = class_rows
+    # hold rows 0, 1, ... in client order. A client with no example of
+    # this class keeps leaf num_leaves, one past the last; at every
+    # level that is the node one past the last, which the counts drop.
+    class_clients = np.flatnonzero(clients.sizes() == 1)[class_rows]
+    leaf_of_client = np.full(num_clients, num_leaves, dtype=np.int64)
+    leaf_of_client[class_clients] = leaf_indices(
+        clients.scores[class_rows], spec.height, spec.fanout
+    )
 
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
@@ -165,9 +168,8 @@ def _build_local_dp(
         members = order[k - 1 :: spec.height]
         group_size = len(members)
         width = spec.fanout**k
-        member_leaves = leaf_of_client[members]
-        nodes = member_leaves[matches[members]] // (spec.num_leaves // width)
-        true_counts = np.bincount(nodes, minlength=width)
+        nodes = leaf_of_client[members] // (num_leaves // width)
+        true_counts = np.bincount(nodes, minlength=width)[:width]
         kept = rng.binomial(true_counts, p)
         flipped = rng.binomial(group_size - true_counts, q)
         scale = num_clients / group_size
@@ -201,7 +203,9 @@ def build_hierarchy(
         clients = ClientSplit.from_shards(shards)
     num_clients = clients.num_clients
     rng = as_generator(seed)
-    class_rows = clients.positive if class_filter is Label.POSITIVE else ~clients.positive
+    class_rows = np.flatnonzero(
+        clients.positive if class_filter is Label.POSITIVE else ~clients.positive
+    )
 
     if spec.regime is Regime.LOCAL_DP:
         # The shard check comes first, so a multi-example split fails

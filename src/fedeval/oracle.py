@@ -34,7 +34,10 @@ def _class_sorted(
     Both exact metrics below take this pair, so one population is
     sorted once however many metrics read it.
     """
-    return np.sort(scores[positives]), np.sort(scores[~positives])
+    return (
+        np.sort(scores[np.flatnonzero(positives)]),
+        np.sort(scores[np.flatnonzero(~positives)]),
+    )
 
 
 def _auc_from_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float]:

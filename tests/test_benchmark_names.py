@@ -6,7 +6,8 @@ without importing them, so a simplification that removes or renames a
 name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
 the package, the mechanisms out of every module but hierarchy.py, and
-every exported name must resolve.
+every exported name must resolve. No module selects rows by an
+inverted boolean mask.
 """
 
 import ast
@@ -232,3 +233,22 @@ def test_every_exported_name_resolves():
     for module in modules:
         assert importlib.import_module(module).__all__, module
         exec(f"from {module} import *", {})
+
+
+def test_no_rows_are_selected_by_an_inverted_mask():
+    # One class's rows are gathered and scattered by index
+    # (np.flatnonzero); x[~mask] is the boolean-mask form, about four
+    # times slower at 1e5 rows.
+    offenders = []
+    for path in sorted((ROOT / "src" / "fedeval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Subscript):
+                continue
+            index = node.slice
+            parts = index.elts if isinstance(index, ast.Tuple) else [index]
+            if any(
+                isinstance(part, ast.UnaryOp) and isinstance(part.op, ast.Invert)
+                for part in parts
+            ):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []

@@ -163,9 +163,16 @@ def test_split_policy_validation():
         with pytest.raises(ValueError):
             split_population(scores, positive, policy)
     empty = np.empty(0), np.empty(0, dtype=bool)
-    with pytest.raises(ValueError):
-        split_population(*empty, "skewed:0.5")
-    assert split_population(*empty, "one_per_client").num_clients == 0
+    for policy in ("banana", "skewed:0", "skewed:abc", "variable:0.5"):
+        with pytest.raises(ValueError):
+            split_population(*empty, policy)
+    for policy in ("one_per_client", "skewed:0.5", "variable:3"):
+        clients = split_population(*empty, policy, seed=1)
+        assert clients.num_clients == 0
+        assert clients.offsets.tolist() == [0]
+        assert clients.offsets.dtype == np.int64
+        assert clients.scores.dtype == np.float64 and clients.scores.size == 0
+        assert clients.positive.dtype == bool and clients.positive.size == 0
 
 
 def test_splits_feed_arrays_consistently():

@@ -189,8 +189,6 @@ def reference_split(examples, policy, seed):
     if policy == "one_per_client":
         return [[example] for example in examples]
     name, _, arg = policy.partition(":")
-    if not examples:
-        raise ValueError(f"policy {policy!r} needs at least one example")
     value = float(arg)
     if name == "variable":
         rng = np.random.default_rng(seed)

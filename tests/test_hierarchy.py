@@ -823,8 +823,8 @@ def test_counts_are_plain_numbers(regime, fanout):
 
 
 def test_local_dp_tree_temporaries_stay_small():
-    # About 20 bytes per client: the leaf column is floored and clipped
-    # in place and the scores are read without a gather.
+    # About 27 bytes per client: the class's rows are gathered by index
+    # and their leaf column is floored and clipped in place.
     scores, positive = sample_population(100_000, ScoreDistribution(), 0.5, 8)
     clients = split_population(scores, positive, "one_per_client")
     spec = ldp_spec(10, 5.0)

@@ -66,6 +66,17 @@ def test_error_curves_report_a_bad_results_file(tmp_path, capsys):
     assert "line 2 is not JSON" in err
     assert err.count("\n") == 1
 
+    # Valid JSON that is not a result row: a bare number, and an object
+    # without the row fields.
+    for line in ("3", '{"a": 1}'):
+        results.write_text(f'{{"schema_version": 1}}\n{line}\n')
+        assert plot.main([str(results)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("plot_error_curves: error: ")
+        assert "line 2 is not a result row" in err
+        assert err.count("\n") == 1
+
 
 def test_gate_audit_salts_only_the_noisy_trees(capsys):
     audit = load_script("gate_audit")

@@ -299,6 +299,27 @@ def test_bad_grid_is_a_config_error_before_any_cell(grid, needle, tmp_path, caps
     assert err.startswith("fedeval: config error:")
 
 
+def test_empty_population_is_degenerate_under_every_split_policy(tmp_path, capsys):
+    # Zero examples split into zero clients whatever the policy, so
+    # every policy writes the same degenerate rows.
+    outputs = []
+    for policy in ("one_per_client", "skewed:0.5", "variable:3"):
+        path = tmp_path / "empty.cfg"
+        path.write_text(
+            "base_seed = 4\nregimes = secure_agg, dist_dp, local_dp\n"
+            "num_examples = 0\nnum_buckets = 4\nheights = 3\nepsilons = 1.0\n"
+            f"thresholds = 0.5\nsplit_policy = {policy}\n"
+        )
+        assert main(["sweep", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    rows = [line for line in outputs[0].splitlines() if '"metric"' in line]
+    assert len(rows) == 3 * 5
+    assert all('"degenerate": true' in line for line in rows)
+
+
 # -- concurrent callers and the local-DP shard check -----------------------
 
 SHARD_ERROR = "local DP accepts at most one example per client shard"
