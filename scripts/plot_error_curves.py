@@ -15,8 +15,27 @@ from collections import defaultdict
 
 import numpy as np
 
-# The fields every sweep result row has and this script reads.
-ROW_KEYS = ("metric", "regime", "epsilon", "abs_error", "M", "B", "h")
+# The fields every sweep result row has and this script reads, with the
+# types each value may take. A bool is never one of them, although
+# Python counts it as an int.
+ROW_TYPES = {
+    "metric": str,
+    "regime": str,
+    "epsilon": (type(None), int, float),
+    "abs_error": (type(None), int, float),
+    "M": int,
+    "B": int,
+    "h": int,
+}
+
+
+def _is_row(obj) -> bool:
+    return isinstance(obj, dict) and all(
+        key in obj
+        and isinstance(obj[key], types)
+        and not isinstance(obj[key], bool)
+        for key, types in ROW_TYPES.items()
+    )
 
 
 def load_rows(path: str) -> list[dict]:
@@ -32,7 +51,7 @@ def load_rows(path: str) -> list[dict]:
                 raise ValueError(f"{path}: line {lineno} is not JSON: {exc}") from None
             if isinstance(obj, dict) and "schema_version" in obj:
                 continue
-            if not (isinstance(obj, dict) and all(key in obj for key in ROW_KEYS)):
+            if not _is_row(obj):
                 raise ValueError(f"{path}: line {lineno} is not a result row")
             rows.append(obj)
     return rows
@@ -84,7 +103,7 @@ def main(argv=None) -> int:
             else:
                 bar = ""
             print(f"  {args.axis}={x:>8}  median|err|={med:.3e}  {bar}")
-        fit = [(x, m) for x, m in zip(xs, medians) if m > 0.0]
+        fit = [(x, m) for x, m in zip(xs, medians) if x > 0 and m > 0.0]
         if len(fit) >= 2:
             slope = np.polyfit(
                 np.log([p[0] for p in fit]), np.log([p[1] for p in fit]), 1

@@ -21,12 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    apply_calibration_batch,
-    calibrate_bbq,
-    calibrate_histogram,
-    ece_arrays,
-)
+from .calibration import calibrate_bbq, calibrate_histogram
 from .core import PrivacySpec, Regime, ScoreDistribution
 from .datagen import sample_population
 from .hierarchy import build_score_histogram
@@ -40,7 +35,7 @@ from .io import (
 from .sweep import (
     SweepConfigError,
     evaluate_population,
-    fit_held_out,
+    held_out_calibrations,
     parse_spikes,
     parse_sweep_config,
     result_rows,
@@ -200,20 +195,19 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate(args) -> int:
     scores, positive = read_columns(args.data)
     spec = _resolve_privacy(args)
-    if scores.size < 4:
-        raise ValueError("calibrate needs at least 4 examples")
-    if not args.bbq and args.buckets is None:
-        raise ValueError("--buckets is required without --bbq")
-    fit = fit_held_out(
-        scores, positive, spec, args.split, np.random.SeedSequence((args.seed,))
-    )
     if args.bbq:
-        cal_map = calibrate_bbq(fit.pos, fit.neg, prior=args.prior)
+        def fit_map(pos, neg):
+            return calibrate_bbq(pos, neg, prior=args.prior)
+    elif args.buckets is None:
+        raise ValueError("--buckets is required without --bbq")
     else:
-        hist = build_score_histogram(fit.pos, fit.neg, args.buckets)
-        cal_map = calibrate_histogram(hist, prior=args.prior)
-    probs = apply_calibration_batch(cal_map, fit.eval_scores)
-    report = ece_arrays(probs, fit.eval_positive, args.eval_bins)
+        def fit_map(pos, neg):
+            hist = build_score_histogram(pos, neg, args.buckets)
+            return calibrate_histogram(hist, prior=args.prior)
+    [(cal_map, report)] = held_out_calibrations(
+        scores, positive, [spec], args.split,
+        np.random.SeedSequence((args.seed,)), fit_map, args.eval_bins,
+    )
     print(result_header_line())
     print(json.dumps({
         "calibration_map": {

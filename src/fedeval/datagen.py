@@ -154,14 +154,13 @@ def _variable_offsets(
         raise ValueError(
             f"mean shard size must be a finite number of at least 1, got {mean_size}"
         )
-    sizes = []
-    start = 0
-    while start < num_examples:
-        size = int(rng.geometric(1.0 / mean_size))
-        size = min(size, num_examples - start)
-        sizes.append(size)
-        start += size
-    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    # Every shard holds at least one row, so num_examples draws always
+    # suffice; capping them at num_examples keeps the running ends from
+    # overflowing. The last shard takes what is left.
+    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    last = int(np.searchsorted(ends, num_examples))
+    return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
 
 
 def split_population(

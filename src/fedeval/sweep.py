@@ -14,11 +14,17 @@ import struct
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import apply_calibration_batch, calibrate_histogram, ece_arrays
+from .calibration import (
+    CalibrationMap,
+    EceReport,
+    apply_calibration_batch,
+    calibrate_histogram,
+    ece_arrays,
+)
 from .core import (
     ClientSplit,
     DegenerateEstimateError,
@@ -39,13 +45,11 @@ __all__ = [
     "SweepConfig",
     "SweepConfigError",
     "SweepResultRow",
-    "HeldOutFit",
     "parse_spikes",
     "parse_sweep_config",
     "run_sweep",
     "evaluate_population",
-    "fit_held_out",
-    "histogram_metric_records",
+    "held_out_calibrations",
     "result_rows",
 ]
 
@@ -173,28 +177,49 @@ def _estimate_or_none(metric, hist, *args):
         return None
 
 
-def histogram_metric_records(
-    hist,
-    scores: np.ndarray,
-    flags: np.ndarray,
-    thresholds: Sequence[float],
-) -> list[tuple[str, float | None, float | None, float | None, float | None]]:
-    """(metric, threshold, estimate, exact, advertised) tuples.
+def _aggregate_classes(
+    clients: ClientSplit, spec: PrivacySpec, pos_seed, neg_seed
+) -> tuple[HierarchicalCounts, HierarchicalCounts]:
+    """The positive and the negative hierarchy of one client split."""
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_seed)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_seed)
+    return pos, neg
 
-    One AUC record, then precision/recall/accuracy per threshold. Exact
-    values come from the raw scores, with AUC ties counted half as the
-    histogram estimate counts them; a missing exact (single-class
-    data, say) leaves that field None without marking the estimate
-    degenerate. A degenerate estimate is None; hist is None for a cell
-    whose aggregation could not run, and every estimate is then None.
-    The advertised value of an AUC record adds the bucketization
-    halfwidth to the noise sd. A precision/recall/accuracy record
-    advertises its threshold_slack, |T - T'| plus one leaf width in
-    score units with no noise term; metric-unit values are ROADMAP
-    item 3.
+
+def evaluate_population(
+    scores: np.ndarray,
+    positive: np.ndarray,
+    spec: PrivacySpec,
+    num_buckets: int,
+    split_policy: str,
+    thresholds: Sequence[float],
+    seeds: Sequence,
+) -> list[tuple]:
+    """(metric, threshold, estimate, exact, advertised) records of one population.
+
+    The population is split into clients and both classes are aggregated
+    under spec, with the split, positive and negative seeds of seeds.
+    The estimates are read from their histogram: one AUC record, then
+    precision/recall/accuracy per threshold. An estimate is None when it
+    is degenerate or the population is too small for the mechanism.
+    Exact values come from the raw scores, with AUC ties counted half as
+    the histogram counts them; a missing exact (single-class data, say)
+    is None too. An AUC record advertises its noise sd plus the
+    bucketization halfwidth, a precision/recall/accuracy record its
+    threshold_slack: |T - T'| plus one leaf width in score units, with
+    no noise term (metric-unit values are ROADMAP item 3).
     """
+    split_ss, pos_ss, neg_ss = seeds
+    try:
+        clients = split_population(scores, positive, split_policy, split_ss)
+        hist = build_score_histogram(
+            *_aggregate_classes(clients, spec, pos_ss, neg_ss), num_buckets
+        )
+    except InsufficientPopulationError:
+        hist = None
+
     records = []
-    pos, neg = _class_sorted(scores, flags)
+    pos, neg = _class_sorted(scores, positive)
     try:
         _, exact_value = _auc_from_arrays(pos, neg)
     except ValueError:
@@ -225,94 +250,46 @@ def histogram_metric_records(
     return records
 
 
-_DEGENERATE_ECE = ("ece", None, None, None, None)
-
-
-def _aggregate_classes(
-    clients: ClientSplit, spec: PrivacySpec, pos_seed, neg_seed
-) -> tuple[HierarchicalCounts, HierarchicalCounts]:
-    """The positive and the negative hierarchy of one client split."""
-    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_seed)
-    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_seed)
-    return pos, neg
-
-
-def evaluate_population(
+def held_out_calibrations(
     scores: np.ndarray,
     positive: np.ndarray,
-    spec: PrivacySpec,
-    num_buckets: int,
-    split_policy: str,
-    thresholds: Sequence[float],
-    seeds: Sequence,
-) -> list[tuple]:
-    """Metric records of one population.
-
-    The population is split into clients, both classes are aggregated
-    under spec and the records come from their histogram; seeds are the
-    split, positive and negative seeds. When the population is too small
-    for the mechanism every record is degenerate.
-    """
-    split_ss, pos_ss, neg_ss = seeds
-    try:
-        clients = split_population(scores, positive, split_policy, split_ss)
-        pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
-        hist = build_score_histogram(pos, neg, num_buckets)
-    except InsufficientPopulationError:
-        hist = None
-    return histogram_metric_records(hist, scores, positive, thresholds)
-
-
-@dataclass(frozen=True, eq=False)
-class HeldOutFit:
-    """Hierarchies aggregated from a random half of a population.
-
-    clients is that half split into clients; pos and neg are its
-    hierarchies under the fit's spec. eval_scores and eval_positive are
-    the other half, held out for scoring a calibration map.
-    """
-
-    clients: ClientSplit
-    pos: HierarchicalCounts
-    neg: HierarchicalCounts
-    eval_scores: np.ndarray
-    eval_positive: np.ndarray
-
-
-def fit_held_out(
-    scores: np.ndarray,
-    positive: np.ndarray,
-    spec: PrivacySpec,
+    specs: Sequence[PrivacySpec],
     split_policy: str,
     seed: np.random.SeedSequence,
-) -> HeldOutFit:
-    """Permute the population, halve it, split and aggregate the first half.
+    fit_map: Callable[[HierarchicalCounts, HierarchicalCounts], CalibrationMap],
+    eval_bins: int,
+) -> list[tuple[CalibrationMap, EceReport]]:
+    """A calibration map fitted under each spec, and its held-out ECE report.
 
-    seed spawns the permutation, split, positive and negative seeds in
-    that order.
+    The rows are permuted and halved once; the first half is split into
+    clients once. Under each spec in turn both classes of that split are
+    aggregated, fit_map(pos, neg) fits a map, and the map is scored on
+    the second half. The trees of one spec are dropped before the next
+    spec's are built. seed spawns the permutation, split, positive and
+    negative seeds in that order; every spec takes the same positive
+    and negative seeds.
     """
+    if scores.size < 4:
+        raise InsufficientPopulationError("calibrate needs at least 4 examples")
     perm_ss, split_ss, pos_ss, neg_ss = seed.spawn(4)
     perm = as_generator(perm_ss).permutation(scores.size)
     half = scores.size // 2
-    fit_rows, eval_rows = perm[:half], perm[half:]
     clients = split_population(
-        scores[fit_rows], positive[fit_rows], split_policy, split_ss
+        scores[perm[:half]], positive[perm[:half]], split_policy, split_ss
     )
-    pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
-    return HeldOutFit(clients, pos, neg, scores[eval_rows], positive[eval_rows])
+    eval_scores, eval_positive = scores[perm[half:]], positive[perm[half:]]
+    del perm  # the halves are copies, so the trees are built without it
+    fits = []
+    for spec in specs:
+        cal_map = fit_map(*_aggregate_classes(clients, spec, pos_ss, neg_ss))
+        report = ece_arrays(
+            apply_calibration_batch(cal_map, eval_scores), eval_positive, eval_bins
+        )
+        fits.append((cal_map, report))
+    return fits
 
 
-def _held_out_ece(
-    pos: HierarchicalCounts,
-    neg: HierarchicalCounts,
-    eval_scores: np.ndarray,
-    eval_positive: np.ndarray,
-    num_buckets: int,
-    eval_bins: int,
-) -> float:
-    cal_map = calibrate_histogram(build_score_histogram(pos, neg, num_buckets))
-    probs = apply_calibration_batch(cal_map, eval_scores)
-    return ece_arrays(probs, eval_positive, eval_bins).ece
+_DEGENERATE_ECE = ("ece", None, None, None, None)
 
 
 def _ece_record(
@@ -326,31 +303,27 @@ def _ece_record(
 ) -> tuple:
     """Held-out calibration quality under this cell's regime.
 
-    The data is shuffled and halved; a calibration map is fitted on
-    aggregated counts of the first half and scored by ECE on the second.
-    The exact reference repeats the pipeline with exact aggregation on
-    the same halves, so for exact regimes the error is zero by
-    construction. The noisy trees are dropped before the exact ones are
-    built, so the two pairs are never held at once.
+    The estimate is the held-out ECE of the single-binning map at
+    num_buckets. The exact reference repeats the fit with exact
+    aggregation on the same halves and split, so for exact regimes the
+    error is zero by construction. Fewer than 4 rows, or too few
+    clients for the mechanism, give a degenerate record.
     """
-    if scores.size < 4:
-        return _DEGENERATE_ECE
+    exact_spec = PrivacySpec(
+        regime=Regime.SECURE_AGG, height=spec.height, fanout=spec.fanout
+    )
+    specs = [spec] if spec.regime is Regime.SECURE_AGG else [spec, exact_spec]
+
+    def fit_map(pos, neg):
+        return calibrate_histogram(build_score_histogram(pos, neg, num_buckets))
+
     try:
-        fit = fit_held_out(scores, positive, spec, split_policy, calib_seed)
-        clients, held_out = fit.clients, (fit.eval_scores, fit.eval_positive)
-        estimate = _held_out_ece(fit.pos, fit.neg, *held_out, num_buckets, eval_bins)
-        del fit
-        if spec.regime is Regime.SECURE_AGG:
-            exact = estimate
-        else:
-            exact_spec = PrivacySpec(
-                regime=Regime.SECURE_AGG, height=spec.height, fanout=spec.fanout
-            )
-            pos, neg = _aggregate_classes(clients, exact_spec, None, None)
-            exact = _held_out_ece(pos, neg, *held_out, num_buckets, eval_bins)
+        fits = held_out_calibrations(
+            scores, positive, specs, split_policy, calib_seed, fit_map, eval_bins
+        )
     except InsufficientPopulationError:
         return _DEGENERATE_ECE
-    return ("ece", None, estimate, exact, None)
+    return ("ece", None, fits[0][1].ece, fits[-1][1].ece, None)
 
 
 def result_rows(

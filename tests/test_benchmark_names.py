@@ -6,8 +6,8 @@ without importing them, so a simplification that removes or renames a
 name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
 the package, the mechanisms out of every module but hierarchy.py, and
-every exported name must resolve. No module selects rows by an
-inverted boolean mask.
+every exported name must resolve and be used outside its module. No
+module selects rows by an inverted boolean mask.
 """
 
 import ast
@@ -252,3 +252,43 @@ def test_no_rows_are_selected_by_an_inverted_mask():
             ):
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert offenders == []
+
+
+# Exported names that no other package module, script or benchmark file
+# uses. sample_polya is a test reference until the dist_dp sampler swap
+# moves it to tests/ (ROADMAP item 6).
+UNUSED_EXPORTS = ["mechanisms.sample_polya"]
+
+
+def _identifiers(path):
+    """Every name, attribute, imported name and string constant in path."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # perfbench's layers name their targets as strings.
+            found.add(node.value)
+    return found
+
+
+def test_every_exported_name_is_used_elsewhere():
+    # No accessors that nothing calls: each name a submodule exports is
+    # used by another package module (the package root counts), a
+    # script or the benchmark.
+    modules = sorted((ROOT / "src" / "fedeval").glob("*.py"))
+    paths = modules + sorted((ROOT / "scripts").glob("*.py"))
+    paths += sorted(PERFBENCH.rglob("*.py"))
+    used = {path: _identifiers(path) for path in paths}
+    unused = []
+    for module in modules:
+        if module.stem in ("__init__", "__main__"):
+            continue
+        for name in importlib.import_module(f"fedeval.{module.stem}").__all__:
+            if not any(name in used[path] for path in paths if path != module):
+                unused.append(f"{module.stem}.{name}")
+    assert unused == UNUSED_EXPORTS

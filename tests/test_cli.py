@@ -348,6 +348,12 @@ def test_calibrate_needs_four_examples(tmp_path, capsys):
     ])
     assert code == 1
     assert "4 examples" in capsys.readouterr().err
+    # Without a bucket choice that usage error comes first.
+    code = main([
+        "calibrate", "--data", str(path), "--regime", "secure_agg", "--seed", "1",
+    ])
+    assert code == 1
+    assert "--buckets is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prior", ["5", "-1", "nan"])

@@ -1,12 +1,13 @@
 """Synthetic data generation and client splitting."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fedeval import ScoreDistribution, Spike
-from fedeval.datagen import sample_population, split_population
+from fedeval.datagen import _variable_offsets, sample_population, split_population
 from fedeval.oracle import _auc_from_arrays, _class_sorted
 
 
@@ -155,6 +156,34 @@ def test_variable_split_preserves_data():
     assert same_split(again, clients)
     other = split_population(scores, positive, "variable:4", seed=6)
     assert not same_split(other, clients)
+
+
+def loop_variable_offsets(num_examples, mean_size, rng):
+    # The one-draw-per-shard loop that the batched draw replaced, kept
+    # literally.
+    sizes = []
+    start = 0
+    while start < num_examples:
+        size = int(rng.geometric(1.0 / mean_size))
+        size = min(size, num_examples - start)
+        sizes.append(size)
+        start += size
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def test_variable_offsets_match_the_loop_bitwise():
+    # One batched geometric draw gives the loop's shards; a mean of
+    # 1e300 draws sizes near the int64 limit, whose sum must not wrap.
+    for num_examples, mean_size, seed in itertools.product(
+        (0, 1, 2, 3, 7, 100, 1000, 50000), (1, 1.5, 4, 16, 1e6, 1e300), range(5)
+    ):
+        expected = loop_variable_offsets(
+            num_examples, mean_size, np.random.default_rng(seed)
+        )
+        got = _variable_offsets(num_examples, mean_size, np.random.default_rng(seed))
+        case = (num_examples, mean_size, seed)
+        assert got.dtype == expected.dtype, case
+        assert got.tobytes() == expected.tobytes(), case
 
 
 def test_split_policy_validation():

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end: a quick scaling grid, then its summary."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,36 @@ def test_error_curves_report_a_bad_results_file(tmp_path, capsys):
         assert err.startswith("plot_error_curves: error: ")
         assert "line 2 is not a result row" in err
         assert err.count("\n") == 1
+
+    # A row key whose value has the wrong type, followed by a good row.
+    good = {
+        "metric": "auc", "regime": "dist_dp", "epsilon": 1.0,
+        "abs_error": 0.01, "M": 100, "B": 10, "h": 10,
+    }
+    for key, value in (
+        ("abs_error", "0.1"), ("M", None), ("epsilon", "x"), ("B", True),
+        ("metric", 3),
+    ):
+        bad = json.dumps(dict(good, **{key: value}))
+        results.write_text(f'{{"schema_version": 1}}\n{bad}\n{json.dumps(good)}\n')
+        assert plot.main([str(results)]) == 2, key
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("plot_error_curves: error: ")
+        assert "line 2 is not a result row" in err
+        assert err.count("\n") == 1
+
+    # M = 0 is a row, but the log-log fit leaves its point out.
+    rows = [
+        dict(good, M=m, abs_error=e)
+        for m, e in ((0, 0.1), (100, 0.01), (10000, 0.001))
+    ]
+    results.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert plot.main([str(results)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "M=       0" in out
+    assert "log-log slope: -0.50" in out
 
 
 def test_gate_audit_salts_only_the_noisy_trees(capsys):
