@@ -19,7 +19,6 @@ from .core import (
     Label,
     LabeledScore,
     ScoreDistribution,
-    as_arrays,
     as_examples,
     as_generator,
 )
@@ -154,13 +153,25 @@ def _variable_offsets(
         raise ValueError(
             f"mean shard size must be a finite number of at least 1, got {mean_size}"
         )
-    # Every shard holds at least one row, so num_examples draws always
-    # suffice; capping them at num_examples keeps the running ends from
-    # overflowing. The last shard takes what is left.
-    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
-    ends = np.cumsum(sizes, dtype=np.int64)
+    # Sizes are drawn in chunks, from about the expected shard count and
+    # doubling, until the running ends reach num_examples. Draws are
+    # sequential, so the chunks give the sizes of one draw of
+    # num_examples; every shard holds at least one row, so that many
+    # always suffice, and capping each size at num_examples keeps the
+    # ends from overflowing. The last shard takes what is left.
+    p = 1.0 / mean_size
+    runs = [np.zeros(1, dtype=np.int64)]
+    drawn = end = 0
+    chunk = min(num_examples, int(num_examples * p) + 1)
+    while end < num_examples:
+        sizes = np.minimum(rng.geometric(p, size=chunk), num_examples)
+        runs.append(end + np.cumsum(sizes, dtype=np.int64))
+        end = int(runs[-1][-1])
+        drawn += chunk
+        chunk = min(2 * chunk, num_examples - drawn)
+    ends = np.concatenate(runs)
     last = int(np.searchsorted(ends, num_examples))
-    return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
+    return np.minimum(ends[: last + 1], num_examples)
 
 
 def split_population(
@@ -186,16 +197,14 @@ def split_population(
 def split_to_clients(
     examples: Sequence[LabeledScore], policy: str, seed=None
 ) -> list[list[LabeledScore]]:
-    """split_population over a list of labeled scores.
+    """The one_per_client split of a list of labeled scores.
 
-    Returns one list of examples per client; it holds the same rows, in
-    the same order, as the ClientSplit of the examples' columns.
+    One single-example list per client, in input order. Other policies
+    split columns only, through split_population; seed is unused.
     """
-    examples = list(examples)
-    if policy == "one_per_client":
-        # The identity order with offsets 0, 1, ..., M.
-        return [[example] for example in examples]
-    clients = split_population(*as_arrays(examples), policy, seed)
-    examples = as_examples(clients.scores, clients.positive)
-    bounds = clients.offsets.tolist()
-    return [examples[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if policy != "one_per_client":
+        raise ValueError(
+            f"split_to_clients runs only the one_per_client split; "
+            f"split {policy!r} with split_population"
+        )
+    return [[example] for example in examples]

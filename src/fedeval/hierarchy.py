@@ -127,11 +127,26 @@ class ScoreHistogram:
 
 
 def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> list[np.ndarray]:
-    """Exact segment counts of every level, from the leaf counts upward."""
-    leaves = leaf_indices(class_scores, spec.height, spec.fanout)
+    """Exact segment counts of every level, from the leaf counts upward.
+
+    A node sums its f children. Up to fanout 4, f - 1 strided adds form
+    a level several times faster than the row sums of a (-1, f) reshape;
+    at larger fanouts each strided pass sweeps the whole level below,
+    and the row sums win. Integer sums are exact, so both give the same
+    counts.
+    """
+    f = spec.fanout
+    leaves = leaf_indices(class_scores, spec.height, f)
     levels = [np.bincount(leaves, minlength=spec.num_leaves)]
     for _ in range(spec.height - 1):
-        levels.append(levels[-1].reshape(-1, spec.fanout).sum(axis=1))
+        below = levels[-1]
+        if f <= 4:
+            level = below[0::f] + below[1::f]
+            for j in range(2, f):
+                level += below[j::f]
+        else:
+            level = below.reshape(-1, f).sum(axis=1)
+        levels.append(level)
     levels.reverse()
     return levels
 
@@ -170,7 +185,11 @@ def _build_local_dp(
         width = spec.fanout**k
         nodes = leaf_of_client[members] // (num_leaves // width)
         true_counts = np.bincount(nodes, minlength=width)[:width]
-        kept = rng.binomial(true_counts, p)
+        # A binomial with n = 0 returns 0 without drawing, so drawing
+        # only the occupied nodes leaves the stream as it was.
+        occupied = np.flatnonzero(true_counts)
+        kept = np.zeros(width, dtype=np.int64)
+        kept[occupied] = rng.binomial(true_counts[occupied], p)
         flipped = rng.binomial(group_size - true_counts, q)
         scale = num_clients / group_size
         decoded = ((kept + flipped) - group_size * q) / (p - q) * scale
@@ -231,8 +250,7 @@ def build_hierarchy(
             alpha = math.exp(-spec.epsilon / spec.height)
             node_variance = discrete_laplace_variance(alpha)
             for k in range(1, spec.height + 1):
-                noise = aggregated_noise(alpha, rng, size=spec.fanout**k)
-                levels[k - 1] = levels[k - 1] + noise
+                levels[k - 1] += aggregated_noise(alpha, rng, size=spec.fanout**k)
             variances = [node_variance] * spec.height
 
     return HierarchicalCounts(

@@ -16,26 +16,9 @@ from __future__ import annotations
 from .core import as_generator
 
 __all__ = [
-    "sample_polya",
     "aggregated_noise",
     "discrete_laplace_variance",
 ]
-
-
-def sample_polya(shape: float, alpha: float, rng, size=None):
-    """Draw from Polya(shape, alpha), a negative binomial with real shape.
-
-    Realized as a Poisson draw whose rate is Gamma(shape, alpha/(1-alpha)).
-    Mean is shape*alpha/(1-alpha), variance shape*alpha/(1-alpha)**2.
-    """
-    if not (shape > 0.0):
-        raise ValueError(f"shape must be positive, got {shape}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    gen = as_generator(rng)
-    scale = alpha / (1.0 - alpha)
-    rate = gen.gamma(shape, scale, size=size)
-    return gen.poisson(rate)
 
 
 def aggregated_noise(alpha: float, rng, size=None):
@@ -43,11 +26,15 @@ def aggregated_noise(alpha: float, rng, size=None):
 
     This is the sum of any number of clients' noise shares: Polya draws
     with a common alpha add their shapes, so the shares' total shape is
-    1 and the sum is the difference of two Polya(1, alpha) draws.
+    1 and the sum is the difference of two Polya(1, alpha) draws, each
+    a Poisson draw whose rate is Gamma(1, alpha/(1-alpha)).
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     gen = as_generator(rng)
-    x = sample_polya(1.0, alpha, gen, size=size)
-    y = sample_polya(1.0, alpha, gen, size=size)
+    scale = alpha / (1.0 - alpha)
+    x = gen.poisson(gen.gamma(1.0, scale, size=size))
+    y = gen.poisson(gen.gamma(1.0, scale, size=size))
     return x - y
 
 

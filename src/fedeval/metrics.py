@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .core import DegenerateEstimateError
@@ -51,8 +49,7 @@ class PraEstimate:
 
     A metric is None when its denominator was not positive.
     effective_threshold is the histogram boundary actually used and
-    threshold_slack bounds |T - T'| plus one leaf width. counters holds
-    the plain (noisy) counts behind the three ratios.
+    threshold_slack bounds |T - T'| plus one leaf width.
     """
 
     precision: float | None
@@ -60,7 +57,6 @@ class PraEstimate:
     accuracy: float | None
     effective_threshold: float
     threshold_slack: float
-    counters: Mapping[str, float]
 
 
 def _clamp01(value: float) -> float:
@@ -152,16 +148,16 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
     recall = _ratio(true_pos, pos_total)
     accuracy = _ratio(correct, total)
 
-    counters = {
-        "true_positive": true_pos,
-        "predicted_positive": pred_pos,
-        "positives": pos_total,
-        "correct": correct,
-        "total": total,
-    }
     if precision is None and recall is None and accuracy is None:
         raise DegenerateEstimateError(
-            "all denominators are non-positive", counters=counters
+            "all denominators are non-positive",
+            counters={
+                "true_positive": true_pos,
+                "predicted_positive": pred_pos,
+                "positives": pos_total,
+                "correct": correct,
+                "total": total,
+            },
         )
     slack = abs(threshold - effective) + 1.0 / hist.spec.num_leaves
     return PraEstimate(
@@ -170,5 +166,4 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
         accuracy=accuracy,
         effective_threshold=effective,
         threshold_slack=slack,
-        counters=counters,
     )

@@ -265,13 +265,20 @@ def held_out_calibrations(
     clients once. Under each spec in turn both classes of that split are
     aggregated, fit_map(pos, neg) fits a map, and the map is scored on
     the second half. The trees of one spec are dropped before the next
-    spec's are built. seed spawns the permutation, split, positive and
-    negative seeds in that order; every spec takes the same positive
-    and negative seeds.
+    spec's are built. The permutation, split, positive and negative
+    seeds are seed's first four children, the ones a fresh seed.spawn(4)
+    gives; seed itself is left as it was, so one seed gives the same
+    fits on every call. Every spec takes the same positive and negative
+    seeds.
     """
     if scores.size < 4:
         raise InsufficientPopulationError("calibrate needs at least 4 examples")
-    perm_ss, split_ss, pos_ss, neg_ss = seed.spawn(4)
+    perm_ss, split_ss, pos_ss, neg_ss = (
+        np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size
+        )
+        for i in range(4)
+    )
     perm = as_generator(perm_ss).permutation(scores.size)
     half = scores.size // 2
     clients = split_population(

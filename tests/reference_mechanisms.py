@@ -5,7 +5,8 @@ its law (fedeval.mechanisms.aggregated_noise from alpha alone, binomial
 OUE counts in fedeval.hierarchy). The tests simulate the protocols
 client by client with the parameters and functions here, and check that
 both forms agree in distribution: PolyaShareParams gives one client's
-Polya noise share, OueParams one client's unary encoding report.
+Polya noise share, drawn with sample_polya, and OueParams one client's
+unary encoding report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from fedeval.core import as_generator, oue_flip_probability
-from fedeval.mechanisms import sample_polya
+
+
+def sample_polya(shape: float, alpha: float, rng, size=None):
+    """Draw from Polya(shape, alpha), a negative binomial with real shape.
+
+    Realized as a Poisson draw whose rate is Gamma(shape, alpha/(1-alpha)).
+    Mean is shape*alpha/(1-alpha), variance shape*alpha/(1-alpha)**2.
+    """
+    if not (shape > 0.0):
+        raise ValueError(f"shape must be positive, got {shape}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    gen = as_generator(rng)
+    scale = alpha / (1.0 - alpha)
+    rate = gen.gamma(shape, scale, size=size)
+    return gen.poisson(rate)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from fedeval.calibration import (
 from fedeval.core import as_generator, leaf_indices
 from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import build_hierarchy, build_score_histogram
-from fedeval.mechanisms import discrete_laplace_variance, sample_polya
+from fedeval.mechanisms import discrete_laplace_variance
 from fedeval.metrics import auc_histogram, pra_threshold
 from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
@@ -36,6 +36,7 @@ from reference_mechanisms import (
     oue_aggregate,
     oue_decode,
     oue_encode,
+    sample_polya,
 )
 
 THRESHOLD_GRID = tuple(0.25 + 0.05 * i for i in range(10))

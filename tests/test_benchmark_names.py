@@ -254,12 +254,6 @@ def test_no_rows_are_selected_by_an_inverted_mask():
     assert offenders == []
 
 
-# Exported names that no other package module, script or benchmark file
-# uses. sample_polya is a test reference until the dist_dp sampler swap
-# moves it to tests/ (ROADMAP item 6).
-UNUSED_EXPORTS = ["mechanisms.sample_polya"]
-
-
 def _identifiers(path):
     """Every name, attribute, imported name and string constant in path."""
     found = set()
@@ -291,4 +285,4 @@ def test_every_exported_name_is_used_elsewhere():
         for name in importlib.import_module(f"fedeval.{module.stem}").__all__:
             if not any(name in used[path] for path in paths if path != module):
                 unused.append(f"{module.stem}.{name}")
-    assert unused == UNUSED_EXPORTS
+    assert unused == []

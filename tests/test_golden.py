@@ -8,7 +8,10 @@ cannot catch such a change on its own.
 
 The list functions (gen_well_behaved, split_to_clients, build_hierarchy
 on per-client lists) wrap the array code; the property tests check that
-both forms give the same shards and bitwise the same hierarchies.
+both forms give the same shards and bitwise the same hierarchies. The
+list form splits only one example per client; every other policy splits
+columns, and its shards reach build_hierarchy as per-client lists of the
+split's rows.
 """
 
 import contextlib
@@ -245,14 +248,12 @@ def test_array_and_list_paths_agree(population, policy, regime, balance, seed):
     clients, split_error = outcome(
         lambda: split_population(scores, positive, policy, seed + 1)
     )
-    shards, list_error = outcome(
-        lambda: split_to_clients(examples, policy, seed + 1)
-    )
-    assert split_error == list_error
     if split_error is not None:
         return
-    assert client_rows(clients) == shards
+    shards = client_rows(clients)
     assert shards == reference_split(examples, policy, seed + 1)
+    if policy == "one_per_client":
+        assert split_to_clients(examples, policy, seed + 1) == shards
 
     epsilon = None if regime is Regime.SECURE_AGG else 2.0
     spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
@@ -275,8 +276,9 @@ def test_splits_match_the_reference_loops(num_examples, policy):
     examples = gen_well_behaved(num_examples, SPIKY, 0.3, num_examples)
     scores, positive = as_arrays(examples)
     expected = reference_split(examples, policy, 9)
-    assert split_to_clients(examples, policy, 9) == expected
     assert client_rows(split_population(scores, positive, policy, 9)) == expected
+    if policy == "one_per_client":
+        assert split_to_clients(examples, policy, 9) == expected
 
 
 def test_as_arrays_round_trip():
@@ -298,12 +300,20 @@ def test_local_dp_rejects_multi_example_clients_in_both_forms():
     message = "local DP accepts at most one example per client shard, shard"
     for policy in ("skewed:0.3", "variable:4"):
         clients = split_population(scores, positive, policy, 5)
-        shards = split_to_clients(examples, policy, 5)
+        shards = client_rows(clients)
         with pytest.raises(ValueError, match=message) as from_split:
             build_hierarchy(clients, Label.POSITIVE, spec, 6)
         with pytest.raises(ValueError, match=message) as from_lists:
             build_hierarchy(shards, Label.POSITIVE, spec, 6)
         assert str(from_split.value) == str(from_lists.value)
+
+
+@pytest.mark.parametrize("policy", ["skewed:0.3", "variable:4"])
+def test_list_split_runs_only_the_identity_split(policy):
+    examples = gen_well_behaved(12, SPIKY, 0.5, 3)
+    with pytest.raises(ValueError, match="split_population") as info:
+        split_to_clients(examples, policy, 5)
+    assert policy in str(info.value)
 
 
 def test_one_per_client_split_shares_the_columns():

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from fedeval.core import oue_flip_probability
-from fedeval.mechanisms import (
-    aggregated_noise,
-    discrete_laplace_variance,
-    sample_polya,
-)
+from fedeval.mechanisms import aggregated_noise, discrete_laplace_variance
 
 from reference_mechanisms import (
     OueParams,
@@ -20,6 +16,7 @@ from reference_mechanisms import (
     oue_aggregate,
     oue_decode,
     oue_encode,
+    sample_polya,
     secure_aggregate,
 )
 
@@ -90,6 +87,22 @@ def test_aggregated_noise_matches_discrete_laplace():
     target = discrete_laplace_variance(params.alpha)
     assert abs(draws.mean()) < 3.0 * math.sqrt(target / 100_000)
     assert draws.var() == pytest.approx(target, rel=0.05)
+
+
+def test_aggregated_noise_is_two_unit_shape_polya_draws_bitwise():
+    # The closed-form draw is the reference sampler at shape 1, in the
+    # same order: x's gamma and Poisson, then y's.
+    for alpha in (1e-9, 0.05, 0.5, math.exp(-1.0 / 16), 1.0 - 1e-9):
+        for size in (None, 0, 1, (3, 5), 1000):
+            ours = aggregated_noise(alpha, np.random.default_rng(11), size=size)
+            rng = np.random.default_rng(11)
+            x = sample_polya(1.0, alpha, rng, size=size)
+            ref = x - sample_polya(1.0, alpha, rng, size=size)
+            assert np.asarray(ours).dtype == np.asarray(ref).dtype
+            assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+    for alpha in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            aggregated_noise(alpha, np.random.default_rng(0))
 
 
 def test_share_sums_match_aggregate_distribution():

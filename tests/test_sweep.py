@@ -14,6 +14,7 @@ from fedeval.io import write_columns
 from fedeval.sweep import (
     SweepConfig,
     SweepConfigError,
+    _ece_record,
     evaluate_population,
     parse_sweep_config,
     run_sweep,
@@ -390,3 +391,21 @@ def test_local_dp_multi_example_sweep_raises(base_seed):
     # Seeds 9, 20 and 27 used to return all-degenerate rows.
     with pytest.raises(ValueError, match=SHARD_ERROR):
         run_sweep(local_multi_config(base_seed))
+
+
+def test_ece_record_leaves_its_seed_as_it_was():
+    # The held-out fit takes the seed's first four children without
+    # spawning them, so one SeedSequence gives one row on every call,
+    # the row a fresh seed gives.
+    scores, positive = sample_population(2000, ScoreDistribution(), 0.5, 4)
+    spec = PrivacySpec(regime=Regime.SECURE_AGG, height=8)
+    seed = np.random.SeedSequence(5)
+    rows = [
+        _ece_record(scores, positive, spec, 10, "one_per_client", 10, seed)
+        for _ in range(2)
+    ]
+    assert seed.n_children_spawned == 0
+    fresh = _ece_record(
+        scores, positive, spec, 10, "one_per_client", 10, np.random.SeedSequence(5)
+    )
+    assert rows[0] == rows[1] == fresh
