@@ -153,25 +153,13 @@ def _variable_offsets(
         raise ValueError(
             f"mean shard size must be a finite number of at least 1, got {mean_size}"
         )
-    # Sizes are drawn in chunks, from about the expected shard count and
-    # doubling, until the running ends reach num_examples. Draws are
-    # sequential, so the chunks give the sizes of one draw of
-    # num_examples; every shard holds at least one row, so that many
-    # always suffice, and capping each size at num_examples keeps the
-    # ends from overflowing. The last shard takes what is left.
-    p = 1.0 / mean_size
-    runs = [np.zeros(1, dtype=np.int64)]
-    drawn = end = 0
-    chunk = min(num_examples, int(num_examples * p) + 1)
-    while end < num_examples:
-        sizes = np.minimum(rng.geometric(p, size=chunk), num_examples)
-        runs.append(end + np.cumsum(sizes, dtype=np.int64))
-        end = int(runs[-1][-1])
-        drawn += chunk
-        chunk = min(2 * chunk, num_examples - drawn)
-    ends = np.concatenate(runs)
+    # Every shard holds at least one row, so num_examples draws always
+    # suffice; capping them at num_examples keeps the running ends from
+    # overflowing. The last shard takes what is left.
+    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
+    ends = np.cumsum(sizes, dtype=np.int64)
     last = int(np.searchsorted(ends, num_examples))
-    return np.minimum(ends[: last + 1], num_examples)
+    return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
 
 
 def split_population(

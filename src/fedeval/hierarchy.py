@@ -127,26 +127,11 @@ class ScoreHistogram:
 
 
 def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> list[np.ndarray]:
-    """Exact segment counts of every level, from the leaf counts upward.
-
-    A node sums its f children. Up to fanout 4, f - 1 strided adds form
-    a level several times faster than the row sums of a (-1, f) reshape;
-    at larger fanouts each strided pass sweeps the whole level below,
-    and the row sums win. Integer sums are exact, so both give the same
-    counts.
-    """
-    f = spec.fanout
-    leaves = leaf_indices(class_scores, spec.height, f)
+    """Exact segment counts of every level, from the leaf counts upward."""
+    leaves = leaf_indices(class_scores, spec.height, spec.fanout)
     levels = [np.bincount(leaves, minlength=spec.num_leaves)]
     for _ in range(spec.height - 1):
-        below = levels[-1]
-        if f <= 4:
-            level = below[0::f] + below[1::f]
-            for j in range(2, f):
-                level += below[j::f]
-        else:
-            level = below.reshape(-1, f).sum(axis=1)
-        levels.append(level)
+        levels.append(levels[-1].reshape(-1, spec.fanout).sum(axis=1))
     levels.reverse()
     return levels
 
@@ -185,11 +170,7 @@ def _build_local_dp(
         width = spec.fanout**k
         nodes = leaf_of_client[members] // (num_leaves // width)
         true_counts = np.bincount(nodes, minlength=width)[:width]
-        # A binomial with n = 0 returns 0 without drawing, so drawing
-        # only the occupied nodes leaves the stream as it was.
-        occupied = np.flatnonzero(true_counts)
-        kept = np.zeros(width, dtype=np.int64)
-        kept[occupied] = rng.binomial(true_counts[occupied], p)
+        kept = rng.binomial(true_counts, p)
         flipped = rng.binomial(group_size - true_counts, q)
         scale = num_clients / group_size
         decoded = ((kept + flipped) - group_size * q) / (p - q) * scale

@@ -266,18 +266,18 @@ def held_out_calibrations(
     aggregated, fit_map(pos, neg) fits a map, and the map is scored on
     the second half. The trees of one spec are dropped before the next
     spec's are built. The permutation, split, positive and negative
-    seeds are seed's first four children, the ones a fresh seed.spawn(4)
-    gives; seed itself is left as it was, so one seed gives the same
-    fits on every call. Every spec takes the same positive and negative
-    seeds.
+    seeds are the four children that seed.spawn(4) would give next, but
+    seed is not advanced, so one seed gives the same fits on every
+    call. Every spec takes the same positive and negative seeds.
     """
     if scores.size < 4:
         raise InsufficientPopulationError("calibrate needs at least 4 examples")
+    first = seed.n_children_spawned
     perm_ss, split_ss, pos_ss, neg_ss = (
         np.random.SeedSequence(
             seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size
         )
-        for i in range(4)
+        for i in range(first, first + 4)
     )
     perm = as_generator(perm_ss).permutation(scores.size)
     half = scores.size // 2

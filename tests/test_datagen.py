@@ -171,29 +171,19 @@ def loop_variable_offsets(num_examples, mean_size, rng):
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
-def one_draw_variable_offsets(num_examples, mean_size, rng):
-    # The single draw of num_examples sizes that the chunked draws
-    # replaced, kept literally.
-    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
-    ends = np.cumsum(sizes, dtype=np.int64)
-    last = int(np.searchsorted(ends, num_examples))
-    return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
-
-
 def test_variable_offsets_match_the_loop_bitwise():
-    # Chunks of geometric draws give the loop's shards and those of one
-    # draw of num_examples sizes, whether the first chunk falls short or
-    # not; a mean of 1e300 draws sizes near the int64 limit, whose sum
-    # must not wrap.
+    # One batched geometric draw gives the loop's shards; a mean of
+    # 1e300 draws sizes near the int64 limit, whose sum must not wrap.
     for num_examples, mean_size, seed in itertools.product(
         (0, 1, 2, 3, 7, 100, 1000, 50000), (1, 1.5, 4, 16, 1e6, 1e300), range(5)
     ):
+        expected = loop_variable_offsets(
+            num_examples, mean_size, np.random.default_rng(seed)
+        )
         got = _variable_offsets(num_examples, mean_size, np.random.default_rng(seed))
         case = (num_examples, mean_size, seed)
-        for reference in (loop_variable_offsets, one_draw_variable_offsets):
-            expected = reference(num_examples, mean_size, np.random.default_rng(seed))
-            assert got.dtype == expected.dtype, case
-            assert got.tobytes() == expected.tobytes(), case
+        assert got.dtype == expected.dtype, case
+        assert got.tobytes() == expected.tobytes(), case
 
 
 def test_split_policy_validation():

@@ -10,6 +10,7 @@ import pytest
 from fedeval import PrivacySpec, Regime, ScoreDistribution
 from fedeval.cli import main
 from fedeval.datagen import sample_population, split_population
+from fedeval import sweep
 from fedeval.io import write_columns
 from fedeval.sweep import (
     SweepConfig,
@@ -393,10 +394,18 @@ def test_local_dp_multi_example_sweep_raises(base_seed):
         run_sweep(local_multi_config(base_seed))
 
 
-def test_ece_record_leaves_its_seed_as_it_was():
-    # The held-out fit takes the seed's first four children without
-    # spawning them, so one SeedSequence gives one row on every call,
-    # the row a fresh seed gives.
+def test_ece_record_leaves_its_seed_as_it_was(monkeypatch):
+    # The held-out fit takes the four children that spawn(4) would give
+    # next without spawning them, so one SeedSequence gives one row on
+    # every call, the row a fresh seed gives; a seed that has spawned
+    # children hands the split the key spawn would have.
+    split_keys = []
+
+    def recording_split(*args):
+        split_keys.append(args[-1].spawn_key)
+        return split_population(*args)
+
+    monkeypatch.setattr(sweep, "split_population", recording_split)
     scores, positive = sample_population(2000, ScoreDistribution(), 0.5, 4)
     spec = PrivacySpec(regime=Regime.SECURE_AGG, height=8)
     seed = np.random.SeedSequence(5)
@@ -409,3 +418,8 @@ def test_ece_record_leaves_its_seed_as_it_was():
         scores, positive, spec, 10, "one_per_client", 10, np.random.SeedSequence(5)
     )
     assert rows[0] == rows[1] == fresh
+    used = np.random.SeedSequence(5)
+    used.spawn(3)
+    _ece_record(scores, positive, spec, 10, "one_per_client", 10, used)
+    assert used.n_children_spawned == 3
+    assert split_keys == [(1,)] * 3 + [used.spawn(4)[1].spawn_key]
