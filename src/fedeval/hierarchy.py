@@ -131,7 +131,7 @@ def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> list[np.ndarra
     leaves = leaf_indices(class_scores, spec.height, spec.fanout)
     levels = [np.bincount(leaves, minlength=spec.num_leaves)]
     for _ in range(spec.height - 1):
-        levels.append(levels[-1].reshape(-1, spec.fanout).sum(axis=1))
+        levels.append(np.einsum("ij->i", levels[-1].reshape(-1, spec.fanout)))
     levels.reverse()
     return levels
 

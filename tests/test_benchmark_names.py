@@ -7,7 +7,7 @@ name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
 the package, the mechanisms out of every module but hierarchy.py, and
 every exported name must resolve and be used outside its module. No
-module selects rows by an inverted boolean mask.
+module selects rows by an inverted boolean mask or imports scipy.
 """
 
 import ast
@@ -251,6 +251,25 @@ def test_no_rows_are_selected_by_an_inverted_mask():
                 for part in parts
             ):
                 offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_module_imports_scipy():
+    # The package runs on numpy alone; scipy is a test dependency.
+    offenders = []
+    for path in sorted((ROOT / "src" / "fedeval").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {module}"
+                for module in modules
+                if module.partition(".")[0] == "scipy"
+            ]
     assert offenders == []
 
 

@@ -1,22 +1,31 @@
-"""Calibration maps, BBQ model averaging, and calibration error."""
+"""Calibration maps, BBQ model averaging and its log-Beta kernel, and calibration error."""
 
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from fedeval import (
     Label,
     PrivacySpec,
     Regime,
     ScoreDistribution,
+    Spike,
 )
 from fedeval import hierarchy
 from fedeval.calibration import (
+    PRIOR_STRENGTH,
     SEARCH_GRID,
     CalibrationMap,
+    _bucket_probabilities,
     _candidate_bucket_counts,
+    _check_prior,
     _count_below,
+    _default_prior,
+    _log_beta,
+    _softmax,
     apply_calibration_batch,
     calibrate_bbq,
     calibrate_histogram,
@@ -24,10 +33,12 @@ from fedeval.calibration import (
 )
 from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
+    HierarchicalCounts,
     ScoreHistogram,
     _running_sums,
     build_hierarchy,
     build_score_histogram,
+    build_score_histograms,
 )
 
 
@@ -101,6 +112,13 @@ def test_calibration_map_validation():
     decreasing = (np.array([0.0, 0.6, 0.5, 1.0]), np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         CalibrationMap(binnings=(decreasing,), weights=np.array([1.0]))
+    # A NaN weight would turn every output into NaN, and a NaN boundary
+    # would send every score to one bucket.
+    with pytest.raises(ValueError, match="probability vector"):
+        CalibrationMap(binnings=(good,), weights=np.array([np.nan]))
+    nan_edge = (np.array([0.0, np.nan, 1.0]), np.array([0.2, 0.8]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CalibrationMap(binnings=(nan_edge,), weights=np.array([1.0]))
 
 
 def test_candidate_bucket_counts_grid():
@@ -324,8 +342,8 @@ def test_bbq_builds_each_trees_running_sums_once(monkeypatch):
 # Local-DP BBQ map digests: noisy float trees, so a change in the bits
 # of the candidate counts, the cuts or the per-class reads shows here.
 BBQ_LOCAL_DP_DIGESTS = {
-    (2, 8): "b4d52d82b17c64f7b0bddd5ad00c413afe74f11d5204814ef9b25bf85dc8fb9c",
-    (3, 5): "31fc67d898d1aa222dc121c98641ce01db51e368d722aae391cd09827588b820",
+    (2, 8): "48546cc3666ebed3b46515d496e12f3a767c047c49cf8180d10a9ec664838f62",
+    (3, 5): "158924f11fc538974a5d80a171517ef88f07adfd001948650222490957e1edd7",
 }
 
 
@@ -370,3 +388,114 @@ def test_grid_search_equals_searchsorted_bitwise():
         got = _count_below(edges, values)
         assert got.dtype == np.intp
         assert np.array_equal(got, np.searchsorted(edges, values, side="left"))
+
+
+def mp_log_beta(a, b):
+    return float(mpmath.log(mpmath.beta(mpmath.mpf(a), mpmath.mpf(b))))
+
+
+def test_log_beta_matches_mpmath():
+    # A log grid over [1e-16, 1e10]^2, then random non-integer points
+    # such as clamped noisy counts plus a Beta prior. BBQ's prior terms
+    # reach about 2e-16 at 2**26 buckets.
+    grid = np.geomspace(1e-16, 1e10, 49)
+    a, b = (side.ravel() for side in np.meshgrid(grid, grid))
+    rng = np.random.default_rng(61)
+    wide = np.exp(rng.uniform(np.log(1e-16), np.log(1e10), (2, 300)))
+    counts = rng.uniform(0.0, 40.0, (2, 300)) + rng.uniform(1e-9, 1e-2, (2, 300))
+    a = np.concatenate([a, wide[0], counts[0]])
+    b = np.concatenate([b, wide[1], counts[1]])
+    with mpmath.workdps(40):
+        ref = np.array([mp_log_beta(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    got = _log_beta(a, b)
+    assert got.dtype == np.float64
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-12, (err.max(), a[err.argmax()], b[err.argmax()])
+
+
+def test_log_beta_matches_scipy_where_scipy_is_accurate():
+    # scipy's betaln takes a difference of log-gammas once a + b passes
+    # about 171.6, and loses up to 1e-9 relative there.
+    rng = np.random.default_rng(62)
+    a = np.r_[np.exp(rng.uniform(np.log(1e-16), np.log(100.0), 4000)), 1.0, 15.0, 100.0]
+    b = np.r_[np.exp(rng.uniform(np.log(1e-16), np.log(100.0), 4000)), 1.0, 15.0, 100.0]
+    ref = betaln(a, b)
+    err = np.abs(_log_beta(a, b) - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-13
+
+
+# The scipy evidence and BBQ fit that the numpy kernel replaced, kept
+# literally as references.
+def _log_marginal(hist: ScoreHistogram) -> float:
+    """Beta-binomial evidence of the bucket labels under a midpoint prior.
+
+    Bucket b gets a Beta prior with mean at the bucket's score midpoint
+    and total strength PRIOR_STRENGTH / num_buckets, so the prior mass
+    spent does not grow with the number of buckets.
+    """
+    # Imported on first use: only a BBQ fit pays for loading it.
+    from scipy.special import betaln
+
+    pos = np.maximum(np.asarray(hist.pos_values, dtype=np.float64), 0.0)
+    neg = np.maximum(np.asarray(hist.neg_values, dtype=np.float64), 0.0)
+    boundaries = hist.boundaries
+    midpoints = 0.5 * (boundaries[:-1] + boundaries[1:])
+    strength = PRIOR_STRENGTH / hist.num_buckets
+    alpha = midpoints * strength
+    beta = (1.0 - midpoints) * strength
+    return float(np.sum(betaln(alpha + pos, beta + neg) - betaln(alpha, beta)))
+
+
+def scipy_calibrate_bbq(
+    pos: HierarchicalCounts,
+    neg: HierarchicalCounts,
+    prior: float | None = None,
+) -> CalibrationMap:
+    """Model-averaged calibration over a grid of bucket counts.
+
+    Candidates form a geometric grid of at most 15 integers between
+    cbrt(population)/10 and 10*cbrt(population); each binning's weight
+    is the softmax of its Beta-binomial log evidence.
+    """
+    _check_prior(prior)
+    counts = _candidate_bucket_counts(pos.population_total + neg.population_total)
+    hists = build_score_histograms(pos, neg, counts.tolist())
+    weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))
+    binnings = []
+    for hist in hists:
+        bucket_prior = prior if prior is not None else _default_prior(hist)
+        binnings.append(
+            (hist.boundaries.copy(), _bucket_probabilities(hist, bucket_prior))
+        )
+    return CalibrationMap(binnings=tuple(binnings), weights=weights)
+
+
+SPIKY_DIST = ScoreDistribution(spikes=(Spike(0.5, 0.1, 0.05),))
+BBQ_SPECS = [
+    PrivacySpec(regime=regime, epsilon=epsilon, height=height, fanout=fanout)
+    for regime, epsilon in (
+        (Regime.SECURE_AGG, None),
+        (Regime.DIST_DP, 1.0),
+        (Regime.LOCAL_DP, 5.0),
+    )
+    # 3**16 leaves would need gigabytes of running sums.
+    for fanout, height in ((2, 6), (2, 10), (2, 16), (3, 6), (3, 10))
+]
+
+
+@pytest.mark.parametrize(
+    "spec", BBQ_SPECS, ids=lambda s: f"{s.regime.value}-f{s.fanout}-h{s.height}"
+)
+def test_bbq_matches_the_scipy_reference(spec):
+    scores, positive = sample_population(4000, SPIKY_DIST, 0.4, 71)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, 72)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, 73)
+    got = calibrate_bbq(pos, neg)
+    ref = scipy_calibrate_bbq(pos, neg)
+    assert len(got.binnings) == len(ref.binnings) > 1
+    for (edges, values), (ref_edges, ref_values) in zip(got.binnings, ref.binnings):
+        assert edges.tobytes() == ref_edges.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+    assert np.abs(got.weights - ref.weights).max() <= 1e-9
+    assert got.weights.argmax() == ref.weights.argmax()

@@ -78,7 +78,7 @@ CLI_DIGESTS = {
     "calibrate-fixed":
         "227e5f81a8d11b70b4dab60d8a56c2e2ff3c02217f6d66a3c22db8cf0d941dda",
     "calibrate-bbq":
-        "79b6336832c43e4b3610b90678054d3113ef09773f75766565ae10171d03a742",
+        "ad41eeb4c871ffe842f170a3bbd9f6945ec242981883e8d8a5d6192225ce6694",
 }
 
 SPIKY = ScoreDistribution(spikes=(Spike(0.5, 0.1, 0.05), Spike(0.9, 0.05, 0.0)))

@@ -27,6 +27,7 @@ from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
     _bucket_variances,
+    _exact_levels,
     _level_runs,
     _prefixes_at,
     _quantile_leaves,
@@ -67,6 +68,33 @@ def test_levels_of_four_spread_scores():
     assert pos.population_total == 4.0
     assert pos.level_variances == (0.0, 0.0)
     assert len(pos.values) == 2
+
+
+def reshape_sum_levels(class_scores, spec):
+    """The exact levels as built before the einsum form, kept literally."""
+    leaves = leaf_indices(class_scores, spec.height, spec.fanout)
+    levels = [np.bincount(leaves, minlength=spec.num_leaves)]
+    for _ in range(spec.height - 1):
+        levels.append(levels[-1].reshape(-1, spec.fanout).sum(axis=1))
+    levels.reverse()
+    return levels
+
+
+@pytest.mark.parametrize("fanout", [2, 3, 4, 5, 6, 7, 8, 16, 64, 4096])
+def test_exact_levels_equal_the_reshape_sum_bitwise(fanout):
+    rng = np.random.default_rng(fanout)
+    height = 1
+    while fanout**height <= 2**16:
+        spec = sa_spec(height, fanout)
+        for num in (0, 1, 37, 5000):
+            scores = rng.random(num)
+            got = _exact_levels(scores, spec)
+            ref = reshape_sum_levels(scores, spec)
+            assert len(got) == len(ref) == height
+            for level, ref_level in zip(got, ref):
+                assert level.dtype == ref_level.dtype
+                assert level.tobytes() == ref_level.tobytes()
+        height += 1
 
 
 def test_other_class_tree_is_empty_but_same_shape():
