@@ -236,20 +236,16 @@ def calibrate_bbq(
     """Model-averaged calibration over a grid of bucket counts.
 
     Candidates form a geometric grid of at most 15 integers between
-    cbrt(population)/10 and 10*cbrt(population); each binning's weight
-    is the softmax of its Beta-binomial log evidence.
+    cbrt(population)/10 and 10*cbrt(population). Each binning is the
+    calibrate_histogram map of its candidate's histogram, weighted by
+    the softmax of its Beta-binomial log evidence.
     """
     _check_prior(prior)
     counts = _candidate_bucket_counts(pos.population_total + neg.population_total)
     hists = build_score_histograms(pos, neg, counts.tolist())
     weights = _softmax(_log_marginals(hists))
-    binnings = []
-    for hist in hists:
-        bucket_prior = prior if prior is not None else _default_prior(hist)
-        binnings.append(
-            (hist.boundaries.copy(), _bucket_probabilities(hist, bucket_prior))
-        )
-    return CalibrationMap(binnings=tuple(binnings), weights=weights)
+    binnings = tuple(calibrate_histogram(hist, prior).binnings[0] for hist in hists)
+    return CalibrationMap(binnings=binnings, weights=weights)
 
 
 # Cells per unit of the lookup grid in _count_below; a power of two.

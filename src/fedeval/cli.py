@@ -206,7 +206,7 @@ def cmd_calibrate(args) -> int:
             return calibrate_histogram(hist, prior=args.prior)
     [(cal_map, report)] = held_out_calibrations(
         scores, positive, [spec], args.split,
-        np.random.SeedSequence((args.seed,)), fit_map, args.eval_bins,
+        np.random.SeedSequence((args.seed,)).spawn(4), fit_map, args.eval_bins,
     )
     print(result_header_line())
     print(json.dumps({

@@ -18,10 +18,9 @@ estimates under local DP.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -255,118 +254,93 @@ def _level_runs(spec: PrivacySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-class _RunningSums(NamedTuple):
-    """Every level's running sums of the node-wise sum of trees, in one buffer.
+def _running_sums(*trees: HierarchicalCounts) -> list[np.ndarray]:
+    """Every level's running sums of the node-wise sum of trees.
 
-    buffer[offsets[k-1] + i] is the sum of the first i level-k nodes
-    (0 for i = 0), in int64 when every level is an integer array and
-    float64 otherwise; total is the trees' summed population total. A
-    query builds them once, reads the prefixes it needs and drops them;
+    sums[k-1][i] is the sum of the first i level-k nodes (0 for i = 0).
+    Levels are added tree by tree, so two trees give the bits of a + b.
+    A query builds them once, reads the prefixes it needs and drops them;
     nothing caches them on a tree.
     """
+    return [
+        np.concatenate(([0], np.cumsum(sum(levels[1:], levels[0]))))
+        for levels in zip(*(t.values for t in trees))
+    ]
 
-    spec: PrivacySpec
-    total: float
-    buffer: np.ndarray
-    offsets: np.ndarray
 
+def _prefixes_at(sums: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Estimated count of examples below each prefix, from its _level_runs.
 
-def _running_sums(*trees: HierarchicalCounts) -> _RunningSums:
-    """Running sums of one tree, or of several trees built under one spec.
-
-    Levels and totals are added tree by tree, one level at a time, so
-    two trees give the bits of a + b.
+    Levels are accumulated from zero in level order, in int64 when every
+    level is an integer array and float64 otherwise, so a prefix has the
+    same bits whichever queries it is read with.
     """
-    exact = all(level.dtype.kind in "iu" for tree in trees for level in tree.values)
-    sizes = [len(level) + 1 for level in trees[0].values]
-    offsets = np.cumsum([0] + sizes[:-1])
-    buffer = np.zeros(sum(sizes), dtype=np.int64 if exact else np.float64)
-    for off, size, levels in zip(offsets, sizes, zip(*(t.values for t in trees))):
-        buffer[off + 1 : off + size] = np.cumsum(reduce(operator.add, levels))
-    total = reduce(operator.add, (t.population_total for t in trees))
-    return _RunningSums(trees[0].spec, total, buffer, offsets)
-
-
-def _prefixes_at(sums: _RunningSums, r: np.ndarray) -> np.ndarray:
-    """Estimated count of examples with leaf index < r, for each r.
-
-    Level contributions are accumulated from zero in level order, so a
-    prefix has the same bits whichever queries it is read with.
-    """
-    lo, hi = _level_runs(sums.spec, r)
-    base = sums.offsets[:, None]
-    out = np.zeros(r.shape, dtype=sums.buffer.dtype)
-    for level_sum in sums.buffer[base + hi] - sums.buffer[base + lo]:
-        out += level_sum
+    out = np.zeros(hi.shape[1], dtype=np.result_type(*sums))
+    for level_sums, level_lo, level_hi in zip(sums, lo, hi):
+        out += level_sums[level_hi] - level_sums[level_lo]
     return out
 
 
-def _quantile_leaves(sums: _RunningSums, targets: np.ndarray) -> np.ndarray:
+def _quantile_leaves(
+    spec: PrivacySpec, sums: list[np.ndarray], total: float, targets: np.ndarray
+) -> np.ndarray:
     """Leaf boundary that bisection over prefix counts reaches for each target.
 
-    Targets are clamped to [0, population total]. Every target runs the
-    scalar bisection over r in 0..f**h (move hi to mid when the prefix
-    at mid reaches the target, else lo to mid + 1) in lockstep with the
-    others. On monotone prefixes, as under secure aggregation, the
-    result is the first r whose prefix reaches the target; noisy
-    prefixes may be non-monotone, and the bisection then returns the
-    crossing it converges to, without post-processing.
+    Targets are clamped to [0, total]. Every target runs the scalar
+    bisection over r in 0..f**h (move hi to mid when the prefix at mid
+    reaches the target, else lo to mid + 1) in lockstep with the others.
+    On monotone prefixes, as under secure aggregation, the result is the
+    first r whose prefix reaches the target; noisy prefixes may be
+    non-monotone, and the bisection then returns the crossing it
+    converges to, without post-processing.
     """
-    total = max(sums.total, 0.0)
-    targets = np.minimum(np.maximum(targets, 0.0), total)
+    targets = np.minimum(np.maximum(targets, 0.0), max(total, 0.0))
     lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, sums.spec.num_leaves, dtype=np.int64)
+    hi = np.full(targets.shape, spec.num_leaves, dtype=np.int64)
     active = lo < hi
     while active.any():
         mid = (lo + hi) // 2
-        reached = _prefixes_at(sums, mid) >= targets
+        reached = _prefixes_at(sums, *_level_runs(spec, mid)) >= targets
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
         active = lo < hi
     return lo
 
 
-def _bucket_variances(
-    counts: HierarchicalCounts, boundary_leaves: np.ndarray
-) -> np.ndarray:
-    """Variance of each prefix-difference bucket count.
-
-    Nodes shared by the two prefix decompositions cancel in the
-    difference; every other node either prefix reads adds its level's
-    variance.
-    """
-    lo, hi = _level_runs(counts.spec, boundary_leaves)
-    # Runs under one parent start at the same node and differ by their
-    # ends; runs under different parents are disjoint, so both count.
-    nodes = np.where(
-        lo[:, :-1] == lo[:, 1:],
-        hi[:, 1:] - hi[:, :-1],
-        (hi - lo)[:, :-1] + (hi - lo)[:, 1:],
-    )
-    level_vars = np.asarray(counts.level_variances, dtype=np.float64)
-    return (nodes * level_vars[:, None]).sum(axis=0)
-
-
 def _bucket_histogram(
     pos: HierarchicalCounts,
     neg: HierarchicalCounts,
-    pos_sums: _RunningSums,
-    neg_sums: _RunningSums,
+    pos_sums: list[np.ndarray],
+    neg_sums: list[np.ndarray],
     boundary_leaves: np.ndarray,
 ) -> ScoreHistogram:
     """Bucket counts of both classes between the given leaf boundaries.
 
-    pos_sums and neg_sums are the running sums of pos and of neg.
+    pos_sums and neg_sums are the running sums of pos and of neg. A
+    bucket's variance counts the nodes that one of its two prefixes
+    reads and the other does not, each at its level's variance: nodes
+    both read cancel in the difference.
     """
-    pos_prefix = _prefixes_at(pos_sums, boundary_leaves)
-    neg_prefix = _prefixes_at(neg_sums, boundary_leaves)
+    lo, hi = _level_runs(pos.spec, boundary_leaves)
+    pos_prefix = _prefixes_at(pos_sums, lo, hi)
+    neg_prefix = _prefixes_at(neg_sums, lo, hi)
+    # Runs under one parent start at the same node and differ by their
+    # ends; runs under different parents are disjoint, so both count.
+    width = hi - lo
+    nodes = np.where(
+        lo[:, :-1] == lo[:, 1:], np.diff(hi, axis=1), width[:, :-1] + width[:, 1:]
+    )
+    pos_variances, neg_variances = (
+        (nodes * np.asarray(t.level_variances, dtype=np.float64)[:, None]).sum(axis=0)
+        for t in (pos, neg)
+    )
     return ScoreHistogram(
         spec=pos.spec,
         boundary_leaves=boundary_leaves,
         pos_values=np.diff(pos_prefix),
         neg_values=np.diff(neg_prefix),
-        pos_variances=_bucket_variances(pos, boundary_leaves),
-        neg_variances=_bucket_variances(neg, boundary_leaves),
+        pos_variances=pos_variances,
+        neg_variances=neg_variances,
         pos_total=float(pos_prefix[-1]),
         neg_total=float(neg_prefix[-1]),
     )
@@ -422,16 +396,14 @@ def build_score_histograms(
     if pos.spec != neg.spec:
         raise ValueError("pos and neg hierarchies must share one privacy spec")
     spec = pos.spec
-    combined = _running_sums(pos, neg)
+    total = pos.population_total + neg.population_total
     targets = {
-        b: np.arange(1, b) * combined.total / b
-        for b in bucket_counts
-        if b <= spec.num_leaves
+        b: np.arange(1, b) * total / b for b in bucket_counts if b <= spec.num_leaves
     }
     # Targets bisect independently in lockstep, so one bisection of all
     # of them reaches the leaves that one per count would.
-    found = _quantile_leaves(combined, np.concatenate([np.empty(0), *targets.values()]))
-    del combined
+    queries = np.concatenate([np.empty(0), *targets.values()])
+    found = _quantile_leaves(spec, _running_sums(pos, neg), total, queries)
     ends = np.cumsum([t.size for t in targets.values()])
     quantiles = dict(zip(targets, np.split(found, ends[:-1])))
     cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]

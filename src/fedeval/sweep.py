@@ -255,7 +255,7 @@ def held_out_calibrations(
     positive: np.ndarray,
     specs: Sequence[PrivacySpec],
     split_policy: str,
-    seed: np.random.SeedSequence,
+    seeds: Sequence[np.random.SeedSequence],
     fit_map: Callable[[HierarchicalCounts, HierarchicalCounts], CalibrationMap],
     eval_bins: int,
 ) -> list[tuple[CalibrationMap, EceReport]]:
@@ -265,20 +265,14 @@ def held_out_calibrations(
     clients once. Under each spec in turn both classes of that split are
     aggregated, fit_map(pos, neg) fits a map, and the map is scored on
     the second half. The trees of one spec are dropped before the next
-    spec's are built. The permutation, split, positive and negative
-    seeds are the four children that seed.spawn(4) would give next, but
-    seed is not advanced, so one seed gives the same fits on every
-    call. Every spec takes the same positive and negative seeds.
+    spec's are built. seeds are the permutation, split, positive and
+    negative seeds, in that order, so the same four seeds give the same
+    fits on every call. Every spec takes the same positive and negative
+    seeds.
     """
     if scores.size < 4:
         raise InsufficientPopulationError("calibrate needs at least 4 examples")
-    first = seed.n_children_spawned
-    perm_ss, split_ss, pos_ss, neg_ss = (
-        np.random.SeedSequence(
-            seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size
-        )
-        for i in range(first, first + 4)
-    )
+    perm_ss, split_ss, pos_ss, neg_ss = seeds
     perm = as_generator(perm_ss).permutation(scores.size)
     half = scores.size // 2
     clients = split_population(
@@ -306,7 +300,7 @@ def _ece_record(
     num_buckets: int,
     split_policy: str,
     eval_bins: int,
-    calib_seed: np.random.SeedSequence,
+    calib_seeds: Sequence[np.random.SeedSequence],
 ) -> tuple:
     """Held-out calibration quality under this cell's regime.
 
@@ -326,7 +320,7 @@ def _ece_record(
 
     try:
         fits = held_out_calibrations(
-            scores, positive, specs, split_policy, calib_seed, fit_map, eval_bins
+            scores, positive, specs, split_policy, calib_seeds, fit_map, eval_bins
         )
     except InsufficientPopulationError:
         return _DEGENERATE_ECE
@@ -403,7 +397,7 @@ def _run_cell(
         records.append(
             _ece_record(
                 scores, positive, spec, num_buckets, config.split_policy,
-                config.eval_bins, calib_ss,
+                config.eval_bins, calib_ss.spawn(4),
             )
         )
 

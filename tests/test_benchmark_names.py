@@ -7,7 +7,8 @@ name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
 the package, the mechanisms out of every module but hierarchy.py, and
 every exported name must resolve and be used outside its module. No
-module selects rows by an inverted boolean mask or imports scipy.
+module selects rows by an inverted boolean mask, imports scipy or reads
+the spawn state of a caller's SeedSequence.
 """
 
 import ast
@@ -177,6 +178,12 @@ def test_per_client_oracles_stay_in_the_tests():
     # The pipeline draws each aggregate from its law; no module or
     # script defines or calls a per-client mechanism.
     assert _offenders(PER_CLIENT_NAMES) == []
+
+
+def test_no_module_reads_a_seeds_spawn_state():
+    # A function that needs several seeds takes the children its caller
+    # spawned; none rebuilds them from the caller's SeedSequence.
+    assert _offenders({"spawn_key", "n_children_spawned", "pool_size"}) == []
 
 
 def test_only_hierarchy_applies_a_mechanism():

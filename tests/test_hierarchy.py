@@ -26,7 +26,7 @@ from fedeval.core import leaf_indices
 from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
-    _bucket_variances,
+    _bucket_histogram,
     _exact_levels,
     _level_runs,
     _prefixes_at,
@@ -105,16 +105,18 @@ def test_other_class_tree_is_empty_but_same_shape():
 
 def test_prefix_values_cover_full_range():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    assert _prefixes_at(_running_sums(pos), np.arange(5)).tolist() == [0, 1, 2, 3, 4]
+    runs = _level_runs(pos.spec, np.arange(5))
+    assert _prefixes_at(_running_sums(pos), *runs).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_find_quantile_first_crossing():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    sums = _running_sums(pos)
+    sums, total = _running_sums(pos), pos.population_total
     targets = np.array([1.0, 2.0, 0.0, 4.0])
-    assert _quantile_leaves(sums, targets).tolist() == [1, 2, 0, 4]
+    assert _quantile_leaves(pos.spec, sums, total, targets).tolist() == [1, 2, 0, 4]
     # Targets are clamped to [0, population total].
-    assert _quantile_leaves(sums, np.array([100.0, -3.0])).tolist() == [4, 0]
+    clamped = _quantile_leaves(pos.spec, sums, total, np.array([100.0, -3.0]))
+    assert clamped.tolist() == [4, 0]
 
 
 def test_histogram_of_separated_classes():
@@ -410,13 +412,14 @@ def test_bucket_variances_track_prefix_differences(height, fanout):
     rng = np.random.default_rng(height * 100 + fanout)
     level_vars = [float(v) for v in rng.uniform(0.5, 4.0, size=height)]
     counts = fabricated_counts(height, fanout, level_vars, rng)
+    sums = _running_sums(counts)
     n = fanout**height
     for _ in range(25):
         interior = np.sort(
             rng.choice(np.arange(1, n), size=min(4, n - 1), replace=False)
         )
         boundary = np.concatenate(([0], interior, [n]))
-        got = _bucket_variances(counts, boundary)
+        got = _bucket_histogram(counts, counts, sums, sums, boundary).pos_variances
         for i, (a, b) in enumerate(zip(boundary, boundary[1:])):
             expected = sum(
                 level_vars[k - 1]
@@ -441,8 +444,10 @@ def test_bucket_variance_empirically_calibrated():
     samples = np.zeros((builds, 3))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(77, i))
-        samples[i] = np.diff(_prefixes_at(_running_sums(hier), boundary))
-        advertised = _bucket_variances(hier, boundary)
+        sums = _running_sums(hier)
+        hist = _bucket_histogram(hier, hier, sums, sums, boundary)
+        samples[i] = hist.pos_values
+        advertised = hist.pos_variances
     empirical = samples.var(axis=0, ddof=1)
     assert np.all(empirical > 0.6 * advertised)
     assert np.all(empirical < 1.5 * advertised)
@@ -463,14 +468,15 @@ def test_prefixes_and_quantiles_consistent(items, target):
     shards = clients_of([((i + 0.5) / 16.0, f) for i, f in items])
     hier = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
     sums = _running_sums(hier)
-    prefix = _prefixes_at(sums, np.arange(17))
+    prefix = _prefixes_at(sums, *_level_runs(hier.spec, np.arange(17)))
     assert np.all(np.diff(prefix) >= 0)
     num_pos = sum(1 for _, f in items if f)
     assert prefix[-1] == num_pos
     for k in range(1, 5):
         assert hier.values[k - 1].sum() == num_pos
 
-    r = int(_quantile_leaves(sums, np.array([target]))[0])
+    total = hier.population_total
+    r = int(_quantile_leaves(hier.spec, sums, total, np.array([target]))[0])
     clamped = min(max(target, 0.0), float(num_pos))
     assert prefix[r] >= clamped
     if r > 0:
@@ -638,8 +644,9 @@ def test_prefix_queries_match_literal_reference(
         st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
     )
     combined = combined_tree(pos, neg)
-    # Queries add the totals tree by tree, as _running_sums does; the
-    # combined tree's own level-1 sum may differ in the last bit.
+    # Queries add the totals tree by tree, as build_score_histograms
+    # does; the combined tree's own level-1 sum may differ in the last
+    # bit.
     total = pos.population_total + neg.population_total
     for counts, sums, counts_total in (
         (pos, _running_sums(pos), pos.population_total),
@@ -647,10 +654,16 @@ def test_prefix_queries_match_literal_reference(
         (combined, _running_sums(pos, neg), total),
     ):
         values = dense_prefixes(counts)
-        assert same_bits(sums.total, counts_total)
-        assert same_bits(_prefixes_at(sums, np.array(leaves)), values[leaves])
+        # One array per level: its running sums after a leading 0.
+        assert [len(level) for level in sums] == [
+            fanout**k + 1 for k in range(1, height + 1)
+        ]
+        assert all(level[0] == 0 for level in sums)
+        runs = _level_runs(spec, np.array(leaves))
+        assert same_bits(_prefixes_at(sums, *runs), values[leaves])
         want = [bisect_leaf(values, clamped(t, counts_total)) for t in targets]
-        got = _quantile_leaves(sums, np.array(targets, dtype=np.float64))
+        queries = np.array(targets, dtype=np.float64)
+        got = _quantile_leaves(spec, sums, counts_total, queries)
         assert same_bits(got, np.array(want, dtype=np.int64))
 
     hist = build_score_histogram(pos, neg, num_buckets)
@@ -664,6 +677,31 @@ def test_prefix_queries_match_literal_reference(
         assert same_bits(got_values, np.diff(values[boundary]))
         assert same_bits(got_variances, reference_bucket_variances(counts, boundary))
         assert same_bits(got_total, float(values[n]))
+
+
+def test_levels_of_mixed_dtypes_read_in_float64():
+    # A tree whose levels mix int64 and float64 reads every level of its
+    # prefixes in float64, as its dense prefixes do; a tree of integer
+    # levels alone stays in int64.
+    spec = sa_spec(2)
+    mixed = HierarchicalCounts(
+        spec=spec,
+        values=(np.array([3, 1]), np.array([2.0, 1.0, 0.0, 1.0])),
+        level_variances=(0.0, 0.0),
+    )
+    ints = HierarchicalCounts(
+        spec=spec,
+        values=(np.array([1, 1]), np.array([0, 1, 1, 0])),
+        level_variances=(0.0, 0.0),
+    )
+    hist = build_score_histogram(mixed, ints, 2)
+    assert same_bits(hist.boundary_leaves, np.array([0, 2, 4]))
+    assert same_bits(hist.pos_values, np.array([3.0, 1.0]))
+    assert same_bits(hist.neg_values, np.array([1, 1]))
+    assert same_bits(hist.pos_variances, np.zeros(2))
+    assert (hist.pos_total, hist.neg_total) == (4.0, 2.0)
+    for counts, values in ((mixed, hist.pos_values), (ints, hist.neg_values)):
+        assert same_bits(values, np.diff(dense_prefixes(counts)[[0, 2, 4]]))
 
 
 @pytest.mark.parametrize("fanout", [2, 3])
@@ -785,12 +823,13 @@ TREE_FIELDS = {"spec", "values", "level_variances"}
 )
 def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
     # Running sums are built per query and dropped with it: the trees
-    # gain no attribute, and no buffer outlives the call that built it.
-    buffers = []
+    # gain no attribute, and no level's sums outlive the call that built
+    # them.
+    builds = []
 
     def tracked(*trees):
         sums = _running_sums(*trees)
-        buffers.append(weakref.ref(sums.buffer))
+        builds.append([weakref.ref(level) for level in sums])
         return sums
 
     monkeypatch.setattr(hierarchy, "_running_sums", tracked)
@@ -802,8 +841,9 @@ def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
     hist = build_score_histogram(pos, neg, 20)
     cal_map = calibrate_bbq(pos, neg)
     assert hist.num_buckets > 1 and len(cal_map.binnings) > 1
-    assert len(buffers) == 6
-    assert all(ref() is None for ref in buffers)
+    assert len(builds) == 6
+    assert all(len(refs) == spec.height for refs in builds)
+    assert all(ref() is None for refs in builds for ref in refs)
     for tree in (pos, neg):
         assert set(vars(tree)) == TREE_FIELDS
 

@@ -394,11 +394,11 @@ def test_local_dp_multi_example_sweep_raises(base_seed):
         run_sweep(local_multi_config(base_seed))
 
 
-def test_ece_record_leaves_its_seed_as_it_was(monkeypatch):
-    # The held-out fit takes the four children that spawn(4) would give
-    # next without spawning them, so one SeedSequence gives one row on
-    # every call, the row a fresh seed gives; a seed that has spawned
-    # children hands the split the key spawn would have.
+def test_ece_record_gives_one_row_for_the_same_four_seeds(monkeypatch):
+    # The held-out fit takes its permutation, split, positive and
+    # negative seeds from the caller and spawns none, so the same four
+    # seeds give the same row on every call, with the second seed going
+    # to the split; other seeds give another row.
     split_keys = []
 
     def recording_split(*args):
@@ -408,18 +408,20 @@ def test_ece_record_leaves_its_seed_as_it_was(monkeypatch):
     monkeypatch.setattr(sweep, "split_population", recording_split)
     scores, positive = sample_population(2000, ScoreDistribution(), 0.5, 4)
     spec = PrivacySpec(regime=Regime.SECURE_AGG, height=8)
-    seed = np.random.SeedSequence(5)
+    seeds = np.random.SeedSequence(5).spawn(4)
     rows = [
-        _ece_record(scores, positive, spec, 10, "one_per_client", 10, seed)
+        _ece_record(scores, positive, spec, 10, "one_per_client", 10, seeds)
         for _ in range(2)
     ]
-    assert seed.n_children_spawned == 0
+    assert all(seed.n_children_spawned == 0 for seed in seeds)
     fresh = _ece_record(
-        scores, positive, spec, 10, "one_per_client", 10, np.random.SeedSequence(5)
+        scores, positive, spec, 10, "one_per_client", 10,
+        np.random.SeedSequence(5).spawn(4),
     )
     assert rows[0] == rows[1] == fresh
-    used = np.random.SeedSequence(5)
-    used.spawn(3)
-    _ece_record(scores, positive, spec, 10, "one_per_client", 10, used)
-    assert used.n_children_spawned == 3
-    assert split_keys == [(1,)] * 3 + [used.spawn(4)[1].spawn_key]
+    other = _ece_record(
+        scores, positive, spec, 10, "one_per_client", 10,
+        np.random.SeedSequence(6).spawn(4),
+    )
+    assert other[2] != fresh[2]
+    assert split_keys == [(1,)] * 4
