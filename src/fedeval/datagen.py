@@ -155,9 +155,19 @@ def _variable_offsets(
         )
     # Every shard holds at least one row, so num_examples draws always
     # suffice; capping them at num_examples keeps the running ends from
-    # overflowing. The last shard takes what is left.
-    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
-    ends = np.cumsum(sizes, dtype=np.int64)
+    # overflowing. The draws are sequential, so doubling chunks drawn
+    # until the ends reach num_examples are the first draws of one call
+    # for num_examples sizes. The last shard takes what is left.
+    chunks = [np.empty(0, dtype=np.int64)]
+    drawn, reached, chunk = 0, 0, int(num_examples / mean_size) + 1
+    while reached < num_examples:
+        chunk = min(chunk, num_examples - drawn)
+        sizes = np.minimum(rng.geometric(1.0 / mean_size, size=chunk), num_examples)
+        chunks.append(sizes)
+        drawn += chunk
+        reached += int(sizes.sum())
+        chunk *= 2
+    ends = np.cumsum(np.concatenate(chunks), dtype=np.int64)
     last = int(np.searchsorted(ends, num_examples))
     return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
 

@@ -2,13 +2,20 @@
 
 A hierarchy for one class population stores, for every level k in 1..h,
 the counts of examples falling in each of the f**k uniform segments of
-[0, 1]. Prefix counts over leaf cells decompose into at most (f-1)
-segments per level, so a prefix is read from at most h(f-1) nodes and
-only the prefixes a query asks for are read. Quantiles come from a
-bisection over prefix counts: the first crossing of the target when
-prefixes are monotone (secure aggregation), otherwise the crossing the
-bisection converges to. Equi-depth score histograms come from quantile
-boundaries plus prefix differences.
+[0, 1]. All levels live in one array in level order: level 1's f nodes,
+then level 2's f**2 nodes, and so on down to the f**h leaves; values
+holds one view of it per level. Prefix counts over leaf cells decompose
+into at most f - 1 nodes per level (all f top nodes for the full
+prefix), so a prefix is the sum of at most h(f - 1) + 1 nodes, added in
+level order, and only the prefixes a query asks for are read: one
+gather per tree reads every level and every query at once. Nothing of
+size f**h is formed after the build. Quantiles come from a bisection
+over prefix counts: the first crossing of the target when prefixes are
+monotone (secure aggregation), otherwise the crossing the bisection
+converges to. Equi-depth score histograms come from quantile boundaries
+plus prefix differences, so a cut at B buckets costs
+O(B * log2(f**h) * h * f). A very wide top level (h = 1 with a huge f)
+costs O(f) per prefix; no caller, test or workload uses one.
 
 Counts are exact under secure aggregation, carry per-node discrete
 Laplace noise under distributed DP, and are decoded unbiased frequency
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -46,33 +53,48 @@ __all__ = [
 ]
 
 
+def _level_starts(spec: PrivacySpec) -> list[int]:
+    """Offset of each level in the level-order node array, then its length."""
+    starts = [0]
+    for k in range(1, spec.height + 1):
+        starts.append(starts[-1] + spec.fanout**k)
+    return starts
+
+
+def _level_views(nodes: np.ndarray, spec: PrivacySpec) -> tuple[np.ndarray, ...]:
+    """One view of the level-order node array per level, level 1 first."""
+    return tuple(np.split(nodes, _level_starts(spec)[1:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class HierarchicalCounts:
     """Per-level segment counts for one population.
 
-    values[k-1] holds the f**k segment counts of level k; entries may be
-    negative under noise. level_variances[k-1] is the advertised noise
-    variance of a single level-k entry (0 under secure aggregation).
-    population_total is the sum of the level-1 counts.
+    nodes holds every level's counts in level order: level 1's f
+    segments, then level 2's f**2, down to the f**h leaves. values[k-1]
+    is the view of level k's f**k counts; entries may be negative under
+    noise. level_variances[k-1] is the advertised noise variance of a
+    single level-k entry (0 under secure aggregation). population_total
+    is the sum of the level-1 counts.
     """
 
     spec: PrivacySpec
-    values: tuple[np.ndarray, ...]
+    nodes: np.ndarray
     level_variances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.spec.height:
+        num_nodes = _level_starts(self.spec)[-1]
+        if self.nodes.shape != (num_nodes,):
             raise ValueError(
-                f"expected {self.spec.height} levels, got {len(self.values)}"
+                f"expected {num_nodes} nodes in {self.spec.height} levels, "
+                f"got shape {self.nodes.shape}"
             )
         if len(self.level_variances) != self.spec.height:
             raise ValueError("one variance per level is required")
-        for k, arr in enumerate(self.values, start=1):
-            if arr.shape != (self.spec.fanout**k,):
-                raise ValueError(
-                    f"level {k} must have {self.spec.fanout**k} entries, "
-                    f"got shape {arr.shape}"
-                )
+
+    @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return _level_views(self.nodes, self.spec)
 
     @property
     def num_leaves(self) -> int:
@@ -125,19 +147,26 @@ class ScoreHistogram:
         return self.boundary_leaves / self.spec.num_leaves
 
 
-def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> list[np.ndarray]:
-    """Exact segment counts of every level, from the leaf counts upward."""
+def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> np.ndarray:
+    """Exact segment counts of every level in level order, from the leaves up.
+
+    One bincount of the leaves' positions in the level-order array fills
+    the leaf level and zeroes the levels above, which are then summed
+    into their views.
+    """
+    starts = _level_starts(spec)
     leaves = leaf_indices(class_scores, spec.height, spec.fanout)
-    levels = [np.bincount(leaves, minlength=spec.num_leaves)]
-    for _ in range(spec.height - 1):
-        levels.append(np.einsum("ij->i", levels[-1].reshape(-1, spec.fanout)))
-    levels.reverse()
-    return levels
+    leaves += starts[-2]
+    nodes = np.bincount(leaves, minlength=starts[-1])
+    levels = _level_views(nodes, spec)
+    for below, level in zip(levels[:0:-1], levels[-2::-1]):
+        np.einsum("ij->i", below.reshape(-1, spec.fanout), out=level)
+    return nodes
 
 
 def _build_local_dp(
     clients: ClientSplit, class_rows: np.ndarray, spec: PrivacySpec, rng
-) -> tuple[list[np.ndarray], list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     num_clients = clients.num_clients
     num_leaves = spec.num_leaves
     # Every client holds at most one example, so the occupied clients
@@ -161,21 +190,27 @@ def _build_local_dp(
     # independent, so this tree's half is simulated directly from
     # its bit-sum distribution.
     p, q = 0.5, oue_flip_probability(spec.epsilon)
-    levels: list[np.ndarray] = []
+    nodes = np.empty(_level_starts(spec)[-1], dtype=np.float64)
     variances: list[float] = []
-    for k in range(1, spec.height + 1):
+    for k, decoded in enumerate(_level_views(nodes, spec), start=1):
         members = order[k - 1 :: spec.height]
         group_size = len(members)
         width = spec.fanout**k
-        nodes = leaf_of_client[members] // (num_leaves // width)
-        true_counts = np.bincount(nodes, minlength=width)[:width]
-        kept = rng.binomial(true_counts, p)
-        flipped = rng.binomial(group_size - true_counts, q)
+        level_nodes = leaf_of_client[members] // (num_leaves // width)
+        true_counts = np.bincount(level_nodes, minlength=width)[:width]
         scale = num_clients / group_size
-        decoded = ((kept + flipped) - group_size * q) / (p - q) * scale
-        levels.append(decoded)
+        # ((kept + flipped) - group_size * q) / (p - q) * scale, written
+        # into the level's view one operation at a time. The kept and
+        # flipped bit counts are whole numbers below 2**53, so their
+        # float sum is their integer sum.
+        decoded[...] = rng.binomial(true_counts, p)
+        unset = np.subtract(group_size, true_counts, out=true_counts)
+        decoded += rng.binomial(unset, q)
+        decoded -= group_size * q
+        decoded /= p - q
+        decoded *= scale
         variances.append(scale**2 * group_size * q * (1.0 - q) / (p - q) ** 2)
-    return levels, variances
+    return nodes, variances
 
 
 def build_hierarchy(
@@ -211,10 +246,7 @@ def build_hierarchy(
         # whatever its client count.
         clients.check_one_per_client()
         if num_clients == 0:
-            levels = [
-                np.zeros(spec.fanout**k, dtype=np.float64)
-                for k in range(1, spec.height + 1)
-            ]
+            nodes = np.zeros(_level_starts(spec)[-1], dtype=np.float64)
             variances = [0.0] * spec.height
         elif num_clients < spec.height:
             raise InsufficientPopulationError(
@@ -222,19 +254,19 @@ def build_hierarchy(
                 f"all levels, got {num_clients}"
             )
         else:
-            levels, variances = _build_local_dp(clients, class_rows, spec, rng)
+            nodes, variances = _build_local_dp(clients, class_rows, spec, rng)
     else:
-        levels = _exact_levels(clients.scores[class_rows], spec)
+        nodes = _exact_levels(clients.scores[class_rows], spec)
         variances = [0.0] * spec.height
         if spec.regime is Regime.DIST_DP and num_clients > 0:
             alpha = math.exp(-spec.epsilon / spec.height)
             node_variance = discrete_laplace_variance(alpha)
-            for k in range(1, spec.height + 1):
-                levels[k - 1] += aggregated_noise(alpha, rng, size=spec.fanout**k)
+            for level in _level_views(nodes, spec):
+                level += aggregated_noise(alpha, rng, size=level.size)
             variances = [node_variance] * spec.height
 
     return HierarchicalCounts(
-        spec=spec, values=tuple(levels), level_variances=tuple(variances)
+        spec=spec, nodes=nodes, level_variances=tuple(variances)
     )
 
 
@@ -247,60 +279,79 @@ def _level_runs(spec: PrivacySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     starts at 0; this also covers the full prefix r = f**h.
     """
     f = spec.fanout
-    seg = np.array([f ** (spec.height - k) for k in range(1, spec.height + 1)])
-    hi = r[None, :] // seg[:, None]
+    hi = np.empty((spec.height, r.size), dtype=np.int64)
+    hi[-1] = r
+    # r // f**(h-k) level by level from the leaves up: a division by one
+    # scalar is several times cheaper than one by a column of powers.
+    for k in range(spec.height - 1, 0, -1):
+        np.floor_divide(hi[k], f, out=hi[k - 1])
     lo = np.zeros_like(hi)
-    lo[1:] = f * hi[:-1]
+    np.multiply(hi[:-1], f, out=lo[1:])
     return lo, hi
 
 
-def _running_sums(*trees: HierarchicalCounts) -> list[np.ndarray]:
-    """Every level's running sums of the node-wise sum of trees.
+def _node_reads(
+    spec: PrivacySpec, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-order node indices of the prefixes with runs lo, hi, and which count.
 
-    sums[k-1][i] is the sum of the first i level-k nodes (0 for i = 0).
-    Levels are added tree by tree, so two trees give the bits of a + b.
-    A query builds them once, reads the prefixes it needs and drops them;
-    nothing caches them on a tree.
+    Row j of level k holds node lo + j of that level's run, as an index
+    into the level-order array, and the run reads it when j < hi - lo.
+    Level 1 has f rows, because the full prefix reads all f top nodes;
+    every level below has f - 1. Rows run in level order, so a column
+    lists its prefix's nodes in the order of the array. Unread rows may
+    point past their level.
     """
-    return [
-        np.concatenate(([0], np.cumsum(sum(levels[1:], levels[0]))))
-        for levels in zip(*(t.values for t in trees))
-    ]
+    f = spec.fanout
+    rows = [(0, j) for j in range(f)]
+    rows += [(k, j) for k in range(1, spec.height) for j in range(f - 1)]
+    level, offset = np.array(rows).T
+    starts = np.array(_level_starts(spec))
+    index = lo[level] + (starts[level] + offset)[:, None]
+    return index, offset[:, None] < (hi - lo)[level]
 
 
-def _prefixes_at(sums: list[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Estimated count of examples below each prefix, from its _level_runs.
+def _prefixes_at(
+    tree: HierarchicalCounts, reads: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Estimated count of examples below each prefix, from its _node_reads.
 
-    Levels are accumulated from zero in level order, in int64 when every
-    level is an integer array and float64 otherwise, so a prefix has the
-    same bits whichever queries it is read with.
+    One gather reads every level and every query. The nodes of a prefix
+    are added row by row in level order, in the tree's dtype, so a
+    prefix has the same bits whichever queries it is read with (a sum
+    over the rows may pair them when there is one query).
     """
-    out = np.zeros(hi.shape[1], dtype=np.result_type(*sums))
-    for level_sums, level_lo, level_hi in zip(sums, lo, hi):
-        out += level_sums[level_hi] - level_sums[level_lo]
-    return out
+    index, read = reads
+    gathered = np.where(read, tree.nodes.take(index, mode="clip"), 0)
+    return reduce(np.add, gathered)
 
 
 def _quantile_leaves(
-    spec: PrivacySpec, sums: list[np.ndarray], total: float, targets: np.ndarray
+    pos: HierarchicalCounts,
+    neg: HierarchicalCounts,
+    total: float,
+    targets: np.ndarray,
 ) -> np.ndarray:
-    """Leaf boundary that bisection over prefix counts reaches for each target.
+    """Leaf boundary that bisection over combined prefix counts reaches per target.
 
-    Targets are clamped to [0, total]. Every target runs the scalar
-    bisection over r in 0..f**h (move hi to mid when the prefix at mid
-    reaches the target, else lo to mid + 1) in lockstep with the others.
-    On monotone prefixes, as under secure aggregation, the result is the
-    first r whose prefix reaches the target; noisy prefixes may be
+    A combined prefix is pos's prefix plus neg's. Targets are clamped to
+    [0, total]. Every target runs the scalar bisection over r in
+    0..f**h (move hi to mid when the prefix at mid reaches the target,
+    else lo to mid + 1) in lockstep with the others. On monotone
+    prefixes, as under secure aggregation, the result is the first r
+    whose prefix reaches the target; noisy prefixes may be
     non-monotone, and the bisection then returns the crossing it
     converges to, without post-processing.
     """
+    spec = pos.spec
     targets = np.minimum(np.maximum(targets, 0.0), max(total, 0.0))
     lo = np.zeros(targets.shape, dtype=np.int64)
     hi = np.full(targets.shape, spec.num_leaves, dtype=np.int64)
     active = lo < hi
     while active.any():
         mid = (lo + hi) // 2
-        reached = _prefixes_at(sums, *_level_runs(spec, mid)) >= targets
+        reads = _node_reads(spec, *_level_runs(spec, mid))
+        reached = _prefixes_at(pos, reads) + _prefixes_at(neg, reads) >= targets
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid + 1, lo)
         active = lo < hi
@@ -308,22 +359,18 @@ def _quantile_leaves(
 
 
 def _bucket_histogram(
-    pos: HierarchicalCounts,
-    neg: HierarchicalCounts,
-    pos_sums: list[np.ndarray],
-    neg_sums: list[np.ndarray],
-    boundary_leaves: np.ndarray,
+    pos: HierarchicalCounts, neg: HierarchicalCounts, boundary_leaves: np.ndarray
 ) -> ScoreHistogram:
     """Bucket counts of both classes between the given leaf boundaries.
 
-    pos_sums and neg_sums are the running sums of pos and of neg. A
-    bucket's variance counts the nodes that one of its two prefixes
+    A bucket's variance counts the nodes that one of its two prefixes
     reads and the other does not, each at its level's variance: nodes
     both read cancel in the difference.
     """
     lo, hi = _level_runs(pos.spec, boundary_leaves)
-    pos_prefix = _prefixes_at(pos_sums, lo, hi)
-    neg_prefix = _prefixes_at(neg_sums, lo, hi)
+    reads = _node_reads(pos.spec, lo, hi)
+    pos_prefix = _prefixes_at(pos, reads)
+    neg_prefix = _prefixes_at(neg, reads)
     # Runs under one parent start at the same node and differ by their
     # ends; runs under different parents are disjoint, so both count.
     width = hi - lo
@@ -386,9 +433,9 @@ def build_score_histograms(
 
     Boundaries are the B-quantiles of the combined population, with
     over-wide buckets split (see _cut_leaves). The quantile targets of
-    every count up to f**h run through one bisection of the combined
-    running sums, which are dropped before each class's sums are built
-    once for all the histograms; no running sum outlives the call.
+    every count up to f**h run through one bisection over both trees,
+    and each histogram reads its boundaries' prefixes from the trees'
+    nodes; nothing of size f**h is formed.
     """
     for num_buckets in bucket_counts:
         if num_buckets < 1:
@@ -403,12 +450,11 @@ def build_score_histograms(
     # Targets bisect independently in lockstep, so one bisection of all
     # of them reaches the leaves that one per count would.
     queries = np.concatenate([np.empty(0), *targets.values()])
-    found = _quantile_leaves(spec, _running_sums(pos, neg), total, queries)
+    found = _quantile_leaves(pos, neg, total, queries)
     ends = np.cumsum([t.size for t in targets.values()])
     quantiles = dict(zip(targets, np.split(found, ends[:-1])))
     cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]
-    pos_sums, neg_sums = _running_sums(pos), _running_sums(neg)
-    return [_bucket_histogram(pos, neg, pos_sums, neg_sums, cut) for cut in cuts]
+    return [_bucket_histogram(pos, neg, cut) for cut in cuts]
 
 
 def build_score_histogram(

@@ -34,8 +34,8 @@ def aggregated_noise(alpha: float, rng, size=None):
     gen = as_generator(rng)
     scale = alpha / (1.0 - alpha)
     x = gen.poisson(gen.gamma(1.0, scale, size=size))
-    y = gen.poisson(gen.gamma(1.0, scale, size=size))
-    return x - y
+    x -= gen.poisson(gen.gamma(1.0, scale, size=size))
+    return x
 
 
 def discrete_laplace_variance(alpha: float) -> float:

@@ -35,7 +35,7 @@ from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
     ScoreHistogram,
-    _running_sums,
+    _quantile_leaves,
     build_hierarchy,
     build_score_histogram,
     build_score_histograms,
@@ -323,27 +323,28 @@ def test_ece_input_validation():
         ece_arrays(np.array([0.5, 0.5]), np.array([True]), 10)
 
 
-def test_bbq_builds_each_trees_running_sums_once(monkeypatch):
+def test_bbq_bisects_every_candidate_in_one_pass(monkeypatch):
     pos, neg = build_class_trees(4000, ScoreDistribution(), seed=35)
-    built = []
+    bisections = []
 
-    def counting(*trees):
-        built.append(trees)
-        return _running_sums(*trees)
+    def counting(*args):
+        bisections.append(args)
+        return _quantile_leaves(*args)
 
-    monkeypatch.setattr(hierarchy, "_running_sums", counting)
+    monkeypatch.setattr(hierarchy, "_quantile_leaves", counting)
     cal_map = calibrate_bbq(pos, neg)
     assert len(cal_map.binnings) > 1
-    # One build for the sum of pos and neg, which all the candidate cuts
-    # read, then one each for pos and neg.
-    assert built == [(pos, neg), (pos,), (neg,)]
+    # One bisection over both trees finds the quantile cuts of every
+    # candidate count at once; the bucket reads then go to the trees.
+    assert len(bisections) == 1
+    assert bisections[0][:2] == (pos, neg)
 
 
 # Local-DP BBQ map digests: noisy float trees, so a change in the bits
 # of the candidate counts, the cuts or the per-class reads shows here.
 BBQ_LOCAL_DP_DIGESTS = {
-    (2, 8): "48546cc3666ebed3b46515d496e12f3a767c047c49cf8180d10a9ec664838f62",
-    (3, 5): "158924f11fc538974a5d80a171517ef88f07adfd001948650222490957e1edd7",
+    (2, 8): "851826d2cc43f2da1b430992bf3627a2a9bfc324da8e61daeffe6bff1c995604",
+    (3, 5): "b57586de6de566487b657d51e15128eadd9f694dd19da6e6c92c4d5ea4a98946",
 }
 
 

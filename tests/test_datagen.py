@@ -186,6 +186,31 @@ def test_variable_offsets_match_the_loop_bitwise():
         assert got.tobytes() == expected.tobytes(), case
 
 
+def one_shot_variable_offsets(num_examples, mean_size, rng):
+    # The single draw of num_examples sizes that the doubling chunks
+    # replaced, kept literally.
+    sizes = np.minimum(rng.geometric(1.0 / mean_size, size=num_examples), num_examples)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    last = int(np.searchsorted(ends, num_examples))
+    return np.concatenate(([0], np.minimum(ends[: last + 1], num_examples)))
+
+
+def test_variable_offsets_match_the_one_shot_draw_bitwise():
+    # Doubling chunks are the first draws of the one-shot call, so every
+    # shard is the same; a chunk that stops short of M is followed by
+    # one twice its size.
+    for num_examples, mean_size, seed in itertools.product(
+        (0, 1, 50, 50_000), (1, 1.5, 2, 16, 100, 1e6, 1e300), range(6)
+    ):
+        expected = one_shot_variable_offsets(
+            num_examples, mean_size, np.random.default_rng(seed)
+        )
+        got = _variable_offsets(num_examples, mean_size, np.random.default_rng(seed))
+        case = (num_examples, mean_size, seed)
+        assert got.dtype == expected.dtype, case
+        assert got.tobytes() == expected.tobytes(), case
+
+
 def test_split_policy_validation():
     scores, positive = sample_population(10, ScoreDistribution(), seed=34)
     for policy in ("banana", "skewed:0", "skewed:abc", "variable:0.5"):

@@ -4,7 +4,11 @@ The digests were recorded with numpy 2.4.6 before the pipelines moved
 from per-example objects to score/label arrays; any change to them is a
 change of the random streams or of the output format and must be
 announced. Criterion 12 only compares two runs of the same code, so it
-cannot catch such a change on its own.
+cannot catch such a change on its own. The local_dp digests (the
+one_per_client sweep, sweep-data, evaluate-local_dp and calibrate-bbq)
+were re-recorded when local-DP prefixes became level-order sums of node
+values instead of differences of running sums: a change at the last
+bits of the float results, with no random stream changed.
 
 The list functions (gen_well_behaved, split_to_clients, build_hierarchy
 on per-client lists) wrap the array code; the property tests check that
@@ -57,7 +61,7 @@ SWEEP_DIGESTS = {
     ("dist_dp", "variable:4"):
         "28bbcce42ca049a518d9956a872fc1c0d3cb2de72a4edcb2007ca624f54dcb6d",
     ("local_dp", "one_per_client"):
-        "bbd85dffe93a3002c2e8c701045958cf8566966557a63d0fd597c2274f1cd90b",
+        "5b5f89c44ca829794ee5bf1d30f30ed781ec249bf5facee29da7ee4f0154d2f9",
     ("local_dp", "skewed:0.3"):
         "654ed7b385b1592940c30672ad3944817025f3d621fb15e69ba2cf3a5786c04d",
     ("local_dp", "variable:4"):
@@ -68,17 +72,17 @@ CLI_DIGESTS = {
     "gen-data":
         "7860e132684ca9e4ce541db86cf652ad6456555fd784781ca5d929b4c19fb254",
     "sweep-data":
-        "e0138775f870022b30db376fa5a67e4c4332b20631413a60f3c280a0ed73f78a",
+        "b8f53d5735fbf32248eb83975722445232e690ef868270c08c8bd173eed1bb09",
     "evaluate-secure_agg":
         "220c5bc542c328171ea50f78852f679aeec36d8a6d7a381ae4bd08152ec1c213",
     "evaluate-dist_dp":
         "14cd1f276d46d7a784c8bd65b7f806ee90cea6eaed05941a782f2cb6cd1fc496",
     "evaluate-local_dp":
-        "a57192cfda66d70ed2fd04234bca02805f4b66c051c920cfc5bc8e48a98deeac",
+        "461851525dd23cc0a7aef30b66105ff333bb95e2bcf56741b3a2bb9f2ef4b599",
     "calibrate-fixed":
         "227e5f81a8d11b70b4dab60d8a56c2e2ff3c02217f6d66a3c22db8cf0d941dda",
     "calibrate-bbq":
-        "ad41eeb4c871ffe842f170a3bbd9f6945ec242981883e8d8a5d6192225ce6694",
+        "cffd47c963c6294f3fdbc33cc2a85fe51de93568eada1f5062621ca4822fb842",
 }
 
 SPIKY = ScoreDistribution(spikes=(Spike(0.5, 0.1, 0.05), Spike(0.9, 0.05, 0.0)))

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -29,15 +28,18 @@ from fedeval.hierarchy import (
     _bucket_histogram,
     _exact_levels,
     _level_runs,
+    _level_views,
+    _node_reads,
     _prefixes_at,
     _quantile_leaves,
-    _running_sums,
     build_hierarchy,
     build_score_histogram,
     build_score_histograms,
 )
 from fedeval.mechanisms import discrete_laplace_variance
 from fedeval.metrics import auc_histogram, pra_threshold
+
+import running_sums_reader
 
 
 def sa_spec(height, fanout=2):
@@ -59,6 +61,21 @@ HISTOGRAM_FIELDS = (
     "boundary_leaves", "pos_values", "neg_values",
     "pos_variances", "neg_variances", "pos_total", "neg_total",
 )
+
+
+def prefixes(tree, leaves):
+    """The tree's prefix counts at the given leaf boundaries."""
+    spec = tree.spec
+    return _prefixes_at(tree, _node_reads(spec, *_level_runs(spec, np.asarray(leaves))))
+
+
+def zero_tree(tree):
+    """A tree of tree's spec and dtype whose nodes are all zero."""
+    return HierarchicalCounts(
+        spec=tree.spec,
+        nodes=np.zeros_like(tree.nodes),
+        level_variances=tree.level_variances,
+    )
 
 
 def test_levels_of_four_spread_scores():
@@ -88,7 +105,7 @@ def test_exact_levels_equal_the_reshape_sum_bitwise(fanout):
         spec = sa_spec(height, fanout)
         for num in (0, 1, 37, 5000):
             scores = rng.random(num)
-            got = _exact_levels(scores, spec)
+            got = _level_views(_exact_levels(scores, spec), spec)
             ref = reshape_sum_levels(scores, spec)
             assert len(got) == len(ref) == height
             for level, ref_level in zip(got, ref):
@@ -105,17 +122,17 @@ def test_other_class_tree_is_empty_but_same_shape():
 
 def test_prefix_values_cover_full_range():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    runs = _level_runs(pos.spec, np.arange(5))
-    assert _prefixes_at(_running_sums(pos), *runs).tolist() == [0, 1, 2, 3, 4]
+    assert prefixes(pos, np.arange(5)).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_find_quantile_first_crossing():
     pos = build_hierarchy(clients_of(FOUR), Label.POSITIVE, sa_spec(2))
-    sums, total = _running_sums(pos), pos.population_total
+    neg = build_hierarchy(clients_of(FOUR), Label.NEGATIVE, sa_spec(2))
+    total = pos.population_total
     targets = np.array([1.0, 2.0, 0.0, 4.0])
-    assert _quantile_leaves(pos.spec, sums, total, targets).tolist() == [1, 2, 0, 4]
+    assert _quantile_leaves(pos, neg, total, targets).tolist() == [1, 2, 0, 4]
     # Targets are clamped to [0, population total].
-    clamped = _quantile_leaves(pos.spec, sums, total, np.array([100.0, -3.0]))
+    clamped = _quantile_leaves(pos, neg, total, np.array([100.0, -3.0]))
     assert clamped.tolist() == [4, 0]
 
 
@@ -383,11 +400,11 @@ def fabricated_counts(height, fanout, level_variances, rng):
     spec = PrivacySpec(
         regime=Regime.DIST_DP, epsilon=1.0, height=height, fanout=fanout
     )
-    values = tuple(
-        rng.normal(size=fanout**k) for k in range(1, height + 1)
-    )
+    values = [rng.normal(size=fanout**k) for k in range(1, height + 1)]
     return HierarchicalCounts(
-        spec=spec, values=values, level_variances=tuple(level_variances)
+        spec=spec,
+        nodes=np.concatenate(values),
+        level_variances=tuple(level_variances),
     )
 
 
@@ -412,14 +429,13 @@ def test_bucket_variances_track_prefix_differences(height, fanout):
     rng = np.random.default_rng(height * 100 + fanout)
     level_vars = [float(v) for v in rng.uniform(0.5, 4.0, size=height)]
     counts = fabricated_counts(height, fanout, level_vars, rng)
-    sums = _running_sums(counts)
     n = fanout**height
     for _ in range(25):
         interior = np.sort(
             rng.choice(np.arange(1, n), size=min(4, n - 1), replace=False)
         )
         boundary = np.concatenate(([0], interior, [n]))
-        got = _bucket_histogram(counts, counts, sums, sums, boundary).pos_variances
+        got = _bucket_histogram(counts, counts, boundary).pos_variances
         for i, (a, b) in enumerate(zip(boundary, boundary[1:])):
             expected = sum(
                 level_vars[k - 1]
@@ -444,8 +460,7 @@ def test_bucket_variance_empirically_calibrated():
     samples = np.zeros((builds, 3))
     for i in range(builds):
         hier = build_hierarchy(shards, Label.POSITIVE, spec, seed=(77, i))
-        sums = _running_sums(hier)
-        hist = _bucket_histogram(hier, hier, sums, sums, boundary)
+        hist = _bucket_histogram(hier, hier, boundary)
         samples[i] = hist.pos_values
         advertised = hist.pos_variances
     empirical = samples.var(axis=0, ddof=1)
@@ -467,8 +482,7 @@ def test_bucket_variance_empirically_calibrated():
 def test_prefixes_and_quantiles_consistent(items, target):
     shards = clients_of([((i + 0.5) / 16.0, f) for i, f in items])
     hier = build_hierarchy(shards, Label.POSITIVE, sa_spec(4))
-    sums = _running_sums(hier)
-    prefix = _prefixes_at(sums, *_level_runs(hier.spec, np.arange(17)))
+    prefix = prefixes(hier, np.arange(17))
     assert np.all(np.diff(prefix) >= 0)
     num_pos = sum(1 for _, f in items if f)
     assert prefix[-1] == num_pos
@@ -476,7 +490,7 @@ def test_prefixes_and_quantiles_consistent(items, target):
         assert hier.values[k - 1].sum() == num_pos
 
     total = hier.population_total
-    r = int(_quantile_leaves(hier.spec, sums, total, np.array([target]))[0])
+    r = int(_quantile_leaves(hier, zero_tree(hier), total, np.array([target]))[0])
     clamped = min(max(target, 0.0), float(num_pos))
     assert prefix[r] >= clamped
     if r > 0:
@@ -520,23 +534,24 @@ def test_histogram_counts_partition_the_data(items, num_buckets):
 
 
 def dense_prefixes(counts):
-    """Every prefix value, for r = 0..f**h, by the dense formula.
+    """Every prefix value, for r = 0..f**h: its nodes summed in level order.
 
-    Prefix [0, r) is accumulated from zero in level order (int64 when
-    every level is an integer array, else float64); level k contributes
-    its nodes f*(r // f**(h-k+1)) .. r // f**(h-k) - 1, or 0 .. r // f**(h-1) - 1
-    at the top level.
+    Prefix [0, r) reads the level-k nodes f*(r // f**(h-k+1)) ..
+    r // f**(h-k) - 1, or 0 .. r // f**(h-1) - 1 at the top level. From
+    zero in the tree's dtype, the nodes it reads are added one at a
+    time, level 1 first and each level left to right: the order of the
+    level-order array.
     """
     f, h, n = counts.spec.fanout, counts.spec.height, counts.num_leaves
     r = np.arange(n + 1, dtype=np.int64)
-    exact = all(level.dtype.kind in "iu" for level in counts.values)
-    values = np.zeros(n + 1, dtype=np.int64 if exact else np.float64)
+    values = np.zeros(n + 1, dtype=counts.nodes.dtype)
     for k in range(1, h + 1):
         level = counts.values[k - 1]
-        cum = np.concatenate(([level.dtype.type(0)], np.cumsum(level)))
         hi = r // f ** (h - k)
         lo = f * (r // f ** (h - k + 1)) if k > 1 else np.zeros_like(r)
-        values += cum[hi] - cum[lo]
+        for j in range(f):
+            reading = np.flatnonzero(lo + j < hi)
+            values[reading] += level[lo[reading] + j]
     return values
 
 
@@ -556,20 +571,20 @@ def clamped(target, total):
     return min(max(target, 0.0), max(total, 0.0))
 
 
-def reference_boundaries(combined, num_buckets, total):
+def reference_boundaries(prefix, spec, num_buckets, total):
     """Quantile cuts by scalar bisection, then the aligned width cap.
 
-    total is the combined population total that the targets divide.
+    prefix holds the combined prefixes at r = 0..f**h, and total is the
+    combined population total that the targets divide.
     """
-    prefix = dense_prefixes(combined)
-    n, f = combined.num_leaves, combined.spec.fanout
+    n, f = spec.num_leaves, spec.fanout
     cuts = {0, n}
     for j in range(1, num_buckets):
         cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, total)))
     cap_level = 0
     while f**cap_level < num_buckets:
         cap_level += 1
-    stride = n // f ** min(combined.spec.height, max(0, cap_level - 1))
+    stride = n // f ** min(spec.height, max(0, cap_level - 1))
     bounds = sorted(cuts)
     final = [0]
     for left, right in zip(bounds, bounds[1:]):
@@ -592,17 +607,6 @@ def reference_bucket_variances(counts, boundary):
             for a, b in zip(boundary.tolist(), boundary[1:].tolist())
         ],
         dtype=np.float64,
-    )
-
-
-def combined_tree(pos, neg):
-    """The tree whose nodes are those of pos plus those of neg."""
-    return HierarchicalCounts(
-        spec=pos.spec,
-        values=tuple(a + b for a, b in zip(pos.values, neg.values)),
-        level_variances=tuple(
-            a + b for a, b in zip(pos.level_variances, neg.level_variances)
-        ),
     )
 
 
@@ -643,55 +647,47 @@ def test_prefix_queries_match_literal_reference(
     targets = data.draw(
         st.lists(st.floats(-5.0, num_examples + 5.0), max_size=10)
     )
-    combined = combined_tree(pos, neg)
+    queries = np.array(targets, dtype=np.float64)
     # Queries add the totals tree by tree, as build_score_histograms
-    # does; the combined tree's own level-1 sum may differ in the last
-    # bit.
+    # does, and a combined prefix is pos's prefix plus neg's.
     total = pos.population_total + neg.population_total
-    for counts, sums, counts_total in (
-        (pos, _running_sums(pos), pos.population_total),
-        (neg, _running_sums(neg), neg.population_total),
-        (combined, _running_sums(pos, neg), total),
+    pos_values, neg_values = dense_prefixes(pos), dense_prefixes(neg)
+    for trees, values, counts_total in (
+        ((pos, zero_tree(pos)), pos_values, pos.population_total),
+        ((zero_tree(neg), neg), neg_values, neg.population_total),
+        ((pos, neg), pos_values + neg_values, total),
     ):
-        values = dense_prefixes(counts)
-        # One array per level: its running sums after a leading 0.
-        assert [len(level) for level in sums] == [
-            fanout**k + 1 for k in range(1, height + 1)
-        ]
-        assert all(level[0] == 0 for level in sums)
-        runs = _level_runs(spec, np.array(leaves))
-        assert same_bits(_prefixes_at(sums, *runs), values[leaves])
         want = [bisect_leaf(values, clamped(t, counts_total)) for t in targets]
-        queries = np.array(targets, dtype=np.float64)
-        got = _quantile_leaves(spec, sums, counts_total, queries)
+        got = _quantile_leaves(*trees, counts_total, queries)
         assert same_bits(got, np.array(want, dtype=np.int64))
+    for counts, values in ((pos, pos_values), (neg, neg_values)):
+        assert same_bits(prefixes(counts, leaves), values[leaves])
 
     hist = build_score_histogram(pos, neg, num_buckets)
-    boundary = reference_boundaries(combined, num_buckets, total)
+    boundary = reference_boundaries(pos_values + neg_values, spec, num_buckets, total)
     assert same_bits(hist.boundary_leaves, boundary)
-    for counts, got_values, got_variances, got_total in (
-        (pos, hist.pos_values, hist.pos_variances, hist.pos_total),
-        (neg, hist.neg_values, hist.neg_variances, hist.neg_total),
+    for counts, values, got_values, got_variances, got_total in (
+        (pos, pos_values, hist.pos_values, hist.pos_variances, hist.pos_total),
+        (neg, neg_values, hist.neg_values, hist.neg_variances, hist.neg_total),
     ):
-        values = dense_prefixes(counts)
         assert same_bits(got_values, np.diff(values[boundary]))
         assert same_bits(got_variances, reference_bucket_variances(counts, boundary))
         assert same_bits(got_total, float(values[n]))
 
 
 def test_levels_of_mixed_dtypes_read_in_float64():
-    # A tree whose levels mix int64 and float64 reads every level of its
-    # prefixes in float64, as its dense prefixes do; a tree of integer
-    # levels alone stays in int64.
+    # Levels of int64 and float64 make one float64 array, whose prefixes
+    # read in float64 as its dense prefixes do; a tree of integer levels
+    # alone stays in int64.
     spec = sa_spec(2)
     mixed = HierarchicalCounts(
         spec=spec,
-        values=(np.array([3, 1]), np.array([2.0, 1.0, 0.0, 1.0])),
+        nodes=np.concatenate((np.array([3, 1]), np.array([2.0, 1.0, 0.0, 1.0]))),
         level_variances=(0.0, 0.0),
     )
     ints = HierarchicalCounts(
         spec=spec,
-        values=(np.array([1, 1]), np.array([0, 1, 1, 0])),
+        nodes=np.concatenate((np.array([1, 1]), np.array([0, 1, 1, 0]))),
         level_variances=(0.0, 0.0),
     )
     hist = build_score_histogram(mixed, ints, 2)
@@ -733,8 +729,8 @@ def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
     clients = split_population(scores, positive, "one_per_client")
     pos = build_hierarchy(clients, Label.POSITIVE, spec, 22)
     neg = build_hierarchy(clients, Label.NEGATIVE, spec, 23)
-    combined = combined_tree(pos, neg)
-    assert (np.diff(dense_prefixes(combined)) < 0).any()
+    combined = dense_prefixes(pos) + dense_prefixes(neg)
+    assert (np.diff(combined) < 0).any()
     counts = [3, 17, 100, 271, 17, 1, spec.num_leaves + 1]
     hists = build_score_histograms(pos, neg, counts)
     assert len(hists) == len(counts)
@@ -744,7 +740,7 @@ def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
             assert same_bits(getattr(got, field), getattr(want, field)), (count, field)
         if count <= spec.num_leaves:
             total = pos.population_total + neg.population_total
-            reference = reference_boundaries(combined, count, total)
+            reference = reference_boundaries(combined, spec, count, total)
             assert same_bits(got.boundary_leaves, reference), count
 
 
@@ -811,41 +807,140 @@ def test_every_accepted_epsilon_runs(
         assert np.all((0.0 <= values) & (values <= 1.0))
 
 
-# -- prefix-sum lifetime and local-DP temporaries ----------------------------
+# -- one level-order array per tree, read node by node ---------------------
 
-TREE_FIELDS = {"spec", "values", "level_variances"}
+TREE_FIELDS = {"spec", "nodes", "level_variances"}
+
+
+@pytest.mark.parametrize("fanout,height", [(2, 10), (3, 6), (4, 5)])
+@pytest.mark.parametrize(
+    "regime", [Regime.SECURE_AGG, Regime.DIST_DP], ids=lambda regime: regime.value
+)
+def test_histograms_match_the_running_sum_reader_bitwise(regime, fanout, height):
+    # Integer trees: node sums in any order are the running-sum
+    # differences, so every field keeps its bits, dtypes included.
+    epsilon = None if regime is Regime.SECURE_AGG else 1.0
+    spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height, fanout=fanout)
+    n = spec.num_leaves
+    counts = [1, 2, 7, 100, n, n + 3]
+    for num_examples, seed in ((0, 50), (1, 51), (3000, 52)):
+        scores, positive = sample_population(
+            num_examples, ScoreDistribution(), 0.4, seed
+        )
+        clients = split_population(scores, positive, "one_per_client")
+        pos = build_hierarchy(clients, Label.POSITIVE, spec, seed + 1)
+        neg = build_hierarchy(clients, Label.NEGATIVE, spec, seed + 2)
+        got = build_score_histograms(pos, neg, counts)
+        want = running_sums_reader.build_score_histograms(pos, neg, counts)
+        for count, got_hist, want_hist in zip(counts, got, want):
+            for field in HISTOGRAM_FIELDS:
+                assert same_bits(
+                    getattr(got_hist, field), getattr(want_hist, field)
+                ), (num_examples, count, field)
+
+
+@pytest.mark.parametrize("fanout,height", [(2, 8), (3, 5), (5, 3)])
+def test_float_prefixes_are_level_order_node_sums(fanout, height):
+    # Every prefix of a local-DP tree has the bits of its nodes added in
+    # level order, and lies within the rounding bound of their exact sum.
+    spec = ldp_spec(height, 2.0, fanout)
+    scores, positive = sample_population(3000, ScoreDistribution(), 0.4, 60)
+    clients = split_population(scores, positive, "one_per_client")
+    tree = build_hierarchy(clients, Label.POSITIVE, spec, 61)
+    values = dense_prefixes(tree)
+    leaves = np.arange(spec.num_leaves + 1)
+    assert same_bits(prefixes(tree, leaves), values)
+    assert same_bits(prefixes(tree, leaves[::-1]), values[::-1])
+    for r in leaves.tolist():
+        assert same_bits(prefixes(tree, [r]), values[[r]]), r
+        read = [
+            float(tree.values[k - 1][node])
+            for k in range(1, height + 1)
+            for node in sorted(prefix_run(r, k, height, fanout))
+        ]
+        exact = math.fsum(read)
+        bound = len(read) * 2.0**-53 * math.fsum(abs(x) for x in read)
+        assert abs(values[r] - exact) <= bound, r
+
+
+@pytest.mark.parametrize("fanout,height", [(2, 4), (3, 3), (7, 2), (5, 1)])
+def test_only_the_full_prefix_reads_all_top_nodes(fanout, height):
+    # Top nodes 1, 10, 100, ... and zeros below: a prefix's count names
+    # the top nodes it read.
+    spec = sa_spec(height, fanout)
+    nodes = np.zeros(sum(fanout**k for k in range(1, height + 1)), dtype=np.int64)
+    nodes[:fanout] = 10 ** np.arange(fanout)
+    tree = HierarchicalCounts(spec=spec, nodes=nodes, level_variances=(0.0,) * height)
+    n = spec.num_leaves
+    top = n // fanout
+    got = prefixes(tree, np.arange(n + 1))
+    assert got[n] == int("1" * fanout)
+    assert got.tolist() == [int("0" + "1" * (r // top)) for r in range(n + 1)]
+    # One read row per top node, f - 1 for each level below.
+    index, read = _node_reads(spec, *_level_runs(spec, np.array([0, n - 1, n])))
+    assert index.shape == read.shape == (height * (fanout - 1) + 1, 3)
+    below = [False] * (height - 1) * (fanout - 1)
+    assert read[:, 2].tolist() == [True] * fanout + below
+    assert read[:, 1].sum() == height * (fanout - 1)
+
+
+def built_trees():
+    """(label, tree) of every builder, the zero-client local_dp tree included."""
+    scores, positive = sample_population(500, ScoreDistribution(), 0.4, 70)
+    clients = split_population(scores, positive, "one_per_client")
+    for spec in (sa_spec(5, 3), dp_spec(5, 1.0, 3), ldp_spec(5, 5.0, 3)):
+        for label in Label:
+            yield spec.regime.value, build_hierarchy(clients, label, spec, 71)
+    yield "local_dp, no clients", build_hierarchy(
+        clients_of([]), Label.POSITIVE, ldp_spec(4, 5.0), 72
+    )
+
+
+def test_values_are_views_of_the_one_level_order_array():
+    for name, tree in built_trees():
+        f, h = tree.spec.fanout, tree.spec.height
+        assert set(vars(tree)) == TREE_FIELDS, name
+        assert tree.nodes.ndim == 1 and tree.nodes.flags.owndata, name
+        assert tree.nodes.dtype == (np.float64 if "local" in name else np.int64)
+        start = 0
+        for k, level in enumerate(tree.values, start=1):
+            assert level.base is tree.nodes, (name, k)
+            assert np.shares_memory(level, tree.nodes[start : start + f**k])
+            assert level.__array_interface__["data"][0] == (
+                tree.nodes.__array_interface__["data"][0] + start * tree.nodes.itemsize
+            )
+            start += f**k
+        assert start == tree.nodes.size
 
 
 @pytest.mark.parametrize(
     "spec",
-    [sa_spec(8), dp_spec(8, 1.0), ldp_spec(8, 5.0)],
+    [sa_spec(20), dp_spec(20, 1.0), ldp_spec(20, 5.0)],
     ids=lambda spec: spec.regime.value,
 )
-def test_queries_leave_no_prefix_sums_behind(spec, monkeypatch):
-    # Running sums are built per query and dropped with it: the trees
-    # gain no attribute, and no level's sums outlive the call that built
-    # them.
-    builds = []
-
-    def tracked(*trees):
-        sums = _running_sums(*trees)
-        builds.append([weakref.ref(level) for level in sums])
-        return sums
-
-    monkeypatch.setattr(hierarchy, "_running_sums", tracked)
-    assert not hasattr(HierarchicalCounts, "_running_sums")
+def test_queries_allocate_under_a_quarter_of_a_tree(spec):
+    # Histograms and BBQ read the prefixes they need from the trees'
+    # nodes: nothing of the trees' size is formed, and the trees gain no
+    # attribute.
+    assert not hasattr(hierarchy, "_running_sums")
     scores, positive = sample_population(3000, ScoreDistribution(), 0.5, 5)
     clients = split_population(scores, positive, "one_per_client")
     pos = build_hierarchy(clients, Label.POSITIVE, spec, 6)
     neg = build_hierarchy(clients, Label.NEGATIVE, spec, 7)
-    hist = build_score_histogram(pos, neg, 20)
-    cal_map = calibrate_bbq(pos, neg)
-    assert hist.num_buckets > 1 and len(cal_map.binnings) > 1
-    assert len(builds) == 6
-    assert all(len(refs) == spec.height for refs in builds)
-    assert all(ref() is None for refs in builds for ref in refs)
+    tracemalloc.start()
+    try:
+        hists = build_score_histograms(pos, neg, [20, 100])
+        cal_map = calibrate_bbq(pos, neg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(hist.num_buckets > 1 for hist in hists) and len(cal_map.binnings) > 1
+    assert peak < pos.nodes.nbytes / 4
     for tree in (pos, neg):
         assert set(vars(tree)) == TREE_FIELDS
+
+
+# -- plain counts and local-DP temporaries ---------------------------------
 
 
 @pytest.mark.parametrize("fanout", [2, 3])
@@ -874,7 +969,7 @@ def test_counts_are_plain_numbers(regime, fanout):
     with pytest.raises(TypeError):
         HierarchicalCounts(
             spec=spec,
-            values=pos.values,
+            nodes=pos.nodes,
             level_variances=pos.level_variances,
             population_total=pos.population_total,
         )

@@ -100,6 +100,14 @@ def test_aggregated_noise_is_two_unit_shape_polya_draws_bitwise():
             ref = x - sample_polya(1.0, alpha, rng, size=size)
             assert np.asarray(ours).dtype == np.asarray(ref).dtype
             assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+            # The second draw is subtracted in place; the bits are those
+            # of x - y with both draws kept.
+            gen = np.random.default_rng(11)
+            scale = alpha / (1.0 - alpha)
+            x = gen.poisson(gen.gamma(1.0, scale, size=size))
+            y = gen.poisson(gen.gamma(1.0, scale, size=size))
+            assert np.asarray(ours).dtype == np.asarray(x - y).dtype
+            assert np.asarray(ours).tobytes() == np.asarray(x - y).tobytes()
     for alpha in (0.0, 1.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="alpha must lie in"):
             aggregated_noise(alpha, np.random.default_rng(0))

@@ -16,7 +16,6 @@ from fedeval.datagen import split_population
 from fedeval.hierarchy import (
     ScoreHistogram,
     _bucket_histogram,
-    _running_sums,
     build_hierarchy,
     build_score_histogram,
 )
@@ -171,9 +170,7 @@ def test_auc_noise_variance_is_conservative():
     for i in range(builds):
         pos = build_hierarchy(shards, Label.POSITIVE, spec, seed=(13, i))
         neg = build_hierarchy(shards, Label.NEGATIVE, spec, seed=(14, i))
-        hist = _bucket_histogram(
-            pos, neg, _running_sums(pos), _running_sums(neg), boundary
-        )
+        hist = _bucket_histogram(pos, neg, boundary)
         est = auc_histogram(hist)
         values[i] = est.value
         advertised_var[i] = est.noise_variance

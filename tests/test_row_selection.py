@@ -15,7 +15,7 @@ import pytest
 from fedeval import ClientSplit, Label, PrivacySpec, Regime, ScoreDistribution, Spike
 from fedeval.core import as_generator, leaf_indices, oue_flip_probability
 from fedeval.datagen import _linear_inverse_cdf, sample_population
-from fedeval.hierarchy import _exact_levels, build_hierarchy
+from fedeval.hierarchy import _exact_levels, _level_views, build_hierarchy
 from fedeval.mechanisms import aggregated_noise, discrete_laplace_variance
 from fedeval.oracle import _class_sorted
 
@@ -96,7 +96,7 @@ def mask_build_hierarchy(clients, label, spec, seed):
     class_rows = clients.positive if label is Label.POSITIVE else ~clients.positive
     if spec.regime is Regime.LOCAL_DP:
         return mask_local_dp(clients, class_rows, spec, rng)
-    levels = _exact_levels(clients.scores[class_rows], spec)
+    levels = list(_level_views(_exact_levels(clients.scores[class_rows], spec), spec))
     variances = [0.0] * spec.height
     if spec.regime is Regime.DIST_DP and clients.num_clients > 0:
         alpha = math.exp(-spec.epsilon / spec.height)
