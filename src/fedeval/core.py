@@ -10,8 +10,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -245,18 +245,18 @@ class ScoreDistribution:
 def as_arrays(examples: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:
     """Convert examples to (scores float64, labels bool) arrays."""
     count = len(examples)
-    scores = np.fromiter(map(attrgetter("score"), examples), np.float64, count)
-    labels = np.fromiter(map(attrgetter("label"), examples), object, count)
-    return scores, labels == Label.POSITIVE
+    scores = np.fromiter(map(itemgetter(0), examples), np.float64, count)
+    labels = map(itemgetter(1), examples)
+    positive = np.fromiter(map(is_, labels, repeat(Label.POSITIVE)), bool, count)
+    return scores, positive
 
 
 def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[LabeledScore]:
     """The examples of (scores, positive) columns, in row order."""
-    labels = (Label.NEGATIVE, Label.POSITIVE)
-    return [
-        LabeledScore(score, labels[flag])
-        for score, flag in zip(scores.tolist(), positive.tolist())
-    ]
+    labels = map((Label.NEGATIVE, Label.POSITIVE).__getitem__, positive.tolist())
+    # tuple.__new__ is how a NamedTuple builds itself, without the
+    # keyword handling of its __new__.
+    return list(map(tuple.__new__, repeat(LabeledScore), zip(scores.tolist(), labels)))
 
 
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:

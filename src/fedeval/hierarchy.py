@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +53,17 @@ __all__ = [
 ]
 
 
-def _level_starts(spec: PrivacySpec) -> list[int]:
+def _level_starts(spec: PrivacySpec) -> tuple[int, ...]:
     """Offset of each level in the level-order node array, then its length."""
+    return _starts(spec.fanout, spec.height)
+
+
+@lru_cache(maxsize=None)
+def _starts(fanout: int, height: int) -> tuple[int, ...]:
     starts = [0]
-    for k in range(1, spec.height + 1):
-        starts.append(starts[-1] + spec.fanout**k)
-    return starts
+    for k in range(1, height + 1):
+        starts.append(starts[-1] + fanout**k)
+    return tuple(starts)
 
 
 def _level_views(nodes: np.ndarray, spec: PrivacySpec) -> tuple[np.ndarray, ...]:
@@ -102,7 +107,7 @@ class HierarchicalCounts:
 
     @property
     def population_total(self) -> float:
-        return float(self.values[0].sum())
+        return float(self.nodes[: self.spec.fanout].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +208,12 @@ def _build_local_dp(
         # into the level's view one operation at a time. The kept and
         # flipped bit counts are whole numbers below 2**53, so their
         # float sum is their integer sum.
-        decoded[...] = rng.binomial(true_counts, p)
+        # numpy draws nothing for n = 0, so drawing the kept bits of
+        # the occupied nodes alone leaves the bits and the stream as
+        # they are; deep levels of a tall tree are mostly empty.
+        occupied = np.flatnonzero(true_counts)
+        decoded[...] = 0.0
+        decoded[occupied] = rng.binomial(true_counts[occupied], p)
         unset = np.subtract(group_size, true_counts, out=true_counts)
         decoded += rng.binomial(unset, q)
         decoded -= group_size * q
@@ -282,7 +292,8 @@ def _level_runs(spec: PrivacySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     hi = np.empty((spec.height, r.size), dtype=np.int64)
     hi[-1] = r
     # r // f**(h-k) level by level from the leaves up: a division by one
-    # scalar is several times cheaper than one by a column of powers.
+    # scalar is several times cheaper than one by a column of powers
+    # (32 against 167 us at h = 16 with 1039 prefixes).
     for k in range(spec.height - 1, 0, -1):
         np.floor_divide(hi[k], f, out=hi[k - 1])
     lo = np.zeros_like(hi)
@@ -302,13 +313,24 @@ def _node_reads(
     lists its prefix's nodes in the order of the array. Unread rows may
     point past their level.
     """
-    f = spec.fanout
-    rows = [(0, j) for j in range(f)]
-    rows += [(k, j) for k in range(1, spec.height) for j in range(f - 1)]
+    level, offset, base = _read_rows(spec.fanout, spec.height)
+    return lo[level] + base, offset < (hi - lo)[level]
+
+
+@lru_cache(maxsize=None)
+def _read_rows(fanout: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level, offset in the run and level-order base of each _node_reads row.
+
+    offset and base are columns, to broadcast against the queries.
+    """
+    rows = [(0, j) for j in range(fanout)]
+    rows += [(k, j) for k in range(1, height) for j in range(fanout - 1)]
     level, offset = np.array(rows).T
-    starts = np.array(_level_starts(spec))
-    index = lo[level] + (starts[level] + offset)[:, None]
-    return index, offset[:, None] < (hi - lo)[level]
+    base = np.array(_starts(fanout, height))[level] + offset
+    tables = level, offset[:, None], base[:, None]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _prefixes_at(
@@ -318,11 +340,15 @@ def _prefixes_at(
 
     One gather reads every level and every query. The nodes of a prefix
     are added row by row in level order, in the tree's dtype, so a
-    prefix has the same bits whichever queries it is read with (a sum
-    over the rows may pair them when there is one query).
+    prefix has the same bits whichever queries it is read with. One
+    reduce over the rows does that for two or more queries; for one
+    query numpy would pair more than 8 rows, so those are added one at
+    a time.
     """
     index, read = reads
     gathered = np.where(read, tree.nodes.take(index, mode="clip"), 0)
+    if gathered.shape[1] > 1:
+        return np.add.reduce(gathered, axis=0)
     return reduce(np.add, gathered)
 
 

@@ -27,14 +27,21 @@ def aggregated_noise(alpha: float, rng, size=None):
     This is the sum of any number of clients' noise shares: Polya draws
     with a common alpha add their shapes, so the shares' total shape is
     1 and the sum is the difference of two Polya(1, alpha) draws, each
-    a Poisson draw whose rate is Gamma(1, alpha/(1-alpha)).
+    a Poisson draw whose rate is Gamma(1, alpha/(1-alpha)). numpy draws
+    Gamma(1, scale) as scale times one standard exponential, so each
+    rate is drawn that way and scaled in place: the same bits and the
+    same generator state, without a second rate array.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     gen = as_generator(rng)
     scale = alpha / (1.0 - alpha)
-    x = gen.poisson(gen.gamma(1.0, scale, size=size))
-    x -= gen.poisson(gen.gamma(1.0, scale, size=size))
+    rate = gen.standard_exponential(size)
+    rate *= scale
+    x = gen.poisson(rate)
+    rate = gen.standard_exponential(size)
+    rate *= scale
+    x -= gen.poisson(rate)
     return x
 
 

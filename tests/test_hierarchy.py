@@ -839,10 +839,13 @@ def test_histograms_match_the_running_sum_reader_bitwise(regime, fanout, height)
                 ), (num_examples, count, field)
 
 
-@pytest.mark.parametrize("fanout,height", [(2, 8), (3, 5), (5, 3)])
+@pytest.mark.parametrize("fanout,height", [(2, 8), (2, 10), (3, 5), (5, 3)])
 def test_float_prefixes_are_level_order_node_sums(fanout, height):
     # Every prefix of a local-DP tree has the bits of its nodes added in
     # level order, and lies within the rounding bound of their exact sum.
+    # Read alone, one prefix or one bisection target has more than 8
+    # rows at every size but (2, 8), and a reduce over the rows would
+    # pair them.
     spec = ldp_spec(height, 2.0, fanout)
     scores, positive = sample_population(3000, ScoreDistribution(), 0.4, 60)
     clients = split_population(scores, positive, "one_per_client")
@@ -861,6 +864,25 @@ def test_float_prefixes_are_level_order_node_sums(fanout, height):
         exact = math.fsum(read)
         bound = len(read) * 2.0**-53 * math.fsum(abs(x) for x in read)
         assert abs(values[r] - exact) <= bound, r
+    # One bisection target. The local-DP tree's prefixes rise and fall,
+    # so a bisection rarely meets the prefix equal to its target; on a
+    # tree summed up from its leaves made positive they rise, and the
+    # bisection for the prefix at r compares it with the read at r.
+    levels = [np.abs(tree.values[-1]) + 0.1]
+    for _ in range(height - 1):
+        levels.append(levels[-1].reshape(-1, fanout).sum(axis=1))
+    rising = HierarchicalCounts(
+        spec=spec,
+        nodes=np.concatenate(levels[::-1]),
+        level_variances=tree.level_variances,
+    )
+    rising_values = dense_prefixes(rising)
+    assert np.all(np.diff(rising_values) > 0)
+    total = rising.population_total
+    for r, target in enumerate(rising_values.tolist()):
+        got = _quantile_leaves(rising, zero_tree(rising), total, np.array([target]))
+        want = bisect_leaf(rising_values, clamped(target, total))
+        assert same_bits(got, np.array([want], dtype=np.int64)), r
 
 
 @pytest.mark.parametrize("fanout,height", [(2, 4), (3, 3), (7, 2), (5, 1)])

@@ -108,6 +108,11 @@ def test_aggregated_noise_is_two_unit_shape_polya_draws_bitwise():
             y = gen.poisson(gen.gamma(1.0, scale, size=size))
             assert np.asarray(ours).dtype == np.asarray(x - y).dtype
             assert np.asarray(ours).tobytes() == np.asarray(x - y).tobytes()
+            # The next level's draws start where the literal gamma draws
+            # leave the generator.
+            drawn = np.random.default_rng(11)
+            aggregated_noise(alpha, drawn, size=size)
+            assert drawn.bit_generator.state == gen.bit_generator.state
     for alpha in (0.0, 1.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="alpha must lie in"):
             aggregated_noise(alpha, np.random.default_rng(0))
