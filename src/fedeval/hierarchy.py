@@ -7,15 +7,16 @@ then level 2's f**2 nodes, and so on down to the f**h leaves; values
 holds one view of it per level. Prefix counts over leaf cells decompose
 into at most f - 1 nodes per level (all f top nodes for the full
 prefix), so a prefix is the sum of at most h(f - 1) + 1 nodes, added in
-level order, and only the prefixes a query asks for are read: one
-gather per tree reads every level and every query at once. Nothing of
-size f**h is formed after the build. Quantiles come from a bisection
-over prefix counts: the first crossing of the target when prefixes are
-monotone (secure aggregation), otherwise the crossing the bisection
-converges to. Equi-depth score histograms come from quantile boundaries
-plus prefix differences, so a cut at B buckets costs
-O(B * log2(f**h) * h * f). A very wide top level (h = 1 with a huge f)
-costs O(f) per prefix; no caller, test or workload uses one.
+level order, and only the prefixes a query asks for are read, level by
+level. Nothing of size f**h is formed after the build. Quantiles come
+from one walk down the combined trees: at each level a target moves
+into the first child whose end's prefix reaches it, else the last
+child. That is the first crossing when prefixes are monotone (secure
+aggregation), otherwise the crossing on the walk's path. Equi-depth
+score histograms come from quantile boundaries plus prefix differences,
+so a cut at B buckets costs O(B * h * f). A very wide top level (h = 1
+with a huge f) costs O(f) per read at level 1; no caller, test or
+workload uses one.
 
 Counts are exact under secure aggregation, carry per-node discrete
 Laplace noise under distributed DP, and are decoded unbiased frequency
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,13 +54,9 @@ __all__ = [
 ]
 
 
-def _level_starts(spec: PrivacySpec) -> tuple[int, ...]:
-    """Offset of each level in the level-order node array, then its length."""
-    return _starts(spec.fanout, spec.height)
-
-
 @lru_cache(maxsize=None)
-def _starts(fanout: int, height: int) -> tuple[int, ...]:
+def _level_starts(fanout: int, height: int) -> tuple[int, ...]:
+    """Offset of each level in the level-order node array, then its length."""
     starts = [0]
     for k in range(1, height + 1):
         starts.append(starts[-1] + fanout**k)
@@ -68,7 +65,7 @@ def _starts(fanout: int, height: int) -> tuple[int, ...]:
 
 def _level_views(nodes: np.ndarray, spec: PrivacySpec) -> tuple[np.ndarray, ...]:
     """One view of the level-order node array per level, level 1 first."""
-    return tuple(np.split(nodes, _level_starts(spec)[1:-1]))
+    return tuple(np.split(nodes, _level_starts(spec.fanout, spec.height)[1:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +85,7 @@ class HierarchicalCounts:
     level_variances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        num_nodes = _level_starts(self.spec)[-1]
+        num_nodes = _level_starts(self.spec.fanout, self.spec.height)[-1]
         if self.nodes.shape != (num_nodes,):
             raise ValueError(
                 f"expected {num_nodes} nodes in {self.spec.height} levels, "
@@ -159,7 +156,7 @@ def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> np.ndarray:
     the leaf level and zeroes the levels above, which are then summed
     into their views.
     """
-    starts = _level_starts(spec)
+    starts = _level_starts(spec.fanout, spec.height)
     leaves = leaf_indices(class_scores, spec.height, spec.fanout)
     leaves += starts[-2]
     nodes = np.bincount(leaves, minlength=starts[-1])
@@ -195,7 +192,7 @@ def _build_local_dp(
     # independent, so this tree's half is simulated directly from
     # its bit-sum distribution.
     p, q = 0.5, oue_flip_probability(spec.epsilon)
-    nodes = np.empty(_level_starts(spec)[-1], dtype=np.float64)
+    nodes = np.empty(_level_starts(spec.fanout, spec.height)[-1], dtype=np.float64)
     variances: list[float] = []
     for k, decoded in enumerate(_level_views(nodes, spec), start=1):
         members = order[k - 1 :: spec.height]
@@ -256,7 +253,7 @@ def build_hierarchy(
         # whatever its client count.
         clients.check_one_per_client()
         if num_clients == 0:
-            nodes = np.zeros(_level_starts(spec)[-1], dtype=np.float64)
+            nodes = np.zeros(_level_starts(spec.fanout, spec.height)[-1])
             variances = [0.0] * spec.height
         elif num_clients < spec.height:
             raise InsufficientPopulationError(
@@ -301,55 +298,30 @@ def _level_runs(spec: PrivacySpec, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lo, hi
 
 
-def _node_reads(
-    spec: PrivacySpec, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level-order node indices of the prefixes with runs lo, hi, and which count.
-
-    Row j of level k holds node lo + j of that level's run, as an index
-    into the level-order array, and the run reads it when j < hi - lo.
-    Level 1 has f rows, because the full prefix reads all f top nodes;
-    every level below has f - 1. Rows run in level order, so a column
-    lists its prefix's nodes in the order of the array. Unread rows may
-    point past their level.
-    """
-    level, offset, base = _read_rows(spec.fanout, spec.height)
-    return lo[level] + base, offset < (hi - lo)[level]
-
-
-@lru_cache(maxsize=None)
-def _read_rows(fanout: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level, offset in the run and level-order base of each _node_reads row.
-
-    offset and base are columns, to broadcast against the queries.
-    """
-    rows = [(0, j) for j in range(fanout)]
-    rows += [(k, j) for k in range(1, height) for j in range(fanout - 1)]
-    level, offset = np.array(rows).T
-    base = np.array(_starts(fanout, height))[level] + offset
-    tables = level, offset[:, None], base[:, None]
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _prefixes_at(
-    tree: HierarchicalCounts, reads: tuple[np.ndarray, np.ndarray]
+    tree: HierarchicalCounts, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Estimated count of examples below each prefix, from its _node_reads.
+    """Estimated count of examples below each prefix with runs lo, hi.
 
-    One gather reads every level and every query. The nodes of a prefix
-    are added row by row in level order, in the tree's dtype, so a
-    prefix has the same bits whichever queries it is read with. One
-    reduce over the rows does that for two or more queries; for one
-    query numpy would pair more than 8 rows, so those are added one at
-    a time.
+    The runs are read level by level: up to f nodes at level 1 (all f
+    for the full prefix) and f - 1 below, each added in turn into an
+    array of the tree's dtype. So a prefix is its nodes added in level
+    order, with the same bits and dtype whichever queries it is read
+    with. Run offset j of every level is gathered at once, as 0 where
+    the run is shorter; offset f - 1 is only read at level 1.
     """
-    index, read = reads
-    gathered = np.where(read, tree.nodes.take(index, mode="clip"), 0)
-    if gathered.shape[1] > 1:
-        return np.add.reduce(gathered, axis=0)
-    return reduce(np.add, gathered)
+    f, h = tree.spec.fanout, tree.spec.height
+    first = lo + np.array(_level_starts(f, h)[:-1])[:, None]
+    width = hi - lo
+    offsets = [
+        np.where(j < width, tree.nodes.take(first + j, mode="clip"), 0)
+        for j in range(f)
+    ]
+    out = np.zeros(lo.shape[1], dtype=tree.nodes.dtype)
+    for k in range(h):
+        for nodes in offsets[: f if k == 0 else f - 1]:
+            out += nodes[k]
+    return out
 
 
 def _quantile_leaves(
@@ -358,30 +330,37 @@ def _quantile_leaves(
     total: float,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """Leaf boundary that bisection over combined prefix counts reaches per target.
+    """Leaf boundary that a walk down the combined trees reaches per target.
 
     A combined prefix is pos's prefix plus neg's. Targets are clamped to
-    [0, total]. Every target runs the scalar bisection over r in
-    0..f**h (move hi to mid when the prefix at mid reaches the target,
-    else lo to mid + 1) in lockstep with the others. On monotone
-    prefixes, as under secure aggregation, the result is the first r
-    whose prefix reaches the target; noisy prefixes may be
-    non-monotone, and the bisection then returns the crossing it
-    converges to, without post-processing.
+    [0, total]. From the top level down, each target probes the ends of
+    the first f - 1 children of the node it is in and moves into the
+    first child whose end's combined prefix reaches it, or else into the
+    last child. Each class's prefix is carried separately, its nodes
+    added in level order. The result is the end of the leaf reached, or
+    0 when the target is 0 and every step went left. On monotone
+    prefixes, as under secure aggregation, that is the first r whose
+    prefix reaches the target; noisy prefixes may be non-monotone, and
+    the walk then returns the crossing on its path, without
+    post-processing. At f = 2 every probe is a bisection mid, so this is
+    the bisection over r in 0..f**h. A target reads h(f - 1) nodes per
+    tree, so B targets cost O(B * h * f).
     """
     spec = pos.spec
     targets = np.minimum(np.maximum(targets, 0.0), max(total, 0.0))
-    lo = np.zeros(targets.shape, dtype=np.int64)
-    hi = np.full(targets.shape, spec.num_leaves, dtype=np.int64)
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) // 2
-        reads = _node_reads(spec, *_level_runs(spec, mid))
-        reached = _prefixes_at(pos, reads) + _prefixes_at(neg, reads) >= targets
-        hi = np.where(active & reached, mid, hi)
-        lo = np.where(active & ~reached, mid + 1, lo)
-        active = lo < hi
-    return lo
+    sums = [np.zeros(targets.shape, dtype=t.nodes.dtype) for t in (pos, neg)]
+    leaf = np.zeros(targets.shape, dtype=np.int64)
+    for start in _level_starts(spec.fanout, spec.height)[:-1]:
+        leaf *= spec.fanout
+        moving = np.ones(targets.shape, dtype=bool)
+        for _ in range(spec.fanout - 1):
+            node = start + leaf
+            ends = [s + t.nodes[node] for s, t in zip(sums, (pos, neg))]
+            moving &= ends[0] + ends[1] < targets
+            for s, end in zip(sums, ends):
+                np.copyto(s, end, where=moving)
+            leaf += moving
+    return np.where((leaf == 0) & (targets <= 0.0), 0, leaf + 1)
 
 
 def _bucket_histogram(
@@ -394,9 +373,8 @@ def _bucket_histogram(
     both read cancel in the difference.
     """
     lo, hi = _level_runs(pos.spec, boundary_leaves)
-    reads = _node_reads(pos.spec, lo, hi)
-    pos_prefix = _prefixes_at(pos, reads)
-    neg_prefix = _prefixes_at(neg, reads)
+    pos_prefix = _prefixes_at(pos, lo, hi)
+    neg_prefix = _prefixes_at(neg, lo, hi)
     # Runs under one parent start at the same node and differ by their
     # ends; runs under different parents are disjoint, so both count.
     width = hi - lo
@@ -424,7 +402,7 @@ def _cut_leaves(
 ) -> np.ndarray:
     """Leaf boundaries of an equi-depth histogram of the combined trees.
 
-    quantiles are the leaves that bisection reaches for the B-quantiles
+    quantiles are the leaves that the walk reaches for the B-quantiles
     of the combined trees (see _quantile_leaves), or None when B is
     above f**h. Any bucket wider than f**(-ceil(log_f B) + 1) is split
     at aligned leaf boundaries so every bucket has width O(1/B).
@@ -459,9 +437,9 @@ def build_score_histograms(
 
     Boundaries are the B-quantiles of the combined population, with
     over-wide buckets split (see _cut_leaves). The quantile targets of
-    every count up to f**h run through one bisection over both trees,
-    and each histogram reads its boundaries' prefixes from the trees'
-    nodes; nothing of size f**h is formed.
+    every count up to f**h run through one walk down both trees, and
+    each histogram reads its boundaries' prefixes from the trees' nodes;
+    nothing of size f**h is formed.
     """
     for num_buckets in bucket_counts:
         if num_buckets < 1:
@@ -473,8 +451,8 @@ def build_score_histograms(
     targets = {
         b: np.arange(1, b) * total / b for b in bucket_counts if b <= spec.num_leaves
     }
-    # Targets bisect independently in lockstep, so one bisection of all
-    # of them reaches the leaves that one per count would.
+    # Each target walks its own path, so one walk of all of them
+    # reaches the leaves that one per count would.
     queries = np.concatenate([np.empty(0), *targets.values()])
     found = _quantile_leaves(pos, neg, total, queries)
     ends = np.cumsum([t.size for t in targets.values()])

@@ -5,7 +5,9 @@ running sums of the trees it read (of pos + neg for the bisection) and
 took a prefix as the sum over levels of two running-sum lookups. These
 are that reader's functions, unchanged but for their names, comments
 and docstrings, so that tests can compare the histograms of integer
-trees bit for bit.
+trees bit for bit. That reader bisected at every fanout; at f > 2
+walk_leaves walks its running sums down the tree instead, as the
+quantile cuts now do.
 """
 
 import numpy as np
@@ -50,6 +52,27 @@ def quantile_leaves(spec, sums, total, targets):
     return lo
 
 
+def walk_leaves(spec, sums, total, targets):
+    """The walk of the quantile cuts at f > 2, over these running sums.
+
+    At each level, the first of the node's first f - 1 children whose
+    end's prefix reaches the target, else the last child; then the end
+    of the leaf reached, or 0 for a target of 0 that only went left.
+    """
+    f = spec.fanout
+    targets = np.minimum(np.maximum(targets, 0.0), max(total, 0.0))
+    leaf = np.zeros(targets.shape, dtype=np.int64)
+    width = spec.num_leaves
+    while width > 1:
+        width //= f
+        moving = np.ones(targets.shape, dtype=bool)
+        for _ in range(f - 1):
+            end = prefixes_at(sums, *level_runs(spec, leaf + width))
+            moving &= end < targets
+            leaf += moving * width
+    return np.where((leaf == 0) & (targets <= 0.0), 0, leaf + 1)
+
+
 def bucket_histogram(pos, neg, pos_sums, neg_sums, boundary_leaves):
     lo, hi = level_runs(pos.spec, boundary_leaves)
     pos_prefix = prefixes_at(pos_sums, lo, hi)
@@ -86,7 +109,8 @@ def build_score_histograms(pos, neg, bucket_counts):
         b: np.arange(1, b) * total / b for b in bucket_counts if b <= spec.num_leaves
     }
     queries = np.concatenate([np.empty(0), *targets.values()])
-    found = quantile_leaves(spec, running_sums(pos, neg), total, queries)
+    find = quantile_leaves if spec.fanout == 2 else walk_leaves
+    found = find(spec, running_sums(pos, neg), total, queries)
     ends = np.cumsum([t.size for t in targets.values()])
     quantiles = dict(zip(targets, np.split(found, ends[:-1])))
     cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]

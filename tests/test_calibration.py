@@ -325,26 +325,29 @@ def test_ece_input_validation():
 
 def test_bbq_bisects_every_candidate_in_one_pass(monkeypatch):
     pos, neg = build_class_trees(4000, ScoreDistribution(), seed=35)
-    bisections = []
+    walks = []
 
     def counting(*args):
-        bisections.append(args)
+        walks.append(args)
         return _quantile_leaves(*args)
 
     monkeypatch.setattr(hierarchy, "_quantile_leaves", counting)
     cal_map = calibrate_bbq(pos, neg)
     assert len(cal_map.binnings) > 1
-    # One bisection over both trees finds the quantile cuts of every
+    # One walk down both trees finds the quantile cuts of every
     # candidate count at once; the bucket reads then go to the trees.
-    assert len(bisections) == 1
-    assert bisections[0][:2] == (pos, neg)
+    assert len(walks) == 1
+    assert walks[0][:2] == (pos, neg)
 
 
 # Local-DP BBQ map digests: noisy float trees, so a change in the bits
 # of the candidate counts, the cuts or the per-class reads shows here.
+# The (3, 5) map was re-recorded when the cuts became a walk down the
+# tree, whose crossings on noisy trees differ from the bisection's at
+# f > 2; it was b57586de6de566487b657d51e15128eadd9f694dd19da6e6c92c4d5ea4a98946.
 BBQ_LOCAL_DP_DIGESTS = {
     (2, 8): "851826d2cc43f2da1b430992bf3627a2a9bfc324da8e61daeffe6bff1c995604",
-    (3, 5): "b57586de6de566487b657d51e15128eadd9f694dd19da6e6c92c4d5ea4a98946",
+    (3, 5): "7c9485da6fb5e1f2c0b8462814fd0c22c3142f2bb79e3ebf9ab4c8c4a02ff551",
 }
 
 

@@ -1,6 +1,7 @@
 """Hierarchical counts, prefix queries, quantiles, and histograms."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -29,7 +30,6 @@ from fedeval.hierarchy import (
     _exact_levels,
     _level_runs,
     _level_views,
-    _node_reads,
     _prefixes_at,
     _quantile_leaves,
     build_hierarchy,
@@ -65,8 +65,7 @@ HISTOGRAM_FIELDS = (
 
 def prefixes(tree, leaves):
     """The tree's prefix counts at the given leaf boundaries."""
-    spec = tree.spec
-    return _prefixes_at(tree, _node_reads(spec, *_level_runs(spec, np.asarray(leaves))))
+    return _prefixes_at(tree, *_level_runs(tree.spec, np.asarray(leaves)))
 
 
 def zero_tree(tree):
@@ -567,12 +566,37 @@ def bisect_leaf(prefix, target):
     return lo
 
 
+def walk_leaf(prefix, fanout, target):
+    """Scalar f-ary walk down prefix[0..f**h] for a clamped target.
+
+    At each level, move into the first of the node's first f - 1
+    children whose end's prefix reaches the target, else into the last
+    child. Return the end of the leaf reached, or 0 when the walk only
+    went left and prefix[0] reaches the target too.
+    """
+    leaf, width = 0, len(prefix) - 1
+    while width > 1:
+        width //= fanout
+        for _ in range(fanout - 1):
+            if prefix[leaf + width] >= target:
+                break
+            leaf += width
+    return 0 if leaf == 0 and prefix[0] >= target else leaf + 1
+
+
+def reference_leaf(prefix, fanout, target):
+    """The bisection at f = 2, where the walk must keep its bits; else the walk."""
+    if fanout == 2:
+        return bisect_leaf(prefix, target)
+    return walk_leaf(prefix, fanout, target)
+
+
 def clamped(target, total):
     return min(max(target, 0.0), max(total, 0.0))
 
 
 def reference_boundaries(prefix, spec, num_buckets, total):
-    """Quantile cuts by scalar bisection, then the aligned width cap.
+    """Quantile cuts by reference_leaf, then the aligned width cap.
 
     prefix holds the combined prefixes at r = 0..f**h, and total is the
     combined population total that the targets divide.
@@ -580,7 +604,8 @@ def reference_boundaries(prefix, spec, num_buckets, total):
     n, f = spec.num_leaves, spec.fanout
     cuts = {0, n}
     for j in range(1, num_buckets):
-        cuts.add(bisect_leaf(prefix, clamped(j * total / num_buckets, total)))
+        target = clamped(j * total / num_buckets, total)
+        cuts.add(reference_leaf(prefix, f, target))
     cap_level = 0
     while f**cap_level < num_buckets:
         cap_level += 1
@@ -657,7 +682,9 @@ def test_prefix_queries_match_literal_reference(
         ((zero_tree(neg), neg), neg_values, neg.population_total),
         ((pos, neg), pos_values + neg_values, total),
     ):
-        want = [bisect_leaf(values, clamped(t, counts_total)) for t in targets]
+        want = [
+            reference_leaf(values, fanout, clamped(t, counts_total)) for t in targets
+        ]
         got = _quantile_leaves(*trees, counts_total, queries)
         assert same_bits(got, np.array(want, dtype=np.int64))
     for counts, values in ((pos, pos_values), (neg, neg_values)):
@@ -721,7 +748,7 @@ def test_histograms_of_several_counts_match_one_at_a_time(regime, fanout):
 def test_one_bisection_cuts_each_count_of_a_noisy_deep_tree():
     # Under dist_dp at h = 16 the combined prefixes are far from
     # monotone, so each quantile target's crossing depends on its own
-    # bisection path. Bisecting every count's targets together must
+    # path down the tree. Walking every count's targets together must
     # still give each count the cuts it gets alone, and the cuts of the
     # scalar reference.
     spec = PrivacySpec(regime=Regime.DIST_DP, epsilon=1.0, height=16)
@@ -807,6 +834,95 @@ def test_every_accepted_epsilon_runs(
         assert np.all((0.0 <= values) & (values <= 1.0))
 
 
+# -- quantile cuts by one walk down the tree -------------------------------
+
+
+def class_trees(regime, fanout, height, num_examples, seed):
+    epsilon = {Regime.DIST_DP: 1.0, Regime.LOCAL_DP: 5.0}.get(regime)
+    spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height, fanout=fanout)
+    scores, positive = sample_population(
+        num_examples, ScoreDistribution(), 0.4, seed
+    )
+    clients = split_population(scores, positive, "one_per_client")
+    return (
+        build_hierarchy(clients, Label.POSITIVE, spec, seed + 1),
+        build_hierarchy(clients, Label.NEGATIVE, spec, seed + 2),
+    )
+
+
+def walked(pos, neg):
+    """Clamped targets from below 0 to above the total, and their walked leaves.
+
+    Every target is also walked alone, and must reach the same leaf.
+    """
+    total = pos.population_total + neg.population_total
+    edges = [-2.0, 0.0, total, total + 2.0]
+    targets = np.concatenate((edges, np.arange(1, 40) * total / 40))
+    together = _quantile_leaves(pos, neg, total, targets)
+    alone = [_quantile_leaves(pos, neg, total, np.array([t])) for t in targets]
+    assert same_bits(np.concatenate(alone), together)
+    combined = dense_prefixes(pos) + dense_prefixes(neg)
+    return combined, [clamped(t, total) for t in targets.tolist()], together
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+def test_walk_keeps_the_bisection_bits_at_fanout_two(regime):
+    for height, num_examples in itertools.product((1, 2, 5, 10), (0, 1, 50, 3000)):
+        if regime is Regime.LOCAL_DP and 0 < num_examples < height:
+            continue
+        pos, neg = class_trees(regime, 2, height, num_examples, height + num_examples)
+        combined, targets, got = walked(pos, neg)
+        want = [bisect_leaf(combined, t) for t in targets]
+        assert same_bits(got, np.array(want, dtype=np.int64)), (height, num_examples)
+
+
+@pytest.mark.parametrize("fanout", [3, 4, 8, 16])
+def test_walk_is_the_first_crossing_under_secure_agg(fanout):
+    height = 1
+    while fanout**height <= 4096:
+        for num_examples in (0, 1, 500):
+            pos, neg = class_trees(
+                Regime.SECURE_AGG, fanout, height, num_examples, 80
+            )
+            combined, targets, got = walked(pos, neg)
+            want = np.array([np.flatnonzero(combined >= t)[0] for t in targets])
+            assert same_bits(got, want), (height, num_examples)
+        height += 1
+
+
+@pytest.mark.parametrize("fanout,height", [(3, 6), (4, 5), (8, 3)])
+@pytest.mark.parametrize(
+    "regime", [Regime.DIST_DP, Regime.LOCAL_DP], ids=lambda regime: regime.value
+)
+def test_walk_matches_the_literal_walk_on_noisy_trees(regime, fanout, height):
+    # Noisy prefixes rise and fall, and at f > 2 the walk's probes are
+    # not the bisection's mids: some crossings differ from the
+    # bisection's.
+    moved = 0
+    for num_examples, seed in ((0, 90), (50, 91), (3000, 92), (3000, 93)):
+        pos, neg = class_trees(regime, fanout, height, num_examples, seed)
+        combined, targets, got = walked(pos, neg)
+        want = [walk_leaf(combined, fanout, t) for t in targets]
+        assert same_bits(got, np.array(want, dtype=np.int64)), (num_examples, seed)
+        moved += sum(w != bisect_leaf(combined, t) for w, t in zip(want, targets))
+    assert moved > 0
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+def test_prefix_dtype_does_not_depend_on_the_query_count(dtype):
+    # A hand-built tree of a narrow dtype reads its prefixes in that
+    # dtype, with the same bits one at a time as all together.
+    spec = sa_spec(5, 3)
+    rng = np.random.default_rng(5)
+    nodes = (rng.normal(size=sum(3**k for k in range(1, 6))) * 100).astype(dtype)
+    tree = HierarchicalCounts(spec=spec, nodes=nodes, level_variances=(0.0,) * 5)
+    leaves = np.arange(spec.num_leaves + 1)
+    together = prefixes(tree, leaves)
+    assert same_bits(together, dense_prefixes(tree))
+    for r in leaves.tolist():
+        assert same_bits(prefixes(tree, [r]), together[[r]]), r
+
+
 # -- one level-order array per tree, read node by node ---------------------
 
 TREE_FIELDS = {"spec", "nodes", "level_variances"}
@@ -843,9 +959,9 @@ def test_histograms_match_the_running_sum_reader_bitwise(regime, fanout, height)
 def test_float_prefixes_are_level_order_node_sums(fanout, height):
     # Every prefix of a local-DP tree has the bits of its nodes added in
     # level order, and lies within the rounding bound of their exact sum.
-    # Read alone, one prefix or one bisection target has more than 8
-    # rows at every size but (2, 8), and a reduce over the rows would
-    # pair them.
+    # Read alone, one prefix or one walk target has more than 8 nodes
+    # at every size but (2, 8), and numpy's sum over them would pair
+    # them.
     spec = ldp_spec(height, 2.0, fanout)
     scores, positive = sample_population(3000, ScoreDistribution(), 0.4, 60)
     clients = split_population(scores, positive, "one_per_client")
@@ -864,10 +980,11 @@ def test_float_prefixes_are_level_order_node_sums(fanout, height):
         exact = math.fsum(read)
         bound = len(read) * 2.0**-53 * math.fsum(abs(x) for x in read)
         assert abs(values[r] - exact) <= bound, r
-    # One bisection target. The local-DP tree's prefixes rise and fall,
-    # so a bisection rarely meets the prefix equal to its target; on a
-    # tree summed up from its leaves made positive they rise, and the
-    # bisection for the prefix at r compares it with the read at r.
+    # One walk target. The local-DP tree's prefixes rise and fall, so a
+    # walk rarely meets the prefix equal to its target; on a tree summed
+    # up from its leaves made positive they rise, and the walk for the
+    # prefix at r compares it with the read at r, which is the first
+    # crossing.
     levels = [np.abs(tree.values[-1]) + 0.1]
     for _ in range(height - 1):
         levels.append(levels[-1].reshape(-1, fanout).sum(axis=1))
@@ -898,12 +1015,6 @@ def test_only_the_full_prefix_reads_all_top_nodes(fanout, height):
     got = prefixes(tree, np.arange(n + 1))
     assert got[n] == int("1" * fanout)
     assert got.tolist() == [int("0" + "1" * (r // top)) for r in range(n + 1)]
-    # One read row per top node, f - 1 for each level below.
-    index, read = _node_reads(spec, *_level_runs(spec, np.array([0, n - 1, n])))
-    assert index.shape == read.shape == (height * (fanout - 1) + 1, 3)
-    below = [False] * (height - 1) * (fanout - 1)
-    assert read[:, 2].tolist() == [True] * fanout + below
-    assert read[:, 1].sum() == height * (fanout - 1)
 
 
 def built_trees():
