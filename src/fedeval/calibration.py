@@ -39,11 +39,13 @@ DENOMINATOR_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CalibrationMap:
-    """Mixture of right-closed binnings mapping scores to probabilities.
+    """Mixture of left-closed binnings mapping scores to probabilities.
 
     Each binning is a (boundaries, values) pair where boundaries has one
-    more entry than values, starts at 0 and ends at 1. The map's output
-    is the weight-averaged bucket value across binnings.
+    more entry than values, starts at 0 and ends at 1. Bucket i covers
+    [boundaries[i], boundaries[i+1]), the last one also 1.0, as in the
+    histogram it was fitted from. The map's output is the
+    weight-averaged bucket value across binnings.
     """
 
     binnings: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -110,11 +112,6 @@ def _bucket_probabilities(hist: ScoreHistogram, prior: float) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _check_prior(prior: float | None) -> None:
-    if prior is not None and not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior must be in [0, 1], got {prior}")
-
-
 def calibrate_histogram(
     hist: ScoreHistogram, prior: float | None = None
 ) -> CalibrationMap:
@@ -125,9 +122,10 @@ def calibrate_histogram(
     population fall back to the prior (global positive fraction unless
     given).
     """
-    _check_prior(prior)
     if prior is None:
         prior = _default_prior(hist)
+    elif not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must be in [0, 1], got {prior}")
     values = _bucket_probabilities(hist, prior)
     return CalibrationMap(
         binnings=((hist.boundaries.copy(), values),),
@@ -240,7 +238,6 @@ def calibrate_bbq(
     calibrate_histogram map of its candidate's histogram, weighted by
     the softmax of its Beta-binomial log evidence.
     """
-    _check_prior(prior)
     counts = _candidate_bucket_counts(pos.population_total + neg.population_total)
     hists = build_score_histograms(pos, neg, counts.tolist())
     weights = _softmax(_log_marginals(hists))
@@ -252,27 +249,33 @@ def calibrate_bbq(
 SEARCH_GRID = 4096
 
 
-def _count_below(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """np.searchsorted(edges, values, side="left") for values in [0, 1].
+def _count_below(edges: np.ndarray, values: np.ndarray, side: str) -> np.ndarray:
+    """np.searchsorted(edges, values, side) for values in [0, 1].
 
-    A value in grid cell [c/G, (c+1)/G) has as many edges below it as
-    lie below c/G, unless an edge falls inside its cell; only the
-    values in such cells are searched. G is a power of two, so value*G
-    and c/G are exact and the cell a value lands in is its true cell.
+    A value in grid cell [c/G, (c+1)/G) has as many edges below it
+    (side "left") or at or below it (side "right") as c/G has, unless
+    an edge falls between c/G and (c+1)/G; only the values in such
+    cells are searched. G is a power of two, so value*G and c/G are
+    exact and the cell a value lands in is its true cell.
     """
     cells = np.arange(SEARCH_GRID + 1) / SEARCH_GRID
-    below = np.searchsorted(edges, cells, side="left")
-    inside = np.searchsorted(edges, cells + 1.0 / SEARCH_GRID, side="left") != below
+    below = np.searchsorted(edges, cells, side=side)
+    inside = np.searchsorted(edges, cells + 1.0 / SEARCH_GRID, side=side) != below
     below[inside] = -1
     out = below[(values * SEARCH_GRID).astype(np.intp)]
     unsure = np.flatnonzero(out < 0)
-    out[unsure] = np.searchsorted(edges, values[unsure], side="left")
+    out[unsure] = np.searchsorted(edges, values[unsure], side=side)
     return out
 
 
 def _bucket_of(boundaries: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Right-closed bucket index per score, with 0 folded into bucket 1."""
-    return np.maximum(_count_below(boundaries, scores), 1) - 1
+    """Left-closed bucket index per score, with 1.0 folded into the last bucket.
+
+    A score on a boundary goes to the bucket above it, as a histogram
+    counts it: its leaf floor(score * f**h) starts that bucket's range.
+    """
+    at_or_below = _count_below(boundaries, scores, "right")
+    return np.minimum(at_or_below, boundaries.size - 1) - 1
 
 
 def apply_calibration_batch(
@@ -304,7 +307,7 @@ def ece_arrays(
     if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ValueError("predicted probabilities must lie in [0, 1]")
     edges = np.arange(1, num_bins + 1) / num_bins
-    idx = _count_below(edges, probs)
+    idx = _count_below(edges, probs, "left")
     counts = np.bincount(idx, minlength=num_bins).astype(np.float64)
     pos_counts = np.bincount(idx, weights=flags.astype(np.float64), minlength=num_bins)
     prob_sums = np.bincount(idx, weights=probs, minlength=num_bins)

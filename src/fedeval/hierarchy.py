@@ -3,12 +3,12 @@
 A hierarchy for one class population stores, for every level k in 1..h,
 the counts of examples falling in each of the f**k uniform segments of
 [0, 1]. All levels live in one array in level order: level 1's f nodes,
-then level 2's f**2 nodes, and so on down to the f**h leaves; values
-holds one view of it per level. Prefix counts over leaf cells decompose
-into at most f - 1 nodes per level (all f top nodes for the full
-prefix), so a prefix is the sum of at most h(f - 1) + 1 nodes, added in
-level order, and only the prefixes a query asks for are read, level by
-level. Nothing of size f**h is formed after the build. Quantiles come
+then level 2's f**2 nodes, and so on down to the f**h leaves. Prefix
+counts over leaf cells decompose into at most f - 1 nodes per level
+(all f top nodes for the full prefix), so a prefix is the sum of at
+most h(f - 1) + 1 nodes, added in level order, and only the prefixes a
+query asks for are read, level by level; a class total is the full
+prefix. Nothing of size f**h is formed after the build. Quantiles come
 from one walk down the combined trees: at each level a target moves
 into the first child whose end's prefix reaches it, else the last
 child. That is the first crossing when prefixes are monotone (secure
@@ -73,11 +73,12 @@ class HierarchicalCounts:
     """Per-level segment counts for one population.
 
     nodes holds every level's counts in level order: level 1's f
-    segments, then level 2's f**2, down to the f**h leaves. values[k-1]
-    is the view of level k's f**k counts; entries may be negative under
-    noise. level_variances[k-1] is the advertised noise variance of a
-    single level-k entry (0 under secure aggregation). population_total
-    is the sum of the level-1 counts.
+    segments, then level 2's f**2, down to the f**h leaves; entries may
+    be negative under noise. level_variances[k-1] is the advertised
+    noise variance of a single level-k entry (0 under secure
+    aggregation). population_total is the prefix count over all leaves:
+    the level-1 counts added in level order, as every histogram reads
+    its class totals.
     """
 
     spec: PrivacySpec
@@ -95,16 +96,13 @@ class HierarchicalCounts:
             raise ValueError("one variance per level is required")
 
     @property
-    def values(self) -> tuple[np.ndarray, ...]:
-        return _level_views(self.nodes, self.spec)
-
-    @property
     def num_leaves(self) -> int:
         return self.spec.num_leaves
 
     @property
     def population_total(self) -> float:
-        return float(self.nodes[: self.spec.fanout].sum())
+        full = np.array([self.num_leaves])
+        return float(_prefixes_at(self, *_level_runs(self.spec, full))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,14 +396,14 @@ def _bucket_histogram(
 
 
 def _cut_leaves(
-    spec: PrivacySpec, num_buckets: int, quantiles: np.ndarray | None
+    spec: PrivacySpec, num_buckets: int, quantiles: np.ndarray
 ) -> np.ndarray:
     """Leaf boundaries of an equi-depth histogram of the combined trees.
 
     quantiles are the leaves that the walk reaches for the B-quantiles
-    of the combined trees (see _quantile_leaves), or None when B is
-    above f**h. Any bucket wider than f**(-ceil(log_f B) + 1) is split
-    at aligned leaf boundaries so every bucket has width O(1/B).
+    of the combined trees (see _quantile_leaves); they are not read
+    when B is above f**h. Any bucket wider than f**(-ceil(log_f B) + 1)
+    is split at aligned leaf boundaries so every bucket has width O(1/B).
     Duplicate quantiles are merged, so fewer than B buckets may come
     back; splitting produces at most B - 1 extra ones.
     """
@@ -448,16 +446,17 @@ def build_score_histograms(
         raise ValueError("pos and neg hierarchies must share one privacy spec")
     spec = pos.spec
     total = pos.population_total + neg.population_total
-    targets = {
-        b: np.arange(1, b) * total / b for b in bucket_counts if b <= spec.num_leaves
-    }
+    # A count above f**h cuts at every leaf and needs no targets.
+    targets = [
+        np.arange(1, b) * total / b if b <= spec.num_leaves else np.empty(0)
+        for b in bucket_counts
+    ]
     # Each target walks its own path, so one walk of all of them
     # reaches the leaves that one per count would.
-    queries = np.concatenate([np.empty(0), *targets.values()])
+    queries = np.concatenate([np.empty(0), *targets])
     found = _quantile_leaves(pos, neg, total, queries)
-    ends = np.cumsum([t.size for t in targets.values()])
-    quantiles = dict(zip(targets, np.split(found, ends[:-1])))
-    cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]
+    quantiles = np.split(found, np.cumsum([t.size for t in targets])[:-1])
+    cuts = [_cut_leaves(spec, b, q) for b, q in zip(bucket_counts, quantiles)]
     return [_bucket_histogram(pos, neg, cut) for cut in cuts]
 
 

@@ -60,20 +60,16 @@ class PraEstimate:
     threshold_slack: float
 
 
-def _clamp01(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
-
-
 def _ratio(numerator: float, denominator: float) -> float | None:
     """Count ratio with clamping at the output only.
 
     Negative noisy numerators clamp to 0 before dividing; the ratio is
-    then clamped to [0, 1]. A non-positive denominator makes the metric
-    undefined.
+    then clamped to at most 1. A non-positive denominator makes the
+    metric undefined.
     """
     if denominator <= 0.0:
         return None
-    return _clamp01(max(numerator, 0.0) / denominator)
+    return min(max(numerator, 0.0) / denominator, 1.0)
 
 
 def auc_histogram(hist: ScoreHistogram) -> AucEstimate:

@@ -26,7 +26,6 @@ from .calibration import (
     ece_arrays,
 )
 from .core import (
-    ClientSplit,
     DegenerateEstimateError,
     InsufficientPopulationError,
     Label,
@@ -177,15 +176,6 @@ def _estimate_or_none(metric, hist, *args):
         return None
 
 
-def _aggregate_classes(
-    clients: ClientSplit, spec: PrivacySpec, pos_seed, neg_seed
-) -> tuple[HierarchicalCounts, HierarchicalCounts]:
-    """The positive and the negative hierarchy of one client split."""
-    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_seed)
-    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_seed)
-    return pos, neg
-
-
 def evaluate_population(
     scores: np.ndarray,
     positive: np.ndarray,
@@ -213,7 +203,9 @@ def evaluate_population(
     try:
         clients = split_population(scores, positive, split_policy, split_ss)
         hist = build_score_histogram(
-            *_aggregate_classes(clients, spec, pos_ss, neg_ss), num_buckets
+            build_hierarchy(clients, Label.POSITIVE, spec, pos_ss),
+            build_hierarchy(clients, Label.NEGATIVE, spec, neg_ss),
+            num_buckets,
         )
     except InsufficientPopulationError:
         hist = None
@@ -282,7 +274,10 @@ def held_out_calibrations(
     del perm  # the halves are copies, so the trees are built without it
     fits = []
     for spec in specs:
-        cal_map = fit_map(*_aggregate_classes(clients, spec, pos_ss, neg_ss))
+        cal_map = fit_map(
+            build_hierarchy(clients, Label.POSITIVE, spec, pos_ss),
+            build_hierarchy(clients, Label.NEGATIVE, spec, neg_ss),
+        )
         report = ece_arrays(
             apply_calibration_batch(cal_map, eval_scores), eval_positive, eval_bins
         )

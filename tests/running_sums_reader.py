@@ -13,6 +13,7 @@ quantile cuts now do.
 import numpy as np
 
 from fedeval.hierarchy import ScoreHistogram, _cut_leaves
+from tree_levels import level_views
 
 
 def level_runs(spec, r):
@@ -27,7 +28,7 @@ def level_runs(spec, r):
 def running_sums(*trees):
     return [
         np.concatenate(([0], np.cumsum(sum(levels[1:], levels[0]))))
-        for levels in zip(*(t.values for t in trees))
+        for levels in zip(*(level_views(t) for t in trees))
     ]
 
 
@@ -113,6 +114,7 @@ def build_score_histograms(pos, neg, bucket_counts):
     found = find(spec, running_sums(pos, neg), total, queries)
     ends = np.cumsum([t.size for t in targets.values()])
     quantiles = dict(zip(targets, np.split(found, ends[:-1])))
-    cuts = [_cut_leaves(spec, b, quantiles.get(b)) for b in bucket_counts]
+    no_cuts = np.empty(0, np.int64)
+    cuts = [_cut_leaves(spec, b, quantiles.get(b, no_cuts)) for b in bucket_counts]
     pos_sums, neg_sums = running_sums(pos), running_sums(neg)
     return [bucket_histogram(pos, neg, pos_sums, neg_sums, cut) for cut in cuts]

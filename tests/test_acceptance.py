@@ -38,6 +38,7 @@ from reference_mechanisms import (
     oue_encode,
     sample_polya,
 )
+from tree_levels import level_views
 
 THRESHOLD_GRID = tuple(0.25 + 0.05 * i for i in range(10))
 LIPS1 = ScoreDistribution(lipschitz=1.0)
@@ -452,10 +453,10 @@ def test_criterion_11_secure_agg_invariant_to_client_partitioning():
         for other in outputs[1:]:
             for level in range(spec.height):
                 assert np.array_equal(
-                    base[0].values[level], other[0].values[level]
+                    level_views(base[0])[level], level_views(other[0])[level]
                 )
                 assert np.array_equal(
-                    base[1].values[level], other[1].values[level]
+                    level_views(base[1])[level], level_views(other[1])[level]
                 )
             assert np.array_equal(base[2].pos_values, other[2].pos_values)
             assert np.array_equal(base[2].neg_values, other[2].neg_values)

@@ -6,12 +6,14 @@ without importing them, so a simplification that removes or renames a
 name the benchmark depends on fails here first. The per-example list
 forms kept only for the benchmark must in turn stay out of the rest of
 the package, the mechanisms out of every module but hierarchy.py, and
-every exported name must resolve and be used outside its module. No
-module selects rows by an inverted boolean mask, imports scipy or reads
-the spawn state of a caller's SeedSequence.
+every exported name must resolve and be used outside its module, and
+every accessor of the trees, histograms and client splits must be read.
+No module selects rows by an inverted boolean mask, imports scipy or
+reads the spawn state of a caller's SeedSequence.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from fedeval import calibration, datagen, hierarchy, mechanisms, oracle, sweep
 from fedeval import io as fio
-from fedeval.core import Label, PrivacySpec, Regime, as_generator
+from fedeval.core import ClientSplit, Label, PrivacySpec, Regime, as_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -312,3 +314,37 @@ def test_every_exported_name_is_used_elsewhere():
             if not any(name in used[path] for path in paths if path != module):
                 unused.append(f"{module.stem}.{name}")
     assert unused == []
+
+
+def _attribute_reads(path):
+    """Attribute names that path reads without calling them, and all it reads."""
+    tree = ast.parse(path.read_text())
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    plain = {node.attr for node in attributes if id(node) not in calls}
+    return plain, {node.attr for node in attributes}
+
+
+def test_every_tree_and_split_accessor_is_read():
+    # No accessors that nothing calls: each property of these classes is
+    # read, and each method named, by the package, a script or the
+    # benchmark. A property only counts as read where it is not called,
+    # so a dict's .values() does not keep a values property alive.
+    paths = sorted((ROOT / "src" / "fedeval").glob("*.py"))
+    paths += sorted((ROOT / "scripts").glob("*.py"))
+    paths += sorted(PERFBENCH.rglob("*.py"))
+    reads = [_attribute_reads(path) for path in paths]
+    unread = []
+    for cls in (hierarchy.HierarchicalCounts, hierarchy.ScoreHistogram, ClientSplit):
+        for name, member in vars(cls).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(member, (property, functools.cached_property)):
+                found = any(name in plain for plain, _ in reads)
+            elif callable(member) or isinstance(member, (classmethod, staticmethod)):
+                found = any(name in named for _, named in reads)
+            else:
+                continue
+            if not found:
+                unread.append(f"{cls.__name__}.{name}")
+    assert unread == []

@@ -19,9 +19,9 @@ from fedeval.calibration import (
     PRIOR_STRENGTH,
     SEARCH_GRID,
     CalibrationMap,
+    _bucket_of,
     _bucket_probabilities,
     _candidate_bucket_counts,
-    _check_prior,
     _count_below,
     _default_prior,
     _log_beta,
@@ -31,6 +31,7 @@ from fedeval.calibration import (
     calibrate_histogram,
     ece_arrays,
 )
+from fedeval.core import leaf_indices
 from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     HierarchicalCounts,
@@ -135,19 +136,60 @@ def test_candidate_bucket_counts_grid():
     assert _candidate_bucket_counts(-1234.0).tolist() == [1]
 
 
-def test_right_closed_bucket_lookup():
+def test_left_closed_bucket_lookup():
+    # Buckets are [b_{i-1}, b_i) with 1.0 in the last one, as the
+    # histogram that a map is fitted from counts scores.
     cal_map = CalibrationMap(
         binnings=((np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.9])),),
         weights=np.array([1.0]),
     )
     probs = apply_calibration_batch(
-        cal_map, np.array([0.0, 0.25, 0.5, 0.500001, 1.0])
+        cal_map, np.array([0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.500001, 1.0])
     )
-    assert probs.tolist() == [0.1, 0.1, 0.1, 0.9, 0.9]
-    assert apply_calibration_batch(cal_map, np.array([0.5])).tolist() == [0.1]
+    assert probs.tolist() == [0.1, 0.1, 0.1, 0.9, 0.9, 0.9]
+    assert apply_calibration_batch(cal_map, np.array([0.5])).tolist() == [0.9]
     for bad in (1.2, np.nan):
         with pytest.raises(ValueError):
             apply_calibration_batch(cal_map, np.array([0.5, bad]))
+
+
+def test_a_spike_on_a_cut_gets_the_value_of_its_bucket():
+    # 30 % of the positives sit at 0.5, which is a cut at h = 4 and
+    # B = 20. The spike lands in the bucket that starts at 0.5, so the
+    # map must return that bucket's value there (0.857 here), not the
+    # value of the bucket below (0.397).
+    dist = ScoreDistribution(spikes=(Spike(0.5, 0.3, 0.0),))
+    scores, positive = sample_population(20_000, dist, 0.5, 1)
+    clients = split_population(scores, positive, "one_per_client")
+    spec = PrivacySpec(regime=Regime.SECURE_AGG, height=4)
+    hist = build_score_histogram(
+        build_hierarchy(clients, Label.POSITIVE, spec),
+        build_hierarchy(clients, Label.NEGATIVE, spec),
+        20,
+    )
+    cal_map = calibrate_histogram(hist)
+    ((boundaries, values),) = cal_map.binnings
+    spike_bucket = int(np.flatnonzero(boundaries == 0.5)[0])
+    assert values[spike_bucket] > values[spike_bucket - 1] + 0.4
+    at_spike = apply_calibration_batch(cal_map, np.array([0.5]))
+    assert at_spike.tolist() == [values[spike_bucket]]
+
+
+@pytest.mark.parametrize("fanout,height", [(2, 8), (4, 4), (8, 3)])
+def test_leaf_boundary_scores_map_to_the_bucket_that_counts_them(fanout, height):
+    # Every score j / f**h lands in the bucket whose leaf range holds
+    # its leaf, for cuts at quantiles, at split widths and at every leaf.
+    spec = PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=fanout)
+    scores, positive = sample_population(3000, SPIKY_DIST, 0.4, 23)
+    clients = split_population(scores, positive, "one_per_client")
+    pos = build_hierarchy(clients, Label.POSITIVE, spec)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec)
+    num_leaves = fanout**height
+    on_leaves = np.arange(num_leaves + 1) / num_leaves
+    leaves = leaf_indices(on_leaves, height, fanout)
+    for hist in build_score_histograms(pos, neg, [1, 3, 20, 100, num_leaves + 1]):
+        want = np.searchsorted(hist.boundary_leaves, leaves, side="right") - 1
+        assert np.array_equal(_bucket_of(hist.boundaries, on_leaves), want)
 
 
 def test_mixture_of_binnings():
@@ -389,9 +431,10 @@ def test_grid_search_equals_searchsorted_bitwise():
             np.arange(SEARCH_GRID + 1) * cell,
             [0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0)],
         ]
-        got = _count_below(edges, values)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, np.searchsorted(edges, values, side="left"))
+        for side in ("left", "right"):
+            got = _count_below(edges, values, side)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(edges, values, side=side))
 
 
 def mp_log_beta(a, b):
@@ -461,7 +504,8 @@ def scipy_calibrate_bbq(
     cbrt(population)/10 and 10*cbrt(population); each binning's weight
     is the softmax of its Beta-binomial log evidence.
     """
-    _check_prior(prior)
+    if prior is not None and not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must be in [0, 1], got {prior}")
     counts = _candidate_bucket_counts(pos.population_total + neg.population_total)
     hists = build_score_histograms(pos, neg, counts.tolist())
     weights = _softmax(np.array([_log_marginal(hist) for hist in hists]))

@@ -41,6 +41,8 @@ from fedeval.hierarchy import build_hierarchy
 from fedeval.io import row_to_json
 from fedeval.sweep import SweepConfig, run_sweep
 
+from tree_levels import level_views
+
 POLICIES = ("one_per_client", "skewed:0.3", "variable:4")
 
 # Secure aggregation and distributed DP do not depend on how the data is
@@ -49,19 +51,19 @@ POLICIES = ("one_per_client", "skewed:0.3", "variable:4")
 # (test_dist_dp_does_not_depend_on_the_client_split in test_hierarchy.py).
 SWEEP_DIGESTS = {
     ("secure_agg", "one_per_client"):
-        "0e752eb3dd5ac81f6a80d09b77055a8678681d5fc36df2cf44a3d7d07101658c",
+        "fc8035ec31b5f9b44eafdfbbc16a8e3a294fc0184e97c84a4b4a7f37b56e3e68",
     ("secure_agg", "skewed:0.3"):
-        "0e752eb3dd5ac81f6a80d09b77055a8678681d5fc36df2cf44a3d7d07101658c",
+        "fc8035ec31b5f9b44eafdfbbc16a8e3a294fc0184e97c84a4b4a7f37b56e3e68",
     ("secure_agg", "variable:4"):
-        "0e752eb3dd5ac81f6a80d09b77055a8678681d5fc36df2cf44a3d7d07101658c",
+        "fc8035ec31b5f9b44eafdfbbc16a8e3a294fc0184e97c84a4b4a7f37b56e3e68",
     ("dist_dp", "one_per_client"):
-        "28bbcce42ca049a518d9956a872fc1c0d3cb2de72a4edcb2007ca624f54dcb6d",
+        "70b775ebeaeb638267d676bb8725996eb960d5664fc47dd9cdaa83aea824ce5f",
     ("dist_dp", "skewed:0.3"):
-        "28bbcce42ca049a518d9956a872fc1c0d3cb2de72a4edcb2007ca624f54dcb6d",
+        "70b775ebeaeb638267d676bb8725996eb960d5664fc47dd9cdaa83aea824ce5f",
     ("dist_dp", "variable:4"):
-        "28bbcce42ca049a518d9956a872fc1c0d3cb2de72a4edcb2007ca624f54dcb6d",
+        "70b775ebeaeb638267d676bb8725996eb960d5664fc47dd9cdaa83aea824ce5f",
     ("local_dp", "one_per_client"):
-        "5b5f89c44ca829794ee5bf1d30f30ed781ec249bf5facee29da7ee4f0154d2f9",
+        "d0faaa728296c1163d52b65b64a04c07a274f059b6809e70c36d67e17caaa9d5",
     ("local_dp", "skewed:0.3"):
         "654ed7b385b1592940c30672ad3944817025f3d621fb15e69ba2cf3a5786c04d",
     ("local_dp", "variable:4"):
@@ -72,7 +74,7 @@ CLI_DIGESTS = {
     "gen-data":
         "7860e132684ca9e4ce541db86cf652ad6456555fd784781ca5d929b4c19fb254",
     "sweep-data":
-        "b8f53d5735fbf32248eb83975722445232e690ef868270c08c8bd173eed1bb09",
+        "815ba958549ceb0f3833bed302033ddd06d720d7194230c89c2295e52f45bb50",
     "evaluate-secure_agg":
         "220c5bc542c328171ea50f78852f679aeec36d8a6d7a381ae4bd08152ec1c213",
     "evaluate-dist_dp":
@@ -82,7 +84,7 @@ CLI_DIGESTS = {
     "calibrate-fixed":
         "227e5f81a8d11b70b4dab60d8a56c2e2ff3c02217f6d66a3c22db8cf0d941dda",
     "calibrate-bbq":
-        "cffd47c963c6294f3fdbc33cc2a85fe51de93568eada1f5062621ca4822fb842",
+        "39afddc682fbc2cad9b60a9c5ed52e26df376bf80220918a10bfe9a75206c415",
 }
 
 SPIKY = ScoreDistribution(spikes=(Spike(0.5, 0.1, 0.05), Spike(0.9, 0.05, 0.0)))
@@ -226,8 +228,8 @@ def client_rows(clients: ClientSplit):
 
 
 def assert_same_hierarchy(a, b):
-    assert len(a.values) == len(b.values)
-    for left, right in zip(a.values, b.values):
+    assert len(level_views(a)) == len(level_views(b))
+    for left, right in zip(level_views(a), level_views(b)):
         assert left.dtype == right.dtype
         assert left.tobytes() == right.tobytes()
     assert a.level_variances == b.level_variances

@@ -3,10 +3,11 @@
 `calibrate` and the sweep's ECE row both run
 `sweep.held_out_calibrations`, and `evaluate_population` reads its
 records itself. The references below are the code they replaced, kept
-literally: a held-out fit that returned its trees, an ECE helper, the
-ECE row that rebuilt the exact trees from unseeded builds, and the
-record reader of one histogram. Every record, and every `calibrate`
-output, must match them bitwise at the same seeds.
+literally: the build of one split's two class trees, a held-out fit
+that returned its trees, an ECE helper, the ECE row that rebuilt the
+exact trees from unseeded builds, and the record reader of one
+histogram. Every record, and every `calibrate` output, must match them
+bitwise at the same seeds.
 """
 
 import itertools
@@ -30,19 +31,26 @@ from fedeval.core import (
     ClientSplit,
     DegenerateEstimateError,
     InsufficientPopulationError,
+    Label,
     PrivacySpec,
     Regime,
     as_generator,
 )
 from fedeval.datagen import sample_population, split_population
-from fedeval.hierarchy import HierarchicalCounts, build_score_histogram
+from fedeval.hierarchy import HierarchicalCounts, build_hierarchy, build_score_histogram
 from fedeval.io import read_columns, write_columns
 from fedeval.metrics import auc_histogram, pra_threshold
 from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
-from fedeval.sweep import _aggregate_classes, _ece_record, evaluate_population
+from fedeval.sweep import _ece_record, evaluate_population
 
 PRA_METRICS = ("precision", "recall", "accuracy")
 _DEGENERATE_ECE = ("ece", None, None, None, None)
+
+
+def aggregate_classes(clients, spec, pos_seed, neg_seed):
+    pos = build_hierarchy(clients, Label.POSITIVE, spec, pos_seed)
+    neg = build_hierarchy(clients, Label.NEGATIVE, spec, neg_seed)
+    return pos, neg
 
 
 def _estimate_or_none(metric, hist, *args):
@@ -98,7 +106,7 @@ def ref_evaluate_population(
     split_ss, pos_ss, neg_ss = seeds
     try:
         clients = split_population(scores, positive, split_policy, split_ss)
-        pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
+        pos, neg = aggregate_classes(clients, spec, pos_ss, neg_ss)
         hist = build_score_histogram(pos, neg, num_buckets)
     except InsufficientPopulationError:
         hist = None
@@ -128,7 +136,7 @@ def fit_held_out(
     clients = split_population(
         scores[fit_rows], positive[fit_rows], split_policy, split_ss
     )
-    pos, neg = _aggregate_classes(clients, spec, pos_ss, neg_ss)
+    pos, neg = aggregate_classes(clients, spec, pos_ss, neg_ss)
     return HeldOutFit(clients, pos, neg, scores[eval_rows], positive[eval_rows])
 
 
@@ -167,7 +175,7 @@ def ref_ece_record(
             exact_spec = PrivacySpec(
                 regime=Regime.SECURE_AGG, height=spec.height, fanout=spec.fanout
             )
-            pos, neg = _aggregate_classes(clients, exact_spec, None, None)
+            pos, neg = aggregate_classes(clients, exact_spec, None, None)
             exact = _held_out_ece(pos, neg, *held_out, num_buckets, eval_bins)
     except InsufficientPopulationError:
         return _DEGENERATE_ECE

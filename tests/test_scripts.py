@@ -16,6 +16,8 @@ from fedeval import (
     split_population,
 )
 
+from tree_levels import level_views
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -118,7 +120,7 @@ def test_gate_audit_salts_only_the_noisy_trees(capsys):
         epsilon = None if regime is Regime.SECURE_AGG else 5.0
         spec = PrivacySpec(regime=regime, epsilon=epsilon, height=4)
         tree = build(clients, Label.POSITIVE, spec, (7, 2))
-        return [level.tobytes() for level in tree.values]
+        return [level.tobytes() for level in level_views(tree)]
 
     for regime in Regime:
         assert bits(audit.salted(build_hierarchy, 0), regime) == bits(
