@@ -165,6 +165,8 @@ def cmd_evaluate(args) -> int:
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"--threshold must lie in [0, 1], got {t}")
+    if args.buckets < 1:
+        raise ValueError(f"--buckets must be >= 1, got {args.buckets}")
     started = time.perf_counter()
     records = evaluate_population(
         scores, positive, spec, args.buckets, args.split, thresholds,

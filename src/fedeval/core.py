@@ -10,8 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 __all__ = [
     "Label",
     "Regime",
-    "LabeledScore",
     "ClientSplit",
     "PrivacySpec",
     "Spike",
@@ -54,13 +52,6 @@ class Regime(enum.Enum):
     LOCAL_DP = "local_dp"
 
 
-class LabeledScore(NamedTuple):
-    """One example: a classifier score in [0, 1] and its true label."""
-
-    score: float
-    label: Label
-
-
 @dataclass(frozen=True, eq=False)
 class ClientSplit:
     """A population split into client shards, stored as columns.
@@ -73,15 +64,8 @@ class ClientSplit:
     positive: np.ndarray
     offsets: np.ndarray
 
-    @classmethod
-    def from_shards(cls, shards: Sequence[Sequence[LabeledScore]]) -> "ClientSplit":
-        """Columns of per-client example lists, clients in input order."""
-        sizes = np.fromiter(map(len, shards), dtype=np.int64, count=len(shards))
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        return cls(*as_arrays(list(chain.from_iterable(shards))), offsets)
-
-    @property
-    def num_clients(self) -> int:
+    def __len__(self) -> int:
+        """The number of clients."""
         return len(self.offsets) - 1
 
     def sizes(self) -> np.ndarray:
@@ -242,21 +226,17 @@ class ScoreDistribution:
         return -limit if self.negative_slope is None else self.negative_slope
 
 
-def as_arrays(examples: Sequence[LabeledScore]) -> tuple[np.ndarray, np.ndarray]:
-    """Convert examples to (scores float64, labels bool) arrays."""
+def as_arrays(examples: Sequence[tuple[float, bool]]) -> tuple[np.ndarray, np.ndarray]:
+    """(scores float64, positive bool) columns of (score, positive) pairs."""
     count = len(examples)
     scores = np.fromiter(map(itemgetter(0), examples), np.float64, count)
-    labels = map(itemgetter(1), examples)
-    positive = np.fromiter(map(is_, labels, repeat(Label.POSITIVE)), bool, count)
+    positive = np.fromiter(map(itemgetter(1), examples), bool, count)
     return scores, positive
 
 
-def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[LabeledScore]:
-    """The examples of (scores, positive) columns, in row order."""
-    labels = map((Label.NEGATIVE, Label.POSITIVE).__getitem__, positive.tolist())
-    # tuple.__new__ is how a NamedTuple builds itself, without the
-    # keyword handling of its __new__.
-    return list(map(tuple.__new__, repeat(LabeledScore), zip(scores.tolist(), labels)))
+def as_examples(scores: np.ndarray, positive: np.ndarray) -> list[tuple[float, bool]]:
+    """The (score, positive) pairs of the columns, in row order."""
+    return list(zip(scores.tolist(), positive.tolist()))
 
 
 def leaf_indices(scores: np.ndarray, height: int, fanout: int) -> np.ndarray:

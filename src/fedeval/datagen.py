@@ -17,8 +17,8 @@ import numpy as np
 from .core import (
     ClientSplit,
     Label,
-    LabeledScore,
     ScoreDistribution,
+    as_arrays,
     as_examples,
     as_generator,
 )
@@ -101,8 +101,8 @@ def gen_well_behaved(
     dist: ScoreDistribution,
     class_balance: float = 0.5,
     seed=None,
-) -> list[LabeledScore]:
-    """sample_population as a list of labeled scores."""
+) -> list[tuple[float, bool]]:
+    """sample_population as a list of (score, positive) pairs."""
     return as_examples(*sample_population(num_examples, dist, class_balance, seed))
 
 
@@ -193,16 +193,16 @@ def split_population(
 
 
 def split_to_clients(
-    examples: Sequence[LabeledScore], policy: str, seed=None
-) -> list[list[LabeledScore]]:
-    """The one_per_client split of a list of labeled scores.
+    examples: Sequence[tuple[float, bool]], policy: str, seed=None
+) -> ClientSplit:
+    """The one_per_client split of a list of (score, positive) pairs.
 
-    One single-example list per client, in input order. Other policies
-    split columns only, through split_population; seed is unused.
+    One example per client, in input order. Other policies split
+    columns only, through split_population; seed is unused.
     """
     if policy != "one_per_client":
         raise ValueError(
             f"split_to_clients runs only the one_per_client split; "
             f"split {policy!r} with split_population"
         )
-    return [[example] for example in examples]
+    return ClientSplit(*as_arrays(examples), np.arange(len(examples) + 1))

@@ -36,7 +36,6 @@ from .core import (
     ClientSplit,
     InsufficientPopulationError,
     Label,
-    LabeledScore,
     PrivacySpec,
     Regime,
     as_generator,
@@ -167,21 +166,21 @@ def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> np.ndarray:
 def _build_local_dp(
     clients: ClientSplit, class_rows: np.ndarray, spec: PrivacySpec, rng
 ) -> tuple[np.ndarray, list[float]]:
-    num_clients = clients.num_clients
+    client_count = len(clients)
     num_leaves = spec.num_leaves
     # Every client holds at most one example, so the occupied clients
     # hold rows 0, 1, ... in client order. A client with no example of
     # this class keeps leaf num_leaves, one past the last; at every
     # level that is the node one past the last, which the counts drop.
     class_clients = np.flatnonzero(clients.sizes() == 1)[class_rows]
-    leaf_of_client = np.full(num_clients, num_leaves, dtype=np.int64)
+    leaf_of_client = np.full(client_count, num_leaves, dtype=np.int64)
     leaf_of_client[class_clients] = leaf_indices(
         clients.scores[class_rows], spec.height, spec.fanout
     )
 
     # Group assignment is part of the mechanism randomness so that the
     # rescaled per-group counts stay unbiased for the full population.
-    order = rng.permutation(num_clients)
+    order = rng.permutation(client_count)
     # p and q are those of one OUE report over a doubled domain whose
     # halves are the two classes' level-k segments. The two trees do
     # not share that report: each class is built by its own call,
@@ -198,7 +197,7 @@ def _build_local_dp(
         width = spec.fanout**k
         level_nodes = leaf_of_client[members] // (num_leaves // width)
         true_counts = np.bincount(level_nodes, minlength=width)[:width]
-        scale = num_clients / group_size
+        scale = client_count / group_size
         # ((kept + flipped) - group_size * q) / (p - q) * scale, written
         # into the level's view one operation at a time. The kept and
         # flipped bit counts are whole numbers below 2**53, so their
@@ -219,28 +218,22 @@ def _build_local_dp(
 
 
 def build_hierarchy(
-    shards: ClientSplit | Sequence[Sequence[LabeledScore]],
+    clients: ClientSplit,
     class_filter: Label,
     spec: PrivacySpec,
     seed=None,
 ) -> HierarchicalCounts:
     """Aggregate one class's per-level segment counts under a privacy regime.
 
-    shards is a ClientSplit, or one list of examples per client, which
-    is converted to a ClientSplit first. Every client participates at
-    every level regardless of whether its examples match class_filter,
-    so participation does not leak labels.
+    Every client participates at every level regardless of whether its
+    examples match class_filter, so participation does not leak labels.
     Under local DP, clients are partitioned round-robin (over a seeded
     shuffle) into h groups and group k reports only its level-k segment;
     decoded counts are rescaled by the inverse sampling fraction.
     """
     if not isinstance(class_filter, Label):
         raise TypeError(f"class_filter must be a Label, got {class_filter!r}")
-    if isinstance(shards, ClientSplit):
-        clients = shards
-    else:
-        clients = ClientSplit.from_shards(shards)
-    num_clients = clients.num_clients
+    client_count = len(clients)
     rng = as_generator(seed)
     class_rows = np.flatnonzero(
         clients.positive if class_filter is Label.POSITIVE else ~clients.positive
@@ -250,20 +243,20 @@ def build_hierarchy(
         # The shard check comes first, so a multi-example split fails
         # whatever its client count.
         clients.check_one_per_client()
-        if num_clients == 0:
+        if client_count == 0:
             nodes = np.zeros(_level_starts(spec.fanout, spec.height)[-1])
             variances = [0.0] * spec.height
-        elif num_clients < spec.height:
+        elif client_count < spec.height:
             raise InsufficientPopulationError(
                 f"local DP needs at least {spec.height} clients to cover "
-                f"all levels, got {num_clients}"
+                f"all levels, got {client_count}"
             )
         else:
             nodes, variances = _build_local_dp(clients, class_rows, spec, rng)
     else:
         nodes = _exact_levels(clients.scores[class_rows], spec)
         variances = [0.0] * spec.height
-        if spec.regime is Regime.DIST_DP and num_clients > 0:
+        if spec.regime is Regime.DIST_DP and client_count > 0:
             alpha = math.exp(-spec.epsilon / spec.height)
             node_variance = discrete_laplace_variance(alpha)
             for level in _level_views(nodes, spec):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import LabeledScore, as_arrays, as_examples
+from .core import as_arrays, as_examples
 
 if TYPE_CHECKING:
     from .sweep import SweepResultRow
@@ -149,8 +149,8 @@ def _bad_rows_report(path: str | Path, rows: list[str]) -> str:
     return "\n".join(problems) + suffix
 
 
-def read_data_file(path: str | Path) -> list[LabeledScore]:
-    """read_columns as a list of labeled scores."""
+def read_data_file(path: str | Path) -> list[tuple[float, bool]]:
+    """read_columns as a list of (score, positive) pairs."""
     return as_examples(*read_columns(path))
 
 
@@ -161,8 +161,8 @@ def write_columns(path: str | Path, scores: np.ndarray, positive: np.ndarray) ->
     Path(path).write_text(f"{DATA_HEADER}\n" + "".join(rows), encoding="utf-8")
 
 
-def write_data_file(path: str | Path, examples: Sequence[LabeledScore]) -> None:
-    """write_columns for a list of labeled scores."""
+def write_data_file(path: str | Path, examples: Sequence[tuple[float, bool]]) -> None:
+    """write_columns for a list of (score, positive) pairs."""
     write_columns(path, *as_arrays(examples))
 
 

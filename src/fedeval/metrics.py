@@ -120,8 +120,10 @@ def pra_threshold(hist: ScoreHistogram, threshold: float) -> PraEstimate:
     """Precision / recall / accuracy at a post-hoc threshold.
 
     The threshold snaps to the nearest histogram boundary (ties toward
-    the lower one); everything in buckets at or above that boundary is
-    predicted positive. threshold_slack = |T - T'| + one leaf width.
+    the lower one); everything in buckets at or above that boundary,
+    every score >= T', is predicted positive, the closure that
+    oracle.exact_pra_curve counts at T. threshold_slack = |T - T'| +
+    one leaf width.
     Raises only when all three metrics are undefined.
     """
     threshold = float(threshold)

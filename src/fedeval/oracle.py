@@ -6,7 +6,8 @@ federated estimators. AUC is computed under both tie conventions: the
 strict form counts tied positive/negative pairs as 0, the half-ties
 form as 1/2. Histogram estimators approximate the half-ties form on
 bucket-coarsened data, so harness error measurements use it.
-Precision, recall and accuracy predict positive when score > threshold.
+Precision, recall and accuracy predict positive when score >= threshold,
+the closure that metrics.pra_threshold reads from the buckets.
 
 Cost: one value sort per class plus binary searches into the sorted
 classes, O(M log M) with no permutation. Every count is an exact
@@ -68,7 +69,7 @@ def exact_pra_curve(
 ) -> list[tuple[float | None, float | None, float]]:
     """(precision, recall, accuracy) at each threshold, from sorted classes.
 
-    An example is predicted positive when its score exceeds the
+    An example is predicted positive when its score is at or above the
     threshold, so a class's predicted positives are its size minus one
     binary search per threshold. Precision is None when nothing is
     predicted positive; recall is None when there are no positives.
@@ -77,8 +78,8 @@ def exact_pra_curve(
     if total == 0:
         raise ValueError("exact_pra_curve needs at least one example")
     cuts = np.asarray(list(thresholds), dtype=np.float64)
-    true_pos = (pos.size - np.searchsorted(pos, cuts, side="right")).tolist()
-    false_pos = (neg.size - np.searchsorted(neg, cuts, side="right")).tolist()
+    true_pos = (pos.size - np.searchsorted(pos, cuts, side="left")).tolist()
+    false_pos = (neg.size - np.searchsorted(neg, cuts, side="left")).tolist()
     return [
         (
             tp / (tp + fp) if tp + fp > 0 else None,

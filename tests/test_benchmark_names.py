@@ -3,13 +3,17 @@
 perfbench's own tests are outside this suite, and its tracer test fails
 when a traced name disappears. These checks read the perfbench sources
 without importing them, so a simplification that removes or renames a
-name the benchmark depends on fails here first. The per-example list
-forms kept only for the benchmark must in turn stay out of the rest of
-the package, the mechanisms out of every module but hierarchy.py, and
-every exported name must resolve and be used outside its module, and
-every accessor of the trees, histograms and client splits must be read.
-No module selects rows by an inverted boolean mask, imports scipy or
-reads the spawn state of a caller's SeedSequence.
+name the benchmark depends on fails here first.
+
+The list converters kept only for the benchmark (as_arrays and
+as_examples, between plain (score, positive) tuples and columns) must
+stay inside the list shims of core, datagen and io, so every other
+module, hierarchy.py included, takes columns. The mechanisms stay out
+of every module but hierarchy.py. Every exported name must resolve and
+be used outside its module, and every accessor of the trees, histograms
+and client splits must be read. No module selects rows by an inverted
+boolean mask, imports scipy or reads the spawn state of a caller's
+SeedSequence.
 """
 
 import ast
@@ -29,12 +33,11 @@ PERFBENCH = ROOT / "perfbench"
 # The per-example list forms stay only because perfbench calls or traces
 # them. By module, the definitions that make up those shims.
 LIST_SHIMS = {
-    "core": {"LabeledScore", "from_shards", "as_arrays", "as_examples"},
+    "core": {"as_arrays", "as_examples"},
     "datagen": {"gen_well_behaved", "split_to_clients"},
     "io": {"read_data_file", "write_data_file"},
-    "hierarchy": {"build_hierarchy"},
 }
-LIST_NAMES = {"LabeledScore", "as_arrays", "as_examples", "from_shards"}
+LIST_NAMES = {"as_arrays", "as_examples"}
 
 
 def _tree(name):
@@ -159,7 +162,7 @@ def _offenders(names, shims_of=lambda stem: frozenset()):
 
 def test_list_forms_stay_inside_the_shims():
     # The pipeline runs on columns; only the list shims themselves may
-    # name the per-example type or its converters.
+    # name the list converters.
     assert _offenders(LIST_NAMES, lambda stem: LIST_SHIMS.get(stem, set())) == []
 
 

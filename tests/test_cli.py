@@ -167,6 +167,21 @@ def test_evaluate_local_dp_insufficient_population_degenerates(
     assert rows[0]["exact"] == 1.0
 
 
+def test_evaluate_rejects_zero_buckets_whatever_the_data(tmp_path, capsys):
+    # Too few clients for local DP: no histogram is cut, yet the flag
+    # is still checked.
+    path = tmp_path / "tiny.csv"
+    path.write_text("score,label\n0.2,0\n0.8,1\n")
+    code = main([
+        "evaluate", "--data", str(path), "--regime", "local_dp",
+        "--buckets", "0", "--seed", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "fedeval: error: --buckets must be >= 1, got 0\n"
+
+
 def test_evaluate_rejects_epsilon_for_secure_agg(data_csv, capsys):
     code = main([
         "evaluate", "--data", data_csv, "--regime", "secure_agg",

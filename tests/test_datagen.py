@@ -125,7 +125,7 @@ def same_split(a, b):
 def test_one_per_client_split():
     scores, positive = sample_population(40, ScoreDistribution(), seed=31)
     clients = split_population(scores, positive, "one_per_client")
-    assert clients.num_clients == 40
+    assert len(clients) == 40
     assert np.all(clients.sizes() == 1)
     assert rows(clients.scores, clients.positive) == rows(scores, positive)
 
@@ -134,7 +134,7 @@ def test_skewed_split_concentrates_positives():
     scores, positive = sample_population(100, ScoreDistribution(), seed=32)
     num_pos = int(np.count_nonzero(positive))
     clients = split_population(scores, positive, "skewed:0.2")
-    assert clients.num_clients == 100
+    assert len(clients) == 100
     flattened = rows(clients.scores, clients.positive)
     assert sorted(flattened) == sorted(rows(scores, positive))
     hot_end = clients.offsets[20]
@@ -151,7 +151,7 @@ def test_variable_split_preserves_data():
     flattened = rows(clients.scores, clients.positive)
     assert sorted(flattened) == sorted(rows(scores, positive))
     assert np.all(clients.sizes() >= 1)
-    assert clients.num_clients < 300
+    assert len(clients) < 300
     again = split_population(scores, positive, "variable:4", seed=5)
     assert same_split(again, clients)
     other = split_population(scores, positive, "variable:4", seed=6)
@@ -222,7 +222,7 @@ def test_split_policy_validation():
             split_population(*empty, policy)
     for policy in ("one_per_client", "skewed:0.5", "variable:3"):
         clients = split_population(*empty, policy, seed=1)
-        assert clients.num_clients == 0
+        assert len(clients) == 0
         assert clients.offsets.tolist() == [0]
         assert clients.offsets.dtype == np.int64
         assert clients.scores.dtype == np.float64 and clients.scores.size == 0

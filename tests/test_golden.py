@@ -8,14 +8,18 @@ cannot catch such a change on its own. The local_dp digests (the
 one_per_client sweep, sweep-data, evaluate-local_dp and calibrate-bbq)
 were re-recorded when local-DP prefixes became level-order sums of node
 values instead of differences of running sums: a change at the last
-bits of the float results, with no random stream changed.
+bits of the float results, with no random stream changed. The three
+evaluate digests and sweep-data were re-recorded when the exact
+precision, recall and accuracy moved to the closure score >= threshold
+that the histogram estimate reads; no estimate changed.
 
-The list functions (gen_well_behaved, split_to_clients, build_hierarchy
-on per-client lists) wrap the array code; the property tests check that
-both forms give the same shards and bitwise the same hierarchies. The
-list form splits only one example per client; every other policy splits
-columns, and its shards reach build_hierarchy as per-client lists of the
-split's rows.
+The list functions (gen_well_behaved, split_to_clients) wrap the array
+code, with each example a plain (score, positive) tuple. The list form
+stops at split_to_clients, which splits only one example per client and
+returns the same columns and offsets as split_population; the property
+tests check that and that the trees built from both are bitwise equal.
+Every other policy splits columns, and the policies are checked against
+literal per-example loops.
 """
 
 import contextlib
@@ -30,7 +34,7 @@ from hypothesis import strategies as st
 
 from fedeval import Label, PrivacySpec, Regime, ScoreDistribution, Spike
 from fedeval.cli import main
-from fedeval.core import ClientSplit, LabeledScore, as_arrays, as_examples
+from fedeval.core import ClientSplit, as_arrays, as_examples
 from fedeval.datagen import (
     gen_well_behaved,
     sample_population,
@@ -74,13 +78,13 @@ CLI_DIGESTS = {
     "gen-data":
         "7860e132684ca9e4ce541db86cf652ad6456555fd784781ca5d929b4c19fb254",
     "sweep-data":
-        "815ba958549ceb0f3833bed302033ddd06d720d7194230c89c2295e52f45bb50",
+        "0fe3ac9d2bfe3947fd09ccee4ad35d70b784e2a80560aecc692100fb316edaa8",
     "evaluate-secure_agg":
-        "220c5bc542c328171ea50f78852f679aeec36d8a6d7a381ae4bd08152ec1c213",
+        "81a4b17687cb86b9a0ab6cf45c3226fe6392c790d8db84c9f09747f6090f39f1",
     "evaluate-dist_dp":
-        "14cd1f276d46d7a784c8bd65b7f806ee90cea6eaed05941a782f2cb6cd1fc496",
+        "2675a13f8d3dc37327d6335fb3491edbd08aba8349ea5facea59523ae05c9d06",
     "evaluate-local_dp":
-        "461851525dd23cc0a7aef30b66105ff333bb95e2bcf56741b3a2bb9f2ef4b599",
+        "a58c08a7d5ee9adc27b3d92d976212b170f66800176c2ab8d896827fc9d6bd96",
     "calibrate-fixed":
         "227e5f81a8d11b70b4dab60d8a56c2e2ff3c02217f6d66a3c22db8cf0d941dda",
     "calibrate-bbq":
@@ -207,8 +211,8 @@ def reference_split(examples, policy, seed):
             shards.append(list(examples[start : start + size]))
             start += size
         return shards
-    positives = [e for e in examples if e.label is Label.POSITIVE]
-    negatives = [e for e in examples if e.label is Label.NEGATIVE]
+    positives = [e for e in examples if e[1]]
+    negatives = [e for e in examples if not e[1]]
     num_shards = len(examples)
     hot = min(num_shards, math.ceil(value * num_shards))
     hot_pos = min(len(positives), math.ceil(value * len(positives)))
@@ -254,26 +258,28 @@ def test_array_and_list_paths_agree(population, policy, regime, balance, seed):
     clients, split_error = outcome(
         lambda: split_population(scores, positive, policy, seed + 1)
     )
-    if split_error is not None:
-        return
-    shards = client_rows(clients)
-    assert shards == reference_split(examples, policy, seed + 1)
-    if policy == "one_per_client":
-        assert split_to_clients(examples, policy, seed + 1) == shards
+    if split_error is None:
+        assert client_rows(clients) == reference_split(examples, policy, seed + 1)
+
+    # The list form ends at split_to_clients: from there on the list
+    # and the column populations are the same columns.
+    columns = split_population(scores, positive, "one_per_client")
+    from_list = split_to_clients(as_examples(scores, positive), "one_per_client")
+    for name in ("scores", "positive", "offsets"):
+        left, right = getattr(from_list, name), getattr(columns, name)
+        assert left.dtype == right.dtype
+        assert left.tobytes() == right.tobytes()
 
     epsilon = None if regime is Regime.SECURE_AGG else 2.0
     spec = PrivacySpec(regime=regime, epsilon=epsilon, height=height)
     for label, label_seed in ((Label.POSITIVE, seed + 2), (Label.NEGATIVE, seed + 3)):
-        try:
-            from_split = build_hierarchy(clients, label, spec, label_seed)
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as from_lists:
-                build_hierarchy(shards, label, spec, label_seed)
-            assert str(from_lists.value) == str(exc)
-            continue
-        assert_same_hierarchy(
-            from_split, build_hierarchy(shards, label, spec, label_seed)
+        tree, error = outcome(lambda: build_hierarchy(columns, label, spec, label_seed))
+        listed_tree, listed_error = outcome(
+            lambda: build_hierarchy(from_list, label, spec, label_seed)
         )
+        assert listed_error == error
+        if error is None:
+            assert_same_hierarchy(listed_tree, tree)
 
 
 @pytest.mark.parametrize("num_examples", [1, 2, 7, 40, 333])
@@ -284,14 +290,11 @@ def test_splits_match_the_reference_loops(num_examples, policy):
     expected = reference_split(examples, policy, 9)
     assert client_rows(split_population(scores, positive, policy, 9)) == expected
     if policy == "one_per_client":
-        assert split_to_clients(examples, policy, 9) == expected
+        assert client_rows(split_to_clients(examples, policy, 9)) == expected
 
 
 def test_as_arrays_round_trip():
-    examples = [
-        LabeledScore(0.25, Label.POSITIVE),
-        LabeledScore(0.75, Label.NEGATIVE),
-    ]
+    examples = [(0.25, True), (0.75, False)]
     scores, flags = as_arrays(examples)
     assert scores.tolist() == [0.25, 0.75]
     assert flags.tolist() == [True, False]
@@ -299,19 +302,14 @@ def test_as_arrays_round_trip():
     assert as_examples(scores, flags) == examples
 
 
-def test_local_dp_rejects_multi_example_clients_in_both_forms():
-    examples = gen_well_behaved(40, SPIKY, 0.5, 4)
-    scores, positive = as_arrays(examples)
+def test_local_dp_rejects_multi_example_clients():
+    scores, positive = sample_population(40, SPIKY, 0.5, 4)
     spec = PrivacySpec(regime=Regime.LOCAL_DP, epsilon=1.0, height=3)
     message = "local DP accepts at most one example per client shard, shard"
     for policy in ("skewed:0.3", "variable:4"):
         clients = split_population(scores, positive, policy, 5)
-        shards = client_rows(clients)
-        with pytest.raises(ValueError, match=message) as from_split:
+        with pytest.raises(ValueError, match=message):
             build_hierarchy(clients, Label.POSITIVE, spec, 6)
-        with pytest.raises(ValueError, match=message) as from_lists:
-            build_hierarchy(shards, Label.POSITIVE, spec, 6)
-        assert str(from_split.value) == str(from_lists.value)
 
 
 @pytest.mark.parametrize("policy", ["skewed:0.3", "variable:4"])

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedeval import Label, Regime
+from fedeval import Regime
 from fedeval import io as fio
-from fedeval.core import LabeledScore, as_arrays
+from fedeval.core import as_arrays
 from fedeval.io import (
     DATA_HEADER,
     DataFileError,
@@ -45,10 +45,7 @@ def test_columns_and_lists_write_the_same_file(tmp_path):
     by_list = tmp_path / "list.csv"
     write_columns(by_columns, scores, positive)
     examples = read_data_file(by_columns)
-    assert examples == [
-        LabeledScore(s, Label.POSITIVE if f else Label.NEGATIVE)
-        for s, f in zip(scores.tolist(), positive.tolist())
-    ]
+    assert examples == list(zip(scores.tolist(), positive.tolist()))
     write_data_file(by_list, examples)
     assert by_list.read_bytes() == by_columns.read_bytes()
     read_scores, read_positive = read_columns(by_columns)

@@ -11,8 +11,10 @@ from fedeval import (
     Label,
     PrivacySpec,
     Regime,
+    ScoreDistribution,
+    Spike,
 )
-from fedeval.datagen import split_population
+from fedeval.datagen import sample_population, split_population
 from fedeval.hierarchy import (
     ScoreHistogram,
     _bucket_histogram,
@@ -20,7 +22,7 @@ from fedeval.hierarchy import (
     build_score_histogram,
 )
 from fedeval.metrics import auc_histogram, pra_threshold
-from fedeval.oracle import _auc_from_arrays, _class_sorted
+from fedeval.oracle import _auc_from_arrays, _class_sorted, exact_pra_curve
 
 
 def sa_spec(height, fanout=2):
@@ -196,6 +198,25 @@ def test_pra_threshold_at_exact_boundary():
         "effective_threshold",
         "threshold_slack",
     ]
+
+
+def test_pra_threshold_on_a_spike_equals_the_exact_counts():
+    # A cut falls on the spike at T = 0.5. The buckets from that cut up
+    # hold the scores >= T, and the oracle counts the same scores, so
+    # under secure aggregation the estimate is exact to the bit.
+    dist = ScoreDistribution(spikes=(Spike(0.5, 0.3, 0.1),))
+    scores, positive = sample_population(20_000, dist, seed=1)
+    shards = split_population(scores, positive, "one_per_client")
+    spec = sa_spec(4)
+    hist = build_score_histogram(
+        build_hierarchy(shards, Label.POSITIVE, spec),
+        build_hierarchy(shards, Label.NEGATIVE, spec),
+        20,
+    )
+    est = pra_threshold(hist, 0.5)
+    assert est.effective_threshold == 0.5
+    [exact] = exact_pra_curve(*_class_sorted(scores, positive), [0.5])
+    assert (est.precision, est.recall, est.accuracy) == exact
 
 
 def test_pra_threshold_snaps_to_nearest_boundary():

@@ -23,10 +23,10 @@ def exact_pra(columns, threshold):
 
 
 def literal_pra(scores, positives, threshold):
-    """Literal per-example counts with prediction rule score > threshold."""
+    """Literal per-example counts with prediction rule score >= threshold."""
     true_pos = pred_pos = correct = 0
     for score, positive in zip(scores.tolist(), positives.tolist()):
-        predicted = score > threshold
+        predicted = score >= threshold
         true_pos += predicted and positive
         pred_pos += predicted
         correct += predicted == positive
@@ -100,12 +100,12 @@ def test_exact_pra_hand_case():
     assert accuracy == 3 / 5
 
 
-def test_exact_pra_threshold_is_strict():
+def test_exact_pra_threshold_is_inclusive():
     examples = make([(0.5, 1), (0.5, 0), (0.6, 1)])
     precision, recall, accuracy = exact_pra(examples, 0.5)
-    # Scores equal to the threshold are predicted negative.
-    assert precision == 1.0
-    assert recall == 0.5
+    # Scores equal to the threshold are predicted positive.
+    assert precision == 2 / 3
+    assert recall == 1.0
     assert accuracy == 2 / 3
 
 

@@ -64,7 +64,7 @@ def mask_class_sorted(scores, positives):
 
 
 def mask_local_dp(clients, class_rows, spec, rng):
-    num_clients = clients.num_clients
+    num_clients = len(clients)
     occupied = clients.sizes() == 1
     leaf_of_client = np.zeros(num_clients, dtype=np.int64)
     matches = np.zeros(num_clients, dtype=bool)
@@ -100,7 +100,7 @@ def mask_build_hierarchy(clients, label, spec, seed):
         return mask_local_dp(clients, class_rows, spec, rng)
     levels = list(_level_views(_exact_levels(clients.scores[class_rows], spec), spec))
     variances = [0.0] * spec.height
-    if spec.regime is Regime.DIST_DP and clients.num_clients > 0:
+    if spec.regime is Regime.DIST_DP and len(clients) > 0:
         alpha = math.exp(-spec.epsilon / spec.height)
         for k in range(1, spec.height + 1):
             noise = aggregated_noise(alpha, rng, size=spec.fanout**k)

@@ -377,7 +377,7 @@ def test_local_dp_multi_example_split_raises_whatever_its_client_count():
         clients = split_population(scores, positive, "variable:1.5", split_ss)
         if clients.sizes().max() <= 1:
             continue
-        few_clients += clients.num_clients < spec.height
+        few_clients += len(clients) < spec.height
         with pytest.raises(ValueError, match=SHARD_ERROR):
             evaluate_population(
                 scores, positive, spec, 10, "variable:1.5", (),
