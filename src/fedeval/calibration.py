@@ -269,13 +269,13 @@ def _count_below(edges: np.ndarray, values: np.ndarray, side: str) -> np.ndarray
 
 
 def _bucket_of(boundaries: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Left-closed bucket index per score, with 1.0 folded into the last bucket.
+    """Bucket index per score: the interior boundaries at or below it.
 
-    A score on a boundary goes to the bucket above it, as a histogram
-    counts it: its leaf floor(score * f**h) starts that bucket's range.
+    A histogram's boundaries are the least scores its buckets hold, so
+    a score goes to the bucket that the trees count it in, and 1.0 to
+    the last one.
     """
-    at_or_below = _count_below(boundaries, scores, "right")
-    return np.minimum(at_or_below, boundaries.size - 1) - 1
+    return _count_below(boundaries[1:-1], scores, "right")
 
 
 def apply_calibration_batch(

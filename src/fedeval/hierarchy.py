@@ -142,8 +142,23 @@ class ScoreHistogram:
 
     @cached_property
     def boundaries(self) -> np.ndarray:
-        """Bucket boundaries as reals in [0, 1], multiples of f**-h."""
-        return self.boundary_leaves / self.spec.num_leaves
+        """The least score each bucket holds, with 0.0 first and 1.0 last.
+
+        An interior boundary is the least float whose leaf_indices
+        reaches its boundary leaf. At f = 2**k that is the leaf over
+        f**h. At other fanouts the rounded product score * f**h can
+        fall short of the leaf at the quotient (0.29 * 100 < 29) or
+        reach it at a float below, so the quotient is stepped to the
+        least float that reaches it.
+        """
+        num_leaves = self.spec.num_leaves
+        cuts = self.boundary_leaves / num_leaves
+        leaves, inner = self.boundary_leaves[1:-1], cuts[1:-1]
+        while (short := inner * num_leaves < leaves).any():
+            inner[short] = np.nextafter(inner[short], 1.0)
+        while (spare := np.nextafter(inner, 0.0) * num_leaves >= leaves).any():
+            inner[spare] = np.nextafter(inner[spare], 0.0)
+        return cuts
 
 
 def _exact_levels(class_scores: np.ndarray, spec: PrivacySpec) -> np.ndarray:

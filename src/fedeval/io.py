@@ -1,13 +1,14 @@
 """File formats: labeled-score CSV and JSON-lines result streams.
 
 The CSV format is a strict two-column "score,label" file with scores in
-[0, 1] and labels 1/0, decoded as UTF-8 whatever the locale. Reading
-one costs about one split of its text plus one float() per score, as
-whole columns are accepted or rejected at once; rows are revisited one
-at a time only to report a rejected file. Result streams start with a
-schema-version header object followed by one JSON object per result
-row; floats are serialized at full precision so reruns with the same
-seed are byte identical.
+[0, 1] and labels 1/0, decoded as UTF-8 whatever the locale. Files are
+read and written one block of rows at a time, so beyond the file's text
+and its columns the memory they take is bounded by one block. Reading
+costs about one split of the text plus one float() per score; rows are
+revisited one at a time only to report a rejected file. Result streams
+start with a schema-version header object followed by one JSON object
+per result row; floats are serialized at full precision so reruns with
+the same seed are byte identical.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
 DATA_HEADER = "score,label"
 SCHEMA_VERSION = "1"
 _MAX_REPORTED_LINES = 20
+# Rows per block of text: the writer formats this many at a time, the
+# reader checks about as many.
+_BLOCK_ROWS = 4096
 # The line breaks of str.splitlines other than "\n".
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -60,12 +64,14 @@ def _parse_row(line: str) -> tuple[float, bool]:
 def read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a labeled-score CSV into (scores, positive) arrays.
 
-    Whole columns are checked at once: numpy passes over the bytes for
-    the row structure (one comma per row) and the labels, and one
-    ``float()`` per score, so a file costs about one split of its text
-    plus the score conversions. The file is rejected on any bad row;
-    only then are the rows visited one by one, to report every
-    offending line number (up to a cap) in the raised DataFileError.
+    The rows are checked a block at a time: numpy passes over the
+    block's bytes for the row structure (one comma per row) and the
+    labels, and one ``float()`` per score fills the columns, so a file
+    costs about one split of its text plus the score conversions, and
+    its memory is the text, the columns and one block. The file is
+    rejected on any bad row; only then are the rows visited one by
+    one, to report every offending line number (up to a cap) in the
+    raised DataFileError.
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -99,10 +105,40 @@ def _header_and_rows(text: str) -> tuple[str, str]:
 def _checked_columns(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     """The columns of rows that each end in a newline, or None if any is bad.
 
-    ``,`` and ``\\n`` never occur inside a multi-byte UTF-8 sequence, so
-    the structure check can run on the encoded bytes.
+    The rows are checked and converted a block of about _BLOCK_ROWS at
+    a time into columns allocated up front, so the work space is one
+    block; the score range is checked once over the whole column.
     """
-    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    num_rows = body.count("\n")
+    scores = np.empty(num_rows, dtype=np.float64)
+    positive = np.empty(num_rows, dtype=bool)
+    # Blocks are cut at the last newline within a stretch of text that
+    # holds _BLOCK_ROWS rows of average length.
+    stretch = len(body) * _BLOCK_ROWS // max(num_rows, 1) + 1
+    start = first = 0
+    while start < len(body):
+        stop = body.rfind("\n", start, start + stretch) + 1 or (
+            body.index("\n", start) + 1
+        )
+        columns = _checked_block(body[start:stop])
+        if columns is None:
+            return None
+        rows = slice(first, first + columns[0].size)
+        scores[rows], positive[rows] = columns
+        start, first = stop, rows.stop
+    if num_rows and not (0.0 <= scores.min() and scores.max() <= 1.0):
+        return None
+    return scores, positive
+
+
+def _checked_block(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The scores and labels of rows that each end in a newline, or None.
+
+    ``,`` and ``\\n`` never occur inside a multi-byte UTF-8 sequence, so
+    the structure check can run on the encoded bytes. The score range
+    is left to the caller.
+    """
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     commas = np.flatnonzero(data == ord(","))
     ends = np.flatnonzero(data == ord("\n"))
     num_rows = ends.size
@@ -111,11 +147,10 @@ def _checked_columns(body: str) -> tuple[np.ndarray, np.ndarray] | None:
         (commas < ends).all() and (ends[:-1] < commas[1:]).all()
     ):
         return None
+    cells = text.replace(",", "\n").split("\n")
     # Labels that are each one byte are read from the bytes.
-    labels = data[commas + 1] if (ends - commas == 2).all() else None
-    del data, commas, ends  # hold one copy of the rows while splitting them
-    cells = body.replace(",", "\n").split("\n")
-    if labels is not None:
+    if (ends - commas == 2).all():
+        labels = data[commas + 1]
         if not ((labels == ord("0")) | (labels == ord("1"))).all():
             return None
         positive = labels == ord("1")
@@ -127,8 +162,6 @@ def _checked_columns(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     try:
         scores = np.fromiter(map(float, cells[0:-1:2]), np.float64, num_rows)
     except ValueError:
-        return None
-    if num_rows and not (0.0 <= scores.min() and scores.max() <= 1.0):
         return None
     return scores, positive
 
@@ -155,10 +188,18 @@ def read_data_file(path: str | Path) -> list[tuple[float, bool]]:
 
 
 def write_columns(path: str | Path, scores: np.ndarray, positive: np.ndarray) -> None:
-    """Write a labeled-score CSV that read_columns round-trips exactly."""
-    labels = map((",0\n", ",1\n").__getitem__, positive.tolist())
-    rows = map(str.__add__, map(repr, scores.tolist()), labels)
-    Path(path).write_text(f"{DATA_HEADER}\n" + "".join(rows), encoding="utf-8")
+    """Write a labeled-score CSV that read_columns round-trips exactly.
+
+    The rows are formatted and written _BLOCK_ROWS at a time, so beyond
+    the columns the writer holds one block of text.
+    """
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(f"{DATA_HEADER}\n")
+        for start in range(0, len(scores), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            labels = map((",0\n", ",1\n").__getitem__, positive[block].tolist())
+            rows = map(str.__add__, map(repr, scores[block].tolist()), labels)
+            out.write("".join(rows))
 
 
 def write_data_file(path: str | Path, examples: Sequence[tuple[float, bool]]) -> None:

@@ -192,6 +192,35 @@ def test_leaf_boundary_scores_map_to_the_bucket_that_counts_them(fanout, height)
         assert np.array_equal(_bucket_of(hist.boundaries, on_leaves), want)
 
 
+@pytest.mark.parametrize("fanout,height", [(3, 5), (6, 3), (10, 2), (10, 3)])
+def test_every_leaf_boundary_float_maps_to_the_leaf_that_counts_it(fanout, height):
+    # Away from powers of two, score * f**h rounds: 0.29 * 100 is
+    # 28.999999999999996, so the trees count 0.29 in leaf 28. With a
+    # bucket per leaf, each boundary must be the least float of its
+    # leaf, and each float near one must map to its own leaf.
+    spec = PrivacySpec(regime=Regime.SECURE_AGG, height=height, fanout=fanout)
+    num_leaves = spec.num_leaves
+    zeros = np.zeros(num_leaves)
+    hist = ScoreHistogram(
+        spec, np.arange(num_leaves + 1), zeros, zeros, zeros, zeros, 0.0, 0.0
+    )
+    boundaries = hist.boundaries
+    assert boundaries[0] == 0.0 and boundaries[-1] == 1.0
+    inner = boundaries[1:-1]
+    assert leaf_indices(inner, height, fanout).tolist() == list(range(1, num_leaves))
+    below = leaf_indices(np.nextafter(inner, 0.0), height, fanout)
+    assert below.tolist() == list(range(num_leaves - 1))
+    quotients = np.arange(num_leaves + 1) / num_leaves
+    near = np.concatenate([quotients, boundaries])
+    scores = np.concatenate([near, np.nextafter(near, -1.0), np.nextafter(near, 2.0)])
+    scores = scores[(scores >= 0.0) & (scores <= 1.0)]
+    want = leaf_indices(scores, height, fanout)
+    assert np.array_equal(_bucket_of(boundaries, scores), want)
+    values = np.arange(num_leaves) / num_leaves
+    cal_map = CalibrationMap(binnings=((boundaries, values),), weights=np.ones(1))
+    assert np.array_equal(apply_calibration_batch(cal_map, scores), values[want])
+
+
 def test_mixture_of_binnings():
     cal_map = CalibrationMap(
         binnings=(
@@ -389,7 +418,7 @@ def test_bbq_bisects_every_candidate_in_one_pass(monkeypatch):
 # f > 2; it was b57586de6de566487b657d51e15128eadd9f694dd19da6e6c92c4d5ea4a98946.
 BBQ_LOCAL_DP_DIGESTS = {
     (2, 8): "851826d2cc43f2da1b430992bf3627a2a9bfc324da8e61daeffe6bff1c995604",
-    (3, 5): "7c9485da6fb5e1f2c0b8462814fd0c22c3142f2bb79e3ebf9ab4c8c4a02ff551",
+    (3, 5): "902ce0260730bb16f1a4d3304ef29072a2aed1a8b453e0d253b8989667073ba7",
 }
 
 

@@ -1,6 +1,7 @@
 """Labeled-score CSV files and JSON-lines result serialization."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fedeval.io import (
     write_data_file,
 )
 from fedeval.sweep import SweepResultRow
+from whole_body_reader import whole_body_reader
 
 
 def test_round_trip_preserves_floats(tmp_path):
@@ -248,6 +250,153 @@ def test_read_columns_equals_the_per_row_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "scores.csv"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(read_columns, path) == outcome(per_row_reader, path)
+
+
+@settings(max_examples=150)
+@given(text=csv_texts())
+@example(text="score,label\n0.5, 1\n0.5,1\n0.25,0 \n")
+def test_blocks_of_two_rows_read_as_the_per_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fio, "_BLOCK_ROWS", 2)
+        assert outcome(read_columns, path) == outcome(per_row_reader, path)
+
+
+# -- files of several blocks -----------------------------------------------
+
+BLOCK = 8
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of about BLOCK rows; the list collects the texts read."""
+    blocks = []
+    checked_block = fio._checked_block
+
+    def recorded(text):
+        blocks.append(text)
+        return checked_block(text)
+
+    monkeypatch.setattr(fio, "_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(fio, "_checked_block", recorded)
+    return blocks
+
+
+def write_rows(path, rows, end="\n", last="\n"):
+    path.write_bytes((end.join(["score,label", *rows]) + last).encode("utf-8"))
+    return path
+
+
+def even_rows(num_rows):
+    """Rows of one length, so that each block holds BLOCK of them."""
+    return [f"0.{i:04d},{i % 2}" for i in range(num_rows)]
+
+
+def blocks_holding(blocks, row):
+    return [i for i, text in enumerate(blocks) if f"\n{row}\n" in f"\n{text}"]
+
+
+@pytest.mark.parametrize("num_rows", [0, 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_blocked_round_trip_is_bit_exact(tmp_path, small_blocks, num_rows):
+    rng = np.random.default_rng(num_rows)
+    edges = [0.0, 1.0, 5e-324, 0.1 + 0.2, np.nextafter(1.0, 0.0), 2.0**-1074 * 3]
+    scores = np.concatenate([edges, rng.random(num_rows)])[:num_rows]
+    positive = rng.random(num_rows) < 0.5
+    path = tmp_path / "scores.csv"
+    write_columns(path, scores, positive)
+    rows = [f"{s!r},{int(p)}\n" for s, p in zip(scores.tolist(), positive.tolist())]
+    assert path.read_text(encoding="utf-8") == f"{DATA_HEADER}\n" + "".join(rows)
+    read_scores, read_positive = read_columns(path)
+    assert read_scores.tobytes() == scores.tobytes()
+    assert read_positive.tolist() == positive.tolist()
+    assert "".join(small_blocks) == "".join(rows)
+    assert len(small_blocks) >= num_rows // BLOCK
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5,2", "0.5, banana", "1.5,1", "nan,0", "abc,1", "0.5", "0.5,1,0", ""]
+)
+@pytest.mark.parametrize("where", ["first", "last", "both"])
+def test_a_bad_row_in_one_block_gives_the_whole_body_message(
+    tmp_path, small_blocks, where, bad
+):
+    rows = even_rows(3 * BLOCK + 7)
+    if where != "last":
+        rows[1] = bad
+    if where != "first":
+        rows[-2] = bad
+    path = write_rows(tmp_path / "bad.csv", rows)
+    got = outcome(read_columns, path)
+    assert got[0] == "rejected"
+    assert got == outcome(whole_body_reader, path)
+    if where == "first":
+        assert blocks_holding(small_blocks, bad) == [0]
+    if where == "last":
+        assert len(small_blocks) >= 3
+        assert blocks_holding(small_blocks, bad) == [len(small_blocks) - 1]
+
+
+def test_stripped_labels_in_one_block(tmp_path, small_blocks):
+    rows = even_rows(3 * BLOCK + 7)
+    rows[BLOCK + 2] = "0.25, 1"
+    rows[BLOCK + 4] = "0.75,0 "
+    path = write_rows(tmp_path / "stripped.csv", rows)
+    got = outcome(read_columns, path)
+    assert got[0] == "accepted"
+    assert got == outcome(whole_body_reader, path) == outcome(per_row_reader, path)
+    assert len(small_blocks) >= 3
+    assert sum(", 1\n" in text or "0 \n" in text for text in small_blocks) == 1
+
+
+def test_a_full_width_score_in_a_middle_block(tmp_path, small_blocks):
+    # float() reads the full-width digits. Each is one character and
+    # three UTF-8 bytes, so from this row on a block's character and
+    # byte offsets differ.
+    rows = even_rows(3 * BLOCK + 7)
+    rows[BLOCK + 3] = "\uff10.\uff15,1"
+    path = write_rows(tmp_path / "wide.csv", rows)
+    got = outcome(read_columns, path)
+    assert got[0] == "accepted"
+    assert got == outcome(whole_body_reader, path) == outcome(per_row_reader, path)
+    scores, _ = read_columns(path)
+    assert scores[BLOCK + 3] == 0.5
+    assert len(small_blocks) >= 3
+
+
+@pytest.mark.parametrize("end,last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", "")])
+def test_line_ends_of_a_file_of_several_blocks(tmp_path, small_blocks, end, last):
+    path = write_rows(tmp_path / "ends.csv", even_rows(3 * BLOCK + 7), end, last)
+    got = outcome(read_columns, path)
+    assert got[0] == "accepted"
+    assert got == outcome(whole_body_reader, path) == outcome(per_row_reader, path)
+    assert len(small_blocks) >= 3
+
+
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_reading_and_writing_hold_one_block_beyond_the_text(tmp_path):
+    # A Python string per row or cell costs over five times the file's
+    # size; the text itself is read as bytes and decoded, which holds
+    # twice its size for a moment.
+    rng = np.random.default_rng(6)
+    scores = rng.random(200_000)
+    positive = rng.random(200_000) < 0.5
+    path = tmp_path / "scores.csv"
+    _, write_peak = traced_peak(write_columns, path, scores, positive)
+    size = path.stat().st_size
+    assert write_peak < size / 4
+    (read_scores, _), read_peak = traced_peak(read_columns, path)
+    assert read_scores.tobytes() == scores.tobytes()
+    assert read_peak < 2.5 * size
 
 
 def test_non_utf8_file_is_a_data_error(tmp_path):
